@@ -10,6 +10,7 @@ the set s.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +40,7 @@ __all__ = [
     "random_function",
     "mask_array",
     "popcounts",
+    "level_array",
     "parse_truth_table",
     "format_truth_table",
     "load_truth_table",
@@ -54,6 +56,20 @@ def mask_array(n: int) -> np.ndarray:
 
 def popcounts(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks)
+
+
+@functools.lru_cache(maxsize=4)
+def level_array(n: int) -> np.ndarray:
+    """|S| for every mask S of n bits: one shared, read-only uint8 array per n.
+
+    Built by doubling (masks with the top bit set are the lower half plus
+    one), so no 2**n int64 mask array is allocated.
+    """
+    levels = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        levels = np.concatenate((levels, levels + 1))
+    levels.setflags(write=False)
+    return levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,13 +398,15 @@ def _check_coordinate(n: int, i: int) -> None:
 
 
 def format_truth_table(f: TruthTable) -> str:
-    return f"n={f.n}\n" + "".join("1" if b else "0" for b in f.bits) + "\n"
+    return f"n={f.n}\n" + (f.bits + ord("0")).tobytes().decode("ascii") + "\n"
 
 
 def table_to_hex(f: TruthTable) -> str:
     width = ((1 << f.n) + 3) // 4
-    value = int("".join("1" if b else "0" for b in f.bits), 2)
-    return format(value, f"0{width}x")
+    # n <= 2 fills less than one byte: pad on the left, keep the last digit
+    bits = np.concatenate((np.zeros(-f.bits.size % 8, dtype=np.uint8), f.bits))
+    digits = np.packbits(bits).tobytes().hex()
+    return digits[len(digits) - width :]
 
 
 def parse_truth_table(text: str) -> TruthTable:
@@ -411,12 +429,17 @@ def parse_truth_table(text: str) -> TruthTable:
             raise InputError(
                 f"hex body must have {expected} digits for n={n}, got {len(digits)}"
             )
+        # n <= 2 has a single digit: pad it to a whole byte
+        padded = digits.zfill(2 * ((size + 7) // 8))
         try:
-            value = int(digits, 16)
+            packed = bytes.fromhex(padded)
         except ValueError as exc:
             raise InputError("hex body contains non-hex characters") from exc
-        bits = np.array([(value >> (size - 1 - x)) & 1 for x in range(size)], dtype=np.uint8)
-        return TruthTable(n, bits)
+        if 2 * len(packed) != len(padded):
+            # fromhex skips whitespace between digit pairs
+            raise InputError("hex body contains non-hex characters")
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
+        return TruthTable(n, bits[bits.size - size :])
     if len(body) != size:
         raise InputError(f"expected 2^{n} = {size} characters of '0'/'1', got {len(body)}")
     if set(body) - {"0", "1"}:

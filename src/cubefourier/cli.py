@@ -48,6 +48,7 @@ from .spectral import (
     save_spectrum_binary,
     save_spectrum_json,
     spectral_entropy,
+    top_masks,
     total_influence_spectral,
     transform,
 )
@@ -393,6 +394,8 @@ def _cmd_clique(ns) -> int:
 
 
 def _cmd_spectrum(ns) -> int:
+    if ns.top < 0:
+        raise InputError("--top must be nonnegative")
     if ns.load:
         sp = load_spectrum_binary(ns.load)
     else:
@@ -404,11 +407,10 @@ def _cmd_spectrum(ns) -> int:
         save_spectrum_binary(sp, ns.export)
     if ns.export_json:
         save_spectrum_json(sp, ns.export_json)
-    order = np.argsort(-np.abs(sp.coeffs), kind="stable")[: ns.top]
-    lines = [
-        f"n = {sp.n}   p = {sp.p:.6g}   entropy = {spectral_entropy(sp):.10g}"
-        f"   influence = {total_influence_spectral(sp):.10g}"
-    ]
+    order = top_masks(np.abs(sp.coeffs), ns.top)
+    ent = spectral_entropy(sp)
+    infl = total_influence_spectral(sp)
+    lines = [f"n = {sp.n}   p = {sp.p:.6g}   entropy = {ent:.10g}   influence = {infl:.10g}"]
     for msk in order:
         lines.append(f"  S = {int(msk):0{sp.n}b}   coeff = {sp.coeffs[msk]:+.12g}")
     if ns.export:
@@ -421,8 +423,8 @@ def _cmd_spectrum(ns) -> int:
             "command": "spectrum",
             "n": sp.n,
             "p": sp.p,
-            "entropy": spectral_entropy(sp),
-            "influence": total_influence_spectral(sp),
+            "entropy": ent,
+            "influence": infl,
             "top": [
                 {"mask": int(msk), "coefficient": float(sp.coeffs[msk])}
                 for msk in order

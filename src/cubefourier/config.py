@@ -3,17 +3,18 @@
 The variable-count cap bounds every 2**n allocation (2**26 doubles is about
 0.5 GiB, which keeps desk-scale guarantees).  Override with
 ``CUBEFOURIER_MAX_N`` / :func:`set_max_n`; worker-pool width with
-``CUBEFOURIER_THREADS`` / :func:`set_threads`.
+``CUBEFOURIER_THREADS`` / :func:`set_threads`.  Both variables go through
+the setters at import, so a bad value raises :class:`InputError` naming it.
 """
 
 import os
 
-from .errors import ResourceError
+from .errors import InputError, ResourceError
 
 DEFAULT_MAX_N = 26
 
-_max_n = int(os.environ.get("CUBEFOURIER_MAX_N", DEFAULT_MAX_N))
-_threads = int(os.environ.get("CUBEFOURIER_THREADS", "1"))
+_max_n = DEFAULT_MAX_N
+_threads = 1
 
 
 def get_max_n() -> int:
@@ -23,7 +24,7 @@ def get_max_n() -> int:
 def set_max_n(n: int) -> None:
     global _max_n
     if n < 1:
-        raise ValueError("max_n must be at least 1")
+        raise InputError("max_n must be at least 1")
     _max_n = n
 
 
@@ -34,8 +35,22 @@ def get_threads() -> int:
 def set_threads(count: int) -> None:
     global _threads
     if count < 1:
-        raise ValueError("thread count must be at least 1")
+        raise InputError("thread count must be at least 1")
     _threads = count
+
+
+def _apply_env(name: str, setter) -> None:
+    raw = os.environ.get(name)
+    if raw is None:
+        return
+    try:
+        setter(int(raw))
+    except ValueError as exc:
+        raise InputError(f"{name}={raw!r} is not valid: {exc}") from None
+
+
+_apply_env("CUBEFOURIER_MAX_N", set_max_n)
+_apply_env("CUBEFOURIER_THREADS", set_threads)
 
 
 def check_table_size(n: int, what: str = "table") -> None:

@@ -30,13 +30,13 @@ from .boolfn import (
 from .config import check_table_size, get_threads
 from .errors import InputError
 from .spectral import (
+    coordinate_influences,
     degree as spectral_degree,
-    influence_vector,
     level_profile,
     measure_weights,
-    min_support,
     parseval_gap,
     spectral_entropy,
+    support_size,
     total_influence_spectral,
     transform,
 )
@@ -175,9 +175,9 @@ def analyze(
     spec = transform(f, bias, threads=threads)
     ent = spectral_entropy(spec)
     infl = total_influence_spectral(spec)
-    ivec = influence_vector(f, bias)
+    ivec = coordinate_influences(spec)
     profile = level_profile(spec)
-    masks, captured = min_support(spec, epsilon)
+    size, captured = support_size(spec, epsilon)
     if bias.p == 0.5:
         bounds = entropy_upper_bounds(f.n, infl, ivec)
         violations = tuple(proven_bound_violations(f.n, ent, infl, ivec))
@@ -202,7 +202,7 @@ def analyze(
         violations=violations,
         degree=spectral_degree(spec),
         level_weights=tuple(float(w) for w in profile.weights),
-        support_size=int(masks.size),
+        support_size=size,
         support_captured=captured,
         epsilon=epsilon,
         parseval=parseval_gap(spec, f),
@@ -529,9 +529,8 @@ def min_support_check(f: TruthTable, p=0.5, epsilon: float = 1e-2, threads=None)
     """
     bias = as_bias(p)
     sp = transform(f, bias, threads=threads)
-    masks, captured = min_support(sp, epsilon)
+    size, captured = support_size(sp, epsilon)
     infl = total_influence_spectral(sp)
-    size = int(masks.size)
     log_size = math.log2(size) if size else 0.0
     return {
         "epsilon": epsilon,

@@ -25,8 +25,8 @@ from .boolfn import (
     RealTable,
     TruthTable,
     as_bias,
+    level_array,
     mask_array,
-    popcounts,
 )
 from .config import check_table_size, get_threads
 from .errors import InputError
@@ -43,13 +43,16 @@ __all__ = [
     "total_influence_spectral",
     "influence_combinatorial",
     "influence_vector",
+    "coordinate_influences",
     "total_influence_combinatorial",
     "measure_weights",
     "level_profile",
     "exact_level_profile",
     "tail_weight",
     "degree",
+    "support_size",
     "min_support",
+    "top_masks",
     "dyadic_check",
     "parseval_gap",
     "spectrum_to_json",
@@ -90,7 +93,13 @@ class Spectrum:
         return 1 << self.n
 
     def squares(self) -> np.ndarray:
-        return self.coeffs * self.coeffs
+        """Squared coefficients, computed on first use and shared (read-only)."""
+        w = self.__dict__.get("_squares")
+        if w is None:
+            w = self.coeffs * self.coeffs
+            w.setflags(write=False)
+            object.__setattr__(self, "_squares", w)
+        return w
 
     def coefficient(self, mask: int) -> float:
         return float(self.coeffs[mask])
@@ -285,15 +294,35 @@ def total_influence_spectral(spec: Spectrum | DyadicSpectrum) -> float:
     """Sum of |S| times squared coefficient, scaled by 1/(4p(1-p))."""
     if isinstance(spec, DyadicSpectrum):
         spec = spec.to_spectrum()
-    levels = popcounts(mask_array(spec.n)).astype(np.float64)
-    raw = float(np.sum(levels * spec.squares()))
+    raw = float(np.sum(level_array(spec.n) * spec.squares()))
     return raw / (4.0 * spec.p * (1.0 - spec.p))
+
+
+def coordinate_influences(spec: Spectrum | DyadicSpectrum) -> np.ndarray:
+    """All n coordinate influences from the spectrum.
+
+    Inf_i is the squared mass on the sets containing i, scaled by
+    1/(4p(1-p)).  With h = 2**(i-1), those sets are the odd h-blocks of
+    the coefficient array, so each coordinate is one strided sum.
+    """
+    if isinstance(spec, DyadicSpectrum):
+        spec = spec.to_spectrum()
+    w = spec.squares()
+    out = np.empty(spec.n, dtype=np.float64)
+    for i in range(1, spec.n + 1):
+        out[i - 1] = np.sum(w.reshape(-1, 2, 1 << (i - 1))[:, 1, :])
+    return out / (4.0 * spec.p * (1.0 - spec.p))
+
+
+def _level_probabilities(n: int, p: float) -> np.ndarray:
+    """p^k (1-p)^(n-k) for k = 0 .. n: the mass of one mask at each level."""
+    ones = np.arange(n + 1, dtype=np.float64)
+    return np.power(p, ones) * np.power(1.0 - p, n - ones)
 
 
 def measure_weights(n: int, p: float) -> np.ndarray:
     """Probability of each mask under the product measure (bit 1 w.p. p)."""
-    ones = popcounts(mask_array(n)).astype(np.float64)
-    return np.power(p, ones) * np.power(1.0 - p, n - ones)
+    return _level_probabilities(n, p)[level_array(n)]
 
 
 def influence_combinatorial(f: TruthTable, i: int, p=0.5) -> float:
@@ -308,15 +337,14 @@ def influence_combinatorial(f: TruthTable, i: int, p=0.5) -> float:
 
 
 def influence_vector(f: TruthTable, p=0.5) -> np.ndarray:
-    """All n coordinate influences at once."""
-    bias = as_bias(p)
-    masks = mask_array(f.n)
-    mu = measure_weights(f.n, bias.p)
-    out = np.empty(f.n, dtype=np.float64)
-    for i in range(1, f.n + 1):
-        diff = f.bits != f.bits[masks ^ (1 << (i - 1))]
-        out[i - 1] = np.sum(mu[diff])
-    return out
+    """All n coordinate influences from their definition (the oracle path).
+
+    Independent of the spectrum; :func:`coordinate_influences` is the fast
+    path and is checked against this one.
+    """
+    return np.array(
+        [influence_combinatorial(f, i, p) for i in range(1, f.n + 1)], dtype=np.float64
+    )
 
 
 def total_influence_combinatorial(f: TruthTable, p=0.5) -> float:
@@ -326,21 +354,34 @@ def total_influence_combinatorial(f: TruthTable, p=0.5) -> float:
 def level_profile(spec: Spectrum | DyadicSpectrum) -> LevelProfile:
     if isinstance(spec, DyadicSpectrum):
         return exact_level_profile(spec)
-    levels = popcounts(mask_array(spec.n))
-    weights = np.bincount(levels, weights=spec.squares(), minlength=spec.n + 1)
+    weights = np.bincount(level_array(spec.n), weights=spec.squares(), minlength=spec.n + 1)
     return LevelProfile(spec.n, weights)
 
 
 def exact_level_profile(dspec: DyadicSpectrum) -> LevelProfile:
-    levels = popcounts(mask_array(dspec.n))
+    """Squared mass per level as Fractions over the common denominator 4**n.
+
+    The squared numerators are summed per level in int64 when every square
+    and every level sum provably fits (squares below 2**62, and a float
+    estimate of their total below 2**62), and in Python integers otherwise.
+    """
+    n = dspec.n
+    levels = level_array(n)
     nums = dspec.numerators
-    denom = 1 << (2 * dspec.n)
-    exact = [Fraction(0) for _ in range(dspec.n + 1)]
-    for lvl, num in zip(levels, nums):
-        if num:
-            exact[int(lvl)] += Fraction(int(num) * int(num), denom)
+    peak = int(np.max(np.abs(nums)))
+    if peak < 1 << 31 and float(np.sum(np.square(nums, dtype=np.float64))) < 2.0**62:
+        sums = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(sums, levels, nums * nums)
+        sums = sums.tolist()
+    else:
+        live = np.flatnonzero(nums)
+        sums = [0] * (n + 1)
+        for lvl, num in zip(levels[live].tolist(), nums[live].tolist()):
+            sums[lvl] += num * num
+    denom = 1 << (2 * n)
+    exact = tuple(Fraction(total, denom) for total in sums)
     weights = np.array([float(x) for x in exact], dtype=np.float64)
-    return LevelProfile(dspec.n, weights, exact=tuple(exact))
+    return LevelProfile(n, weights, exact=exact)
 
 
 def tail_weight(profile: LevelProfile, k: int) -> float:
@@ -353,9 +394,46 @@ def degree(spec: Spectrum | DyadicSpectrum, tol: float = 1e-9) -> int:
         live = spec.numerators != 0
     else:
         live = np.abs(spec.coeffs) > tol
-    if not np.any(live):
-        return 0
-    return int(np.max(popcounts(mask_array(spec.n)[live])))
+    return int(np.max(level_array(spec.n), where=live, initial=0))
+
+
+def top_masks(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest values: decreasing, ties by ascending index.
+
+    Equal to ``np.argsort(-values, kind="stable")[:k]``, but only the
+    entries at or above the k-th largest value are sorted.  ``k`` is
+    clipped to the array size.
+    """
+    k = min(max(int(k), 0), values.size)
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    cut = np.partition(values, values.size - k)[values.size - k]
+    candidates = np.flatnonzero(values >= cut)
+    return candidates[np.argsort(-values[candidates], kind="stable")[:k]]
+
+
+def support_size(spec: Spectrum | DyadicSpectrum, epsilon: float) -> tuple[int, float]:
+    """Size and captured weight of the epsilon-support of :func:`min_support`.
+
+    Taking squares in decreasing order gives the same partial sums whatever
+    the order among ties, so a plain sort replaces the stable argsort and
+    both numbers are bitwise equal to the ones ``min_support`` reports.
+    """
+    if epsilon < 0.0:
+        raise InputError("epsilon must be nonnegative")
+    if isinstance(spec, DyadicSpectrum):
+        spec = spec.to_spectrum()
+    w = spec.squares()
+    total = float(np.sum(w))
+    if total <= epsilon:
+        return 0, 0.0
+    captured = np.cumsum(np.sort(w)[::-1])
+    # the complement weight only shrinks along the partial sums; when
+    # rounding keeps it above epsilon to the end (the pairwise total can
+    # exceed the running sum by an ulp), every mask is kept
+    enough = total - captured <= epsilon
+    keep = int(np.argmax(enough)) + 1 if enough[-1] else w.size
+    return keep, float(captured[keep - 1])
 
 
 def min_support(spec: Spectrum | DyadicSpectrum, epsilon: float):
@@ -365,18 +443,10 @@ def min_support(spec: Spectrum | DyadicSpectrum, epsilon: float):
     by ascending mask, so the answer is deterministic.  Returns the mask
     array and the weight it captures.
     """
-    if epsilon < 0.0:
-        raise InputError("epsilon must be nonnegative")
     if isinstance(spec, DyadicSpectrum):
         spec = spec.to_spectrum()
-    w = spec.squares()
-    total = float(np.sum(w))
-    if total <= epsilon:
-        return np.empty(0, dtype=np.int64), 0.0
-    order = np.argsort(-w, kind="stable")
-    captured = np.cumsum(w[order])
-    keep = int(np.nonzero(total - captured <= epsilon)[0][0]) + 1
-    return order[:keep].astype(np.int64), float(captured[keep - 1])
+    keep, captured = support_size(spec, epsilon)
+    return top_masks(spec.squares(), keep), captured
 
 
 def dyadic_check(dspec: DyadicSpectrum, k: int) -> bool:
@@ -396,19 +466,25 @@ def dyadic_check(dspec: DyadicSpectrum, k: int) -> bool:
         return not bool(np.any(dspec.numerators))
     if k >= dspec.n:
         return True
-    levels = popcounts(mask_array(dspec.n))
-    if bool(np.any(dspec.numerators[levels > k])):
+    if bool(np.any(dspec.numerators[level_array(dspec.n) > k])):
         return False
     step = np.int64(1) << (dspec.n - k)
     return not bool(np.any(dspec.numerators % step))
 
 
 def parseval_gap(spec: Spectrum, f: TruthTable | RealTable) -> float:
-    """|sum of squared coefficients - E[f^2]| under the spectrum's measure."""
+    """|sum of squared coefficients - E[f^2]| under the spectrum's measure.
+
+    E[f^2] is taken from the table's values, grouped by level: every mask
+    of level k has probability p^k (1-p)^(n-k).
+    """
     if f.n != spec.n:
         raise InputError("function and spectrum sizes differ")
     vals = f.sign_values()
-    energy = float(np.sum(measure_weights(f.n, spec.p) * vals * vals))
+    per_level = np.bincount(
+        level_array(f.n), weights=np.square(vals, out=vals), minlength=f.n + 1
+    )
+    energy = float(np.sum(per_level * _level_probabilities(f.n, spec.p)))
     return abs(float(np.sum(spec.squares())) - energy)
 
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end criteria with pinned tolerances.
+"""Acceptance gate: eleven end-to-end criteria with pinned tolerances.
 
 Each criterion prints exactly one PASS/FAIL line (bypassing capture) and
 then asserts, so the one-line verdicts survive in any test log.  Tolerances
@@ -352,4 +352,24 @@ def test_criterion_10_transform_performance(capsys):
         capsys, 10, "transform-performance", ok,
         f"n=20 {t_20:.3f}s < 2s, n=24 single {t_single:.2f}s, "
         f"multi {t_multi:.2f}s, bitwise identical={identical}",
+    )
+
+
+def test_criterion_11_analyze_performance(capsys):
+    """Full analyze of a random n=20 function at p = 0.3, single-threaded,
+    best of 3 under 0.35s; its per-coordinate influences equal the
+    combinatorial ones within 1e-12."""
+    f = cf.random_function(20, seed=11)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        report = cf.analyze(f, 0.3, threads=1)
+        best = min(best, time.perf_counter() - t0)
+    oracle = cf.influence_vector(f, 0.3)
+    worst = float(np.max(np.abs(np.array(report.influence_vec) - oracle)))
+    ok = best < 0.35 and worst < 1e-12
+    _report(
+        capsys, 11, "analyze-performance", ok,
+        f"n=20 analyze best of 3 {best:.3f}s < 0.35s, "
+        f"influence gap {worst:.1e} < 1e-12",
     )

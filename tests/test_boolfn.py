@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cubefourier import (
@@ -228,11 +228,19 @@ def test_table_to_hex_matches_bit_order():
     assert table_to_hex(f2) == "1"
 
 
-@given(st.integers(1, 6), st.integers(0, 10_000))
+@given(st.integers(1, 14), st.integers(0, 10_000))
+@example(1, 0)
+@example(2, 0)
+@example(3, 0)
 def test_hex_roundtrip(n, seed):
     f = random_function(n, seed)
-    text = f"n={n}\nhex:{table_to_hex(f)}\n"
-    assert parse_truth_table(text) == f
+    digits = table_to_hex(f)
+    # the hex body is the character body read as one binary number
+    chars = format_truth_table(f).splitlines()[1]
+    assert digits == format(int(chars, 2), f"0{((1 << n) + 3) // 4}x")
+    assert parse_truth_table(f"n={n}\nhex:{digits}\n") == f
+    assert parse_truth_table(f"n={n}\nhex:{digits.upper()}\n") == f
+    assert parse_truth_table(format_truth_table(f)) == f
 
 
 def test_parse_rejects_malformed_input():
@@ -246,6 +254,11 @@ def test_parse_rejects_malformed_input():
         parse_truth_table("n=2\nhex:zz\n")
     with pytest.raises(InputError):
         parse_truth_table("n=2\nhex:123\n")
+    with pytest.raises(InputError, match="non-hex"):
+        parse_truth_table("n=4\nhex:0xff\n")
+    # bytes.fromhex would skip the spaces; the digit count must still hold
+    with pytest.raises(InputError, match="non-hex"):
+        parse_truth_table("n=5\nhex:ab  cdef\n")
 
 
 def test_file_roundtrip(tmp_path):

@@ -167,6 +167,23 @@ def test_spectrum_export_load_roundtrip(tmp_path, capsys):
     assert np.array_equal(loaded.coeffs, direct.coeffs)
 
 
+@pytest.mark.parametrize("top", [0, 1, 5, 8, 16, 32, 100])
+def test_spectrum_top_order_matches_full_stable_argsort(capsys, top):
+    # majority:5 at p = 1/2 has many coefficients of equal magnitude
+    assert run("spectrum", "--family", "majority:5", "--top", str(top),
+               "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    coeffs = cf.transform(cf.majority(5)).coeffs
+    expect = np.argsort(-np.abs(coeffs), kind="stable")[:top]
+    assert [item["mask"] for item in payload["top"]] == expect.tolist()
+    assert [item["coefficient"] for item in payload["top"]] == coeffs[expect].tolist()
+
+
+def test_spectrum_rejects_negative_top(capsys):
+    assert run("spectrum", "--family", "majority:3", "--top", "-1") == 1
+    assert "--top" in capsys.readouterr().err
+
+
 def test_spectrum_json_export(tmp_path, capsys):
     path = tmp_path / "m.json"
     assert run("spectrum", "--family", "mux3", "--export-json", str(path)) == 0

@@ -227,3 +227,12 @@ def test_min_support_check_other_epsilons_and_functions():
     out = cf.min_support_check(cf.tribes(2, 2), epsilon=0.1)
     assert out["captured"] >= 0.9
     assert out["log_size_over_influence"] > 0.0
+
+
+@given(st.integers(1, 8), st.integers(0, 10_000),
+       st.sampled_from([0.5, 0.25, 0.125, 0.3, 0.71]))
+def test_analyze_influences_match_combinatorial(n, seed, p):
+    f = cf.random_function(n, seed)
+    rep = cf.analyze(f, p)
+    for i, value in enumerate(rep.influence_vec, start=1):
+        assert abs(value - cf.influence_combinatorial(f, i, p)) < 1e-12

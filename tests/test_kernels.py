@@ -101,13 +101,17 @@ def test_backend_name_is_reported():
 
 
 def test_pure_python_fallback_is_forced_by_env(tmp_path):
+    import os
     import subprocess
     import sys
 
     code = "import cubefourier; print(cubefourier.backend_name())"
+    env = {"PATH": "/usr/bin:/bin", "CUBEFOURIER_PURE_PYTHON": "1"}
+    if "PYTHONPATH" in os.environ:
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "CUBEFOURIER_PURE_PYTHON": "1"},
+        env=env,
         capture_output=True,
         text=True,
         check=True,

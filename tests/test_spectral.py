@@ -353,3 +353,89 @@ def test_json_rejects_missing_keys():
         cf.spectral.spectrum_from_json('{"n": 1, "coeffs": [0, 1]}')
     with pytest.raises(InputError):
         cf.spectral.spectrum_from_json("not json")
+
+
+# --- derived quantities from the spectrum vs their independent paths ----------
+
+
+@given(st.integers(1, 8), st.integers(0, 10_000), st.sampled_from(BIASES))
+def test_coordinate_influences_match_combinatorial(n, seed, p):
+    f = cf.random_function(n, seed)
+    fast = cf.coordinate_influences(cf.transform(f, p))
+    oracle = cf.influence_vector(f, p)
+    assert fast.shape == (n,)
+    assert np.max(np.abs(fast - oracle)) < 1e-12
+
+
+def test_coordinate_influences_of_dyadic_spectrum():
+    d = cf.exact_transform(cf.majority(3))
+    assert cf.coordinate_influences(d).tolist() == [0.5, 0.5, 0.5]
+
+
+@given(st.integers(1, 8), st.integers(0, 10_000), st.sampled_from(BIASES),
+       st.floats(0.0, 0.9))
+def test_support_size_is_bitwise_min_support(n, seed, p, eps):
+    sp = cf.transform(cf.random_function(n, seed), p)
+    masks, captured = cf.min_support(sp, eps)
+    size, captured_fast = cf.support_size(sp, eps)
+    assert size == masks.size
+    assert captured_fast == captured  # bitwise, not approximately
+    # the mask list is the prefix of a full stable argsort by weight
+    full = np.argsort(-sp.squares(), kind="stable")[: masks.size]
+    assert masks.tolist() == full.tolist()
+
+
+def test_support_size_with_ties_and_empty_support():
+    sp = cf.transform(cf.majority(5))
+    for eps in (0.0, 0.05, 0.3, 0.6):
+        masks, captured = cf.min_support(sp, eps)
+        assert cf.support_size(sp, eps) == (masks.size, captured)
+    assert cf.support_size(sp, 1.0) == (0, 0.0)
+    with pytest.raises(InputError):
+        cf.support_size(sp, -0.1)
+
+
+def test_support_at_epsilon_zero_survives_rounding():
+    # here the pairwise total exceeds the last running sum by an ulp, so the
+    # remainder never reaches 0: every mask is kept instead of failing
+    sp = cf.transform(cf.random_function(10, 197), 0.3)
+    w = sp.squares()
+    assert float(np.sum(w)) > np.cumsum(np.sort(w)[::-1])[-1]
+    masks, captured = cf.min_support(sp, 0.0)
+    assert masks.size == 1 << 10
+    assert cf.support_size(sp, 0.0) == (masks.size, captured)
+
+
+@given(st.integers(1, 9), st.integers(0, 10_000), st.integers(0, 600))
+def test_top_masks_equals_full_stable_argsort(n, seed, k):
+    # a rounded spectrum has many tied magnitudes, which exercises tie order
+    vals = np.abs(np.round(cf.transform(cf.random_function(n, seed), 0.3).coeffs, 2))
+    expect = np.argsort(-vals, kind="stable")[:k]
+    assert cf.spectral.top_masks(vals, k).tolist() == expect.tolist()
+
+
+def _literal_level_fractions(dspec):
+    out = [Fraction(0)] * (dspec.n + 1)
+    for mask in range(dspec.size):
+        out[bin(mask).count("1")] += dspec.square(mask)
+    return tuple(out)
+
+
+@given(st.integers(1, 9), st.integers(0, 10_000))
+def test_exact_level_profile_matches_literal_fraction_sum(n, seed):
+    d = cf.exact_transform(cf.random_function(n, seed))
+    prof = cf.spectral.exact_level_profile(d)
+    assert prof.exact == _literal_level_fractions(d)
+    assert prof.weights.tolist() == [float(x) for x in prof.exact]
+
+
+def test_exact_level_profile_big_numerators_take_the_integer_fallback():
+    # every value near 2^20 on 12 variables: the empty-set numerator is about
+    # 2^32, so its square does not fit the int64 path
+    rng = np.random.Generator(np.random.PCG64(5))
+    vals = (1 << 20) - rng.integers(0, 3, size=1 << 12)
+    d = cf.exact_transform(cf.RealTable(12, vals.astype(np.float64)))
+    assert int(np.max(np.abs(d.numerators))) >= 1 << 31
+    prof = cf.spectral.exact_level_profile(d)
+    assert prof.exact == _literal_level_fractions(d)
+    assert prof.exact[0] == Fraction(int(np.sum(vals)), 1 << 12) ** 2
