@@ -29,11 +29,14 @@ def extensions():
         from Cython.Build import cythonize
     except ImportError:
         return []
-    # No -march/-ffast-math: results must be reproducible IEEE doubles.
+    # No -march/-ffast-math: results must be reproducible IEEE doubles.  And
+    # -ffp-contract=off: otherwise GCC may fuse w00*lo + w01*hi into one FMA
+    # on targets where FMA is baseline (aarch64), and the doubles would no
+    # longer match the numpy fallback bit for bit.
     ext = Extension(
         "cubefourier._core",
         sources=["src/cubefourier/_core.pyx"],
-        extra_compile_args=["-O3"],
+        extra_compile_args=["-O3", "-ffp-contract=off"],
     )
     return cythonize([ext], compiler_directives={"language_level": "3"})
 

@@ -3,22 +3,75 @@
 Mirrors the compiled stage functions exactly: same signature, same
 per-element arithmetic (two multiplies then one add), so both backends
 produce the same doubles.
+
+A stage works through its pairs in pieces of at most ``_CHUNK`` pairs and
+writes every result through ufunc ``out=`` into the table or into a small
+per-thread scratch buffer, so it allocates nothing the size of the table.
 """
+
+import threading
 
 import numpy as np
 
+# Pairs per piece.  A piece (512 KiB of float64) and its scratch (as much
+# again) stay in a 2 MiB L2 across the piece's six ufunc passes.  Smaller
+# pieces cost more in per-call overhead, and with threads in handing the
+# interpreter lock back and forth between ufunc calls.
+_CHUNK = 1 << 15
+
+# Scratch buffers, one set per thread: pool workers never share them.
+_local = threading.local()
+
+
+def _scratch(dtype):
+    key = np.dtype(dtype).name
+    buf = getattr(_local, key, None)
+    if buf is None:
+        buf = np.empty((2, _CHUNK), dtype=dtype)
+        setattr(_local, key, buf)
+    return buf
+
+
+def _pieces(v, h, block_lo, block_hi):
+    """Yield (lo, hi) views of the stage's pairs, at most _CHUNK pairs each.
+
+    For h <= _CHUNK a piece is a run of whole blocks; above it, a k-range
+    inside one block.  Rows of 2 or 4 pairs are too short for numpy's inner
+    loop, so for h <= 4 a run is split into its h strided columns.  ``lo``
+    and ``hi`` have the same shape.
+    """
+    if h <= _CHUNK:
+        step = _CHUNK // h
+        for b in range(block_lo, block_hi, step):
+            a = v[2 * h * b : 2 * h * min(b + step, block_hi)].reshape(-1, 2, h)
+            if h <= 4:
+                for j in range(h):
+                    yield a[:, 0, j], a[:, 1, j]
+            else:
+                yield a[:, 0, :], a[:, 1, :]
+    else:
+        for b in range(block_lo, block_hi):
+            base = 2 * h * b
+            for k in range(base, base + h, _CHUNK):
+                yield v[k : k + _CHUNK], v[k + h : k + h + _CHUNK]
+
 
 def stage_f64(v, w00, w01, w10, w11, h, block_lo, block_hi):
-    a = v[block_lo * 2 * h : block_hi * 2 * h].reshape(-1, 2, h)
-    lo = a[:, 0, :].copy()
-    hi = a[:, 1, :]
-    a[:, 0, :] = w00 * lo + w01 * hi
-    a[:, 1, :] = w10 * lo + w11 * hi
+    s = _scratch(np.float64)
+    for lo, hi in _pieces(v, h, block_lo, block_hi):
+        t, u = s[:, : lo.size].reshape(2, *lo.shape)
+        np.multiply(lo, w10, out=t)
+        np.multiply(lo, w00, out=lo)
+        np.multiply(hi, w01, out=u)
+        np.add(lo, u, out=lo)  # w00*lo + w01*hi
+        np.multiply(hi, w11, out=hi)
+        np.add(t, hi, out=hi)  # w10*lo + w11*hi
 
 
 def stage_i64(v, h, block_lo, block_hi):
-    a = v[block_lo * 2 * h : block_hi * 2 * h].reshape(-1, 2, h)
-    lo = a[:, 0, :].copy()
-    hi = a[:, 1, :]
-    np.add(lo, hi, out=a[:, 0, :])
-    np.subtract(lo, hi, out=a[:, 1, :])
+    s = _scratch(np.int64)
+    for lo, hi in _pieces(v, h, block_lo, block_hi):
+        t = s[0, : lo.size].reshape(lo.shape)
+        np.subtract(lo, hi, out=t)
+        np.add(lo, hi, out=lo)
+        np.copyto(hi, t)

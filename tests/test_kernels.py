@@ -133,3 +133,151 @@ def test_full_transform_same_under_both_backends():
     _run_stages(v1, _core.stage_f64, w, threads=1)
     _run_stages(v2, _kernels_py.stage_f64, w, threads=1)
     assert np.array_equal(v1, v2)
+
+
+# --- the two-phase schedule, the piecewise numpy stages and the worker pool ---
+
+STAGE_BACKENDS = [_kernels_py] + ([_core] if _core is not None else [])
+
+
+def _schedule_cases():
+    p = 0.3
+    c = np.sqrt(p * (1 - p))
+    r, s = np.sqrt(p / (1 - p)), np.sqrt((1 - p) / p)
+    return {
+        "forward_half": ("stage_f64", (0.5, 0.5, 0.5, -0.5)),
+        "forward_p03": ("stage_f64", (1 - p, p, c, -c)),
+        "inverse_p03": ("stage_f64", (1.0, r, 1.0, -s)),
+        "wht": ("stage_i64", ()),
+    }
+
+
+def _case_input(case, n):
+    rng = np.random.Generator(np.random.PCG64(n))
+    if case == "wht":
+        return rng.integers(-50, 50, size=1 << n).astype(np.int64)
+    return rng.standard_normal(1 << n)
+
+
+@pytest.mark.parametrize("backend", STAGE_BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[1])
+@pytest.mark.parametrize("case", sorted(_schedule_cases()))
+@pytest.mark.parametrize("n", [13, 14, 15, 16, 17, 18])
+def test_blocked_threaded_schedule_matches_plain_loop(backend, case, n):
+    """The blocked, threaded driver equals stage after stage over the whole table."""
+    name, w = _schedule_cases()[case]
+    stage = getattr(backend, name)
+    size = 1 << n
+    expected = _case_input(case, n)
+    for i in range(n):
+        stage(expected, *w, 1 << i, 0, size >> (i + 1))
+    for threads in (1, 2, 3):
+        v = _case_input(case, n)
+        kernels._run_stages(v, stage, w, threads)
+        assert np.array_equal(v, expected), (case, n, threads)
+
+
+def _reference_stage(v, w, h, block_lo, block_hi):
+    """One stage as whole-range array expressions: two multiplies, then one add."""
+    a = v[block_lo * 2 * h : block_hi * 2 * h].reshape(-1, 2, h)
+    lo = a[:, 0, :].copy()
+    hi = a[:, 1, :].copy()
+    if w:
+        a[:, 0, :] = w[0] * lo + w[1] * hi
+        a[:, 1, :] = w[2] * lo + w[3] * hi
+    else:
+        a[:, 0, :] = lo + hi
+        a[:, 1, :] = lo - hi
+
+
+@pytest.mark.parametrize("case", sorted(_schedule_cases()))
+def test_numpy_stage_pieces_match_whole_range_arithmetic(case):
+    """Every h from 1 to past the piece size, on ranges that end mid-piece."""
+    name, w = _schedule_cases()[case]
+    stage = getattr(_kernels_py, name)
+    n = 18
+    for i in range(n):
+        h = 1 << i
+        nblocks = (1 << n) >> (i + 1)
+        for lo, hi in ((0, nblocks), (nblocks // 3, nblocks - nblocks // 5)):
+            got = _case_input(case, n)
+            want = got.copy()
+            stage(got, *w, h, lo, hi)
+            _reference_stage(want, w, h, lo, hi)
+            assert np.array_equal(got, want), (case, h, lo, hi)
+
+
+def test_concurrent_callers_share_the_pool_safely():
+    """Several callers with different thread counts at once, on a short switch interval."""
+    import sys
+    import threading
+
+    n = 17
+    inputs = [_random_vec(n, seed) for seed in range(4)]
+    expected = []
+    for x in inputs:
+        y = x.copy()
+        kernels.biased_forward_inplace(y, 0.3, threads=1)
+        expected.append(y)
+    results = [None] * len(inputs)
+
+    def work(k):
+        v = inputs[k].copy()
+        for _ in range(3):
+            w = v.copy()
+            kernels.biased_forward_inplace(w, 0.3, threads=2 + k)
+        results[k] = w
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in workers)
+    for got, want in zip(results, expected):
+        assert got is not None and np.array_equal(got, want)
+
+
+def _child_kernels(prelude="", **env_extra):
+    """BACKEND and LOAD_ERROR of cubefourier.kernels in a fresh interpreter."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        prelude
+        + "import json, cubefourier.kernels as k; print(json.dumps([k.BACKEND, k.LOAD_ERROR]))"
+    )
+    env = {"PATH": "/usr/bin:/bin", **env_extra}
+    if "PYTHONPATH" in os.environ:
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout)
+
+
+def test_load_error_names_the_forcing_variable():
+    backend, error = _child_kernels(CUBEFOURIER_PURE_PYTHON="1")
+    assert backend == "python"
+    assert "CUBEFOURIER_PURE_PYTHON" in error
+
+
+def test_load_error_keeps_the_import_failure():
+    # None in sys.modules makes importing the extension fail whether or not it is built.
+    backend, error = _child_kernels("import sys; sys.modules['cubefourier._core'] = None; ")
+    assert backend == "python"
+    assert "cubefourier._core" in error
+
+
+def test_load_error_is_none_when_the_extension_loads():
+    fake = (
+        "import sys, types; m = types.ModuleType('cubefourier._core'); "
+        "m.stage_f64 = m.stage_i64 = None; sys.modules['cubefourier._core'] = m; "
+    )
+    assert _child_kernels(fake) == ["compiled", None]
