@@ -3,7 +3,9 @@
 
 Runs the full forward transform at several sizes with each backend driving
 the same stage schedule, then reports times and the speedup.  Both produce
-bitwise identical output, so only speed is at stake.
+bitwise identical output, so only speed is at stake.  A second table times
+the batched form that sweeps use: one (4096, 2**n) buffer of small tables
+in one call, against a loop over its rows.
 
 Usage: python benchmarks/bench_transform.py [--max-n 24] [--threads 4]
 """
@@ -22,17 +24,15 @@ except ImportError:
     _core = None
 
 
-def bench(stage, n, p, threads, repeats=3):
+def bench(run, shape, repeats=3):
     rng = np.random.Generator(np.random.PCG64(42))
-    base = rng.standard_normal(1 << n)
-    c = (p * (1.0 - p)) ** 0.5
-    weights = (1.0 - p, p, c, -c)
+    base = rng.standard_normal(shape)
     best = float("inf")
     out = None
     for _ in range(repeats):
         v = base.copy()
         t0 = time.perf_counter()
-        _run_stages(v, stage, weights, threads)
+        run(v)
         best = min(best, time.perf_counter() - t0)
         out = v
     return best, out
@@ -43,18 +43,35 @@ def main():
     parser.add_argument("--max-n", type=int, default=24)
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
+    p = 0.3
+    c = (p * (1.0 - p)) ** 0.5
+    weights = (1.0 - p, p, c, -c)
+
+    def driver(stage, threads=args.threads):
+        return lambda v: _run_stages(v, stage, weights, threads)
 
     print(f"{'n':>4} {'numpy':>12} {'compiled':>12} {'speedup':>9}  identical")
     for n in range(12, args.max_n + 1, 2):
-        t_py, v_py = bench(_kernels_py.stage_f64, n, 0.3, args.threads)
+        t_py, v_py = bench(driver(_kernels_py.stage_f64), 1 << n)
         if _core is None:
             print(f"{n:>4} {t_py:>11.4f}s {'n/a':>12} {'n/a':>9}")
             continue
-        t_c, v_c = bench(_core.stage_f64, n, 0.3, args.threads)
+        t_c, v_c = bench(driver(_core.stage_f64), 1 << n)
         same = np.array_equal(v_py, v_c)
         print(
             f"{n:>4} {t_py:>11.4f}s {t_c:>11.4f}s {t_py / t_c:>8.1f}x  {same}"
         )
+
+    rows = 4096
+    stage = (_core or _kernels_py).stage_f64
+    batch, one_row = driver(stage), driver(stage, threads=1)
+    print(f"\n{rows} rows, {'compiled' if _core else 'numpy'} stages")
+    print(f"{'n':>4} {'batch':>12} {'row loop':>12}  identical")
+    for n in range(3, 7):
+        t_batch, v_batch = bench(batch, (rows, 1 << n))
+        t_loop, v_loop = bench(lambda v: [one_row(row) for row in v], (rows, 1 << n))
+        same = np.array_equal(v_batch, v_loop)
+        print(f"{n:>4} {t_batch * 1e3:>10.2f}ms {t_loop * 1e3:>10.2f}ms  {same}")
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ __all__ = [
     "load_truth_table",
     "save_truth_table",
     "table_to_hex",
+    "rows_to_hex",
 ]
 
 
@@ -402,11 +403,19 @@ def format_truth_table(f: TruthTable) -> str:
 
 
 def table_to_hex(f: TruthTable) -> str:
-    width = ((1 << f.n) + 3) // 4
+    return rows_to_hex(f.bits)[0]
+
+
+def rows_to_hex(bits: np.ndarray) -> list[str]:
+    """Hex text of each row of a (rows, 2**n) bit matrix, as ``table_to_hex``."""
+    bits = np.atleast_2d(bits)
+    size = bits.shape[-1]
+    width = (size + 3) // 4
     # n <= 2 fills less than one byte: pad on the left, keep the last digit
-    bits = np.concatenate((np.zeros(-f.bits.size % 8, dtype=np.uint8), f.bits))
-    digits = np.packbits(bits).tobytes().hex()
-    return digits[len(digits) - width :]
+    pad = np.zeros((bits.shape[0], -size % 8), dtype=np.uint8)
+    digits = np.packbits(np.concatenate((pad, bits), axis=1), axis=1).tobytes().hex()
+    step = 2 * ((size + 7) // 8)
+    return [digits[end - width : end] for end in range(step, len(digits) + 1, step)]
 
 
 def parse_truth_table(text: str) -> TruthTable:

@@ -449,10 +449,6 @@ def _conf_reduce(p):
     p.add_argument("--m", type=int, default=None, help="bias exponent (p = t/2^m)")
     p.add_argument("--pt", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--pm", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument(
-        "--verify", action="store_true",
-        help="accepted for compatibility; checks always run",
-    )
     _add_common(p)
 
 

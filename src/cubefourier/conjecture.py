@@ -11,31 +11,32 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .boolfn import (
-    Bias,
     GraphPropertySpec,
     TruthTable,
     as_bias,
     clique_indicator,
     critical_p0,
     mask_array,
-    popcounts,
-    table_to_hex,
+    rows_to_hex,
 )
 from .config import check_table_size, get_threads
 from .errors import InputError
+from .kernels import biased_forward_inplace, get_pool
 from .spectral import (
     coordinate_influences,
     degree as spectral_degree,
     level_profile,
-    measure_weights,
     parseval_gap,
     spectral_entropy,
+    squares_coordinate_influences,
+    squares_entropy,
+    squares_influence,
     support_size,
     total_influence_spectral,
     transform,
@@ -58,13 +59,15 @@ __all__ = [
 PROVEN_BOUND_SLACK = 1e-9
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) in bits; h(0) = h(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise InputError(f"binary entropy argument must lie in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
+def binary_entropy(x):
+    """h(x) in bits, elementwise; h(0) = h(1) = 0."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise InputError(f"binary entropy arguments must lie in [0, 1], got {x}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(x * np.log2(x)) - ((1.0 - x) * np.log2(1.0 - x))
+    h = np.where((x > 0.0) & (x < 1.0), h, 0.0)
+    return float(h) if h.ndim == 0 else h
 
 
 def ei_ratio(entropy: float, influence: float, p: float = 0.5) -> float | None:
@@ -81,28 +84,43 @@ def ei_ratio(entropy: float, influence: float, p: float = 0.5) -> float | None:
     return entropy / (p * math.log2(1.0 / p) * influence)
 
 
-def entropy_upper_bounds(n: int, influence: float, infl_vec=None) -> dict:
+def entropy_upper_bounds(n: int, influence, infl_vec=None) -> dict:
     """The proven upper bounds for spectral entropy at the uniform measure.
 
     Returns h_bound (sum of binary entropies of coordinate influences,
     present when ``infl_vec`` is given), proof_form 2I(1 + log2 n - log2 I),
     its weaker displayed variant 2I(log2 n - log2 I) which is recorded but
-    never asserted, and the additive bound (log2 n + 1) I + 1.
+    never asserted, and the additive bound (log2 n + 1) I + 1.  Works
+    elementwise: ``influence`` may be an array, with ``infl_vec`` carrying
+    the coordinates along its last axis; scalars give floats.
     """
-    out: dict[str, float | None] = {}
+    infl = np.asarray(influence, dtype=np.float64)
+    out: dict = {"h_bound": None}
     if infl_vec is not None:
-        out["h_bound"] = float(sum(binary_entropy(float(x)) for x in infl_vec))
-    else:
-        out["h_bound"] = None
-    if influence > 0.0:
-        log_term = math.log2(n) - math.log2(influence)
-        out["proof_form"] = 2.0 * influence * (1.0 + log_term)
-        out["displayed_form"] = 2.0 * influence * log_term
-    else:
-        out["proof_form"] = 0.0
-        out["displayed_form"] = 0.0
-    out["logn_bound"] = (math.log2(n) + 1.0) * influence + 1.0
+        # spectral influences are probabilities that rounding can carry
+        # an ulp past 1 away from p = 1/2
+        ivec = np.clip(np.asarray(infl_vec, dtype=np.float64), 0.0, 1.0)
+        out["h_bound"] = np.sum(binary_entropy(ivec), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_term = math.log2(n) - np.log2(infl)
+        out["proof_form"] = np.where(infl > 0.0, 2.0 * infl * (1.0 + log_term), 0.0)
+        out["displayed_form"] = np.where(infl > 0.0, 2.0 * infl * log_term, 0.0)
+    out["logn_bound"] = (math.log2(n) + 1.0) * infl + 1.0
+    if infl.ndim == 0:
+        out = {k: None if v is None else float(v) for k, v in out.items()}
     return out
+
+
+PROVEN_BOUNDS = ("h_bound", "proof_form", "logn_bound")
+
+
+def exceeded_bounds(entropy, bounds: dict, slack: float = PROVEN_BOUND_SLACK) -> dict:
+    """For each proven bound present, whether the entropy exceeds it (elementwise)."""
+    return {
+        name: entropy > bounds[name] + slack
+        for name in PROVEN_BOUNDS
+        if bounds[name] is not None
+    }
 
 
 def proven_bound_violations(
@@ -114,12 +132,7 @@ def proven_bound_violations(
 ) -> list[str]:
     """Names of proven bounds the given numbers violate (should be empty)."""
     bounds = entropy_upper_bounds(n, influence, infl_vec)
-    bad = []
-    for name in ("h_bound", "proof_form", "logn_bound"):
-        limit = bounds[name]
-        if limit is not None and entropy > limit + slack:
-            bad.append(name)
-    return bad
+    return [name for name, bad in exceeded_bounds(entropy, bounds, slack).items() if bad]
 
 
 @dataclass(frozen=True)
@@ -238,7 +251,7 @@ class SweepResult:
         if not np.any(np.isfinite(self.ratio)):
             return float("nan"), ""
         idx = int(np.nanargmax(self.ratio))
-        return float(self.ratio[idx]), self._hex(int(self.function_ids[idx]))
+        return float(self.ratio[idx]), self.function_hex([idx])[0]
 
     def max_claim_constant(self) -> float | None:
         """Largest observed Ent / (p(1-p) log2(n) I) over the sweep.
@@ -256,95 +269,44 @@ class SweepResult:
             return None
         return float(np.nanmax(c))
 
-    def _hex(self, fid: int) -> str:
-        return _function_hex(self.n, fid)
+    def function_hex(self, indices) -> list[str]:
+        """Hex ids (the truth-table text format) of the functions at ``indices``."""
+        return rows_to_hex(_id_bits(self.n, self.function_ids[indices]))
 
 
-def _function_hex(n: int, fid: int) -> str:
-    """Hex id matching the truth-table text format (mask 0 = most significant)."""
-    size = 1 << n
-    value = 0
-    for j in range(size):
-        value = (value << 1) | ((fid >> j) & 1)
-    return format(value, f"0{(size + 3) // 4}x")
+def _id_bits(n: int, ids: np.ndarray) -> np.ndarray:
+    """(len(ids), 2**n) truth tables of the function ids, one uint8 row each."""
+    return ((ids[:, None] >> mask_array(n)) & 1).astype(np.uint8)
 
 
 def _table_from_id(n: int, fid: int) -> TruthTable:
-    masks = mask_array(n)
-    return TruthTable(n, ((fid >> masks) & 1).astype(np.uint8))
+    return TruthTable(n, _id_bits(n, np.array([fid], dtype=np.int64))[0])
 
 
 def _sweep_chunk(n: int, p: float, ids: np.ndarray) -> dict:
-    """Statistics for one batch of function ids, fully vectorised.
+    """Statistics for one batch of function ids, one table per row.
 
-    Works on a (batch, 2**n) matrix and runs the butterfly stages across
-    the whole batch at once; the arithmetic per function is identical to
-    the single-function path, so results do not depend on batching.
+    The rows go through the same transform, reductions and bounds as
+    :func:`analyze`, so results do not depend on batching.
     """
-    size = 1 << n
-    masks = mask_array(n)
-    bits = ((ids[:, None] >> masks[None, :]) & 1).astype(np.uint8)
-    vals = 1.0 - 2.0 * bits.astype(np.float64)
-
-    coeffs = vals.copy()
-    if p == 0.5:
-        w00, w01, w10, w11 = 0.5, 0.5, 0.5, -0.5
-    else:
-        c = math.sqrt(p * (1.0 - p))
-        w00, w01, w10, w11 = 1.0 - p, p, c, -c
-    for i in range(n):
-        h = 1 << i
-        a = coeffs.reshape(coeffs.shape[0], -1, 2, h)
-        lo = a[:, :, 0, :].copy()
-        hi = a[:, :, 1, :]
-        a[:, :, 0, :] = w00 * lo + w01 * hi
-        a[:, :, 1, :] = w10 * lo + w11 * hi
-
-    squares = coeffs * coeffs
-    safe = np.where(squares > 0.0, squares, 1.0)
-    ent = -np.sum(squares * np.log2(safe), axis=1) + 0.0
-
-    levels = popcounts(masks).astype(np.float64)
-    infl = np.sum(squares * levels[None, :], axis=1) / (4.0 * p * (1.0 - p))
-
-    # per-coordinate influences through the crossing probabilities
-    ivecs = np.empty((ids.size, n), dtype=np.float64)
-    mu = measure_weights(n, p)
-    for i in range(n):
-        flipped = bits[:, masks ^ (1 << i)]
-        diff = bits != flipped
-        ivecs[:, i] = diff @ mu
-
+    coeffs = 1.0 - 2.0 * _id_bits(n, ids).astype(np.float64)
+    biased_forward_inplace(coeffs, p, threads=1)
+    squares = np.square(coeffs, out=coeffs)
+    ent = squares_entropy(squares)
+    infl = squares_influence(squares, p)
+    bounds = entropy_upper_bounds(n, infl, squares_coordinate_influences(squares, p))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(infl > 0.0, ent / infl, np.nan)
-
-    hvals = np.where(
-        (ivecs > 0.0) & (ivecs < 1.0),
-        -(ivecs * np.log2(np.where(ivecs > 0.0, ivecs, 1.0)))
-        - ((1.0 - ivecs) * np.log2(np.where(ivecs < 1.0, 1.0 - ivecs, 1.0))),
-        0.0,
-    )
-    h_bound = np.sum(hvals, axis=1)
-    logn_bound = (math.log2(n) + 1.0) * infl + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        proof = np.where(
-            infl > 0.0,
-            2.0 * infl * (1.0 + math.log2(n) - np.log2(np.where(infl > 0.0, infl, 1.0))),
-            0.0,
-        )
-
     bad = np.zeros(ids.size, dtype=bool)
     if p == 0.5:
-        bad |= ent > h_bound + PROVEN_BOUND_SLACK
-        bad |= ent > proof + PROVEN_BOUND_SLACK
-        bad |= ent > logn_bound + PROVEN_BOUND_SLACK
+        for over in exceeded_bounds(ent, bounds).values():
+            bad |= over
     return {
-        "ids": ids,
         "entropy": ent,
         "influence": infl,
         "ratio": ratio,
-        "h_bound": h_bound,
-        "logn_bound": logn_bound,
+        "h_bound": bounds["h_bound"],
+        "logn_bound": bounds["logn_bound"],
         "bad": bad,
     }
 
@@ -396,28 +358,17 @@ def exhaustive_sweep(
     ]
     nthreads = get_threads() if threads is None else max(1, int(threads))
     if nthreads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = list(pool.map(lambda ids: _sweep_chunk(n, p, ids), chunks))
+        parts = list(get_pool(nthreads).map(partial(_sweep_chunk, n, p), chunks))
     else:
         parts = [_sweep_chunk(n, p, ids) for ids in chunks]
 
-    result = SweepResult(
-        n=n,
-        p=p,
-        exhaustive=exhaustive,
-        function_ids=np.concatenate([c["ids"] for c in parts]),
-        entropy=np.concatenate([c["entropy"] for c in parts]),
-        influence=np.concatenate([c["influence"] for c in parts]),
-        ratio=np.concatenate([c["ratio"] for c in parts]),
-        h_bound=np.concatenate([c["h_bound"] for c in parts]),
-        logn_bound=np.concatenate([c["logn_bound"] for c in parts]),
-    )
-    bad = np.concatenate([c["bad"] for c in parts])
-    for idx in np.nonzero(bad)[0]:
-        fid = int(result.function_ids[idx])
+    merged = {key: np.concatenate([c[key] for c in parts]) for key in parts[0]}
+    bad = np.flatnonzero(merged.pop("bad"))
+    result = SweepResult(n=n, p=p, exhaustive=exhaustive, function_ids=all_ids, **merged)
+    for idx, name in zip(bad, result.function_hex(bad)):
         result.violations.append(
             {
-                "function_hex": _function_hex(n, fid),
+                "function_hex": name,
                 "entropy": float(result.entropy[idx]),
                 "influence": float(result.influence[idx]),
             }
@@ -432,18 +383,20 @@ def write_sweep_csv(result: SweepResult, path) -> None:
         writer.writerow(
             ["function_hex", "entropy", "influence", "ratio", "h_bound", "logn_bound"]
         )
-        for k in range(result.count):
-            ratio = result.ratio[k]
-            writer.writerow(
-                [
-                    _function_hex(result.n, int(result.function_ids[k])),
-                    f"{result.entropy[k]:.12g}",
-                    f"{result.influence[k]:.12g}",
-                    "" if not np.isfinite(ratio) else f"{ratio:.12g}",
-                    f"{result.h_bound[k]:.12g}",
-                    f"{result.logn_bound[k]:.12g}",
-                ]
-            )
+        for start in range(0, result.count, SWEEP_CHUNK):
+            names = result.function_hex(slice(start, start + SWEEP_CHUNK))
+            for k, name in enumerate(names, start):
+                ratio = result.ratio[k]
+                writer.writerow(
+                    [
+                        name,
+                        f"{result.entropy[k]:.12g}",
+                        f"{result.influence[k]:.12g}",
+                        "" if not np.isfinite(ratio) else f"{ratio:.12g}",
+                        f"{result.h_bound[k]:.12g}",
+                        f"{result.logn_bound[k]:.12g}",
+                    ]
+                )
 
 
 # ---------------------------------------------------------------------------

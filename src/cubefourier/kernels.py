@@ -6,15 +6,21 @@ explicitly via ``CUBEFOURIER_PURE_PYTHON=1``.  ``LOAD_ERROR`` keeps the
 reason the extension was not used (``None`` when it loaded).  Both backends
 run the same stage schedule, so they agree to the last double.
 
-The schedule has two phases.  Stage i pairs entries k and k + 2^i, so the
-first ``_BLOCK_LOG2`` stages never cross a 2^_BLOCK_LOG2-entry block: phase
-one runs all of them on one block while it sits in cache, block after
-block.  Phase two runs the remaining stages over the whole table.  Every
-element still goes through the same stages in the same order, each
-produced by one fixed arithmetic expression, so the output is bitwise
-identical to the plain stage-after-stage loop, for every thread count.
+The transforms take one table of 2^n entries or a C-contiguous (rows, 2^n)
+batch.  Stage i pairs entries k and k + 2^i inside aligned runs of 2^(i+1)
+entries, so in a flat buffer of whole rows no pair crosses a row: one call
+transforms every row bitwise as it would be transformed alone.
 
-Threading splits phase one's blocks, and each phase-two stage's butterfly
+The schedule has two phases.  Phase one runs the first ``_BLOCK_LOG2``
+stages on one aligned run of 2^_BLOCK_LOG2 entries while it sits in cache,
+run after run; for n <= _BLOCK_LOG2 a run holds whole rows, so a batch of
+small tables costs a few long stage calls, not one per row.  Phase two runs
+the remaining stages over the whole buffer.  Every element still goes
+through the same stages in the same order, each produced by one fixed
+arithmetic expression, so the output is bitwise identical to the plain
+stage-after-stage loop, for every thread count.
+
+Threading splits phase one's runs, and each phase-two stage's butterfly
 blocks, into contiguous ranges on a module thread pool.
 """
 
@@ -25,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 
 from . import _kernels_py
+from .errors import InputError
 
 LOAD_ERROR = None
 if os.environ.get("CUBEFOURIER_PURE_PYTHON", "0") not in ("", "0"):
@@ -41,8 +48,8 @@ else:
         BACKEND = "python"
         LOAD_ERROR = str(exc)
 
-# Phase one works on blocks of 2^_BLOCK_LOG2 entries: 512 KiB of float64,
-# which stays in a 2 MiB L2 across the block's stages.
+# Phase one works on runs of 2^_BLOCK_LOG2 entries: 512 KiB of float64,
+# which stays in a 2 MiB L2 across the run's stages.
 _BLOCK_LOG2 = 16
 
 # Below this table size, thread dispatch costs more than it saves.
@@ -57,7 +64,7 @@ def backend_name() -> str:
     return BACKEND
 
 
-def _get_pool(threads):
+def get_pool(threads):
     """The module worker pool, created on first use and grown to `threads`."""
     global _pool, _pool_size
     with _pool_lock:
@@ -82,25 +89,29 @@ def _split(pool, fn, count, threads):
 
 
 def _run_stages(v, stage, weights, threads):
-    size = v.shape[0]
-    n = size.bit_length() - 1
+    if not v.flags.c_contiguous:
+        raise InputError("the transforms work in place on C-contiguous arrays")
+    flat = v.reshape(-1)  # a view: whole rows of 2^n entries, back to back
+    size = flat.size
+    n = v.shape[-1].bit_length() - 1
     low = min(n, _BLOCK_LOG2)
     use_pool = threads > 1 and size >= _PARALLEL_MIN_SIZE
-    pool = _get_pool(threads) if use_pool else None
+    pool = get_pool(threads) if use_pool else None
 
-    def low_stages(block_lo, block_hi):
-        for blk in range(block_lo, block_hi):
+    def low_stages(run_lo, run_hi):
+        for r in range(run_lo, run_hi):
+            # a short last run of a batch still ends on a row boundary
+            start, end = r << _BLOCK_LOG2, min((r + 1) << _BLOCK_LOG2, size)
             for i in range(low):
-                per = (1 << low) >> (i + 1)  # stage-i butterfly blocks per block
-                stage(v, *weights, 1 << i, blk * per, (blk + 1) * per)
+                stage(flat, *weights, 1 << i, start >> (i + 1), end >> (i + 1))
 
-    _split(pool, low_stages, size >> low, threads)
+    _split(pool, low_stages, -(-size >> _BLOCK_LOG2), threads)
     for i in range(low, n):
-        _split(pool, partial(stage, v, *weights, 1 << i), size >> (i + 1), threads)
+        _split(pool, partial(stage, flat, *weights, 1 << i), size >> (i + 1), threads)
 
 
 def biased_forward_inplace(v, p: float, threads: int = 1) -> None:
-    """Apply the n-stage forward butterfly for bias p to a float64 array."""
+    """Apply the n-stage forward butterfly for bias p to each float64 row."""
     c = math.sqrt(p * (1.0 - p))
     _run_stages(v, _impl.stage_f64, (1.0 - p, p, c, -c), threads)
 
@@ -113,5 +124,5 @@ def biased_inverse_inplace(v, p: float, threads: int = 1) -> None:
 
 
 def wht_inplace(v, threads: int = 1) -> None:
-    """Unnormalised integer Walsh-Hadamard transform of an int64 array."""
+    """Unnormalised integer Walsh-Hadamard transform of each int64 row."""
     _run_stages(v, _impl.stage_i64, (), threads)

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import kernels
 from .boolfn import (
-    Bias,
     RealTable,
     TruthTable,
     as_bias,
@@ -41,6 +40,9 @@ __all__ = [
     "reconstruct_exact",
     "spectral_entropy",
     "total_influence_spectral",
+    "squares_entropy",
+    "squares_influence",
+    "squares_coordinate_influences",
     "influence_combinatorial",
     "influence_vector",
     "coordinate_influences",
@@ -48,7 +50,6 @@ __all__ = [
     "measure_weights",
     "level_profile",
     "exact_level_profile",
-    "tail_weight",
     "degree",
     "support_size",
     "min_support",
@@ -273,45 +274,58 @@ def reconstruct_exact(dspec: DyadicSpectrum, threads: int | None = None):
 # derived quantities
 
 
-def spectral_entropy(spec: Spectrum | DyadicSpectrum) -> float:
-    """Shannon entropy (bits) of the squared-coefficient distribution.
+def squares_entropy(w: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) of squared coefficients along the last axis.
 
-    Terms with zero coefficient contribute nothing.  The squares of a +-1
-    valued function sum to 1, so this is the entropy of a probability
-    distribution; for other tables it is the same sum taken literally.
+    Zero squares contribute nothing.  The squares of a +-1 valued function
+    sum to 1, so this is the entropy of a probability distribution; for
+    other tables it is the same sum taken literally.
     """
+    logs = np.log2(w, out=np.zeros_like(w), where=w > 0.0)
+    # + 0.0 turns the -0.0 of a point-mass spectrum into plain zero
+    return -np.sum(np.multiply(w, logs, out=logs), axis=-1) + 0.0
+
+
+def squares_influence(w: np.ndarray, p: float) -> np.ndarray:
+    """Sum of |S| times squared coefficient along the last axis, over 4p(1-p)."""
+    levels = level_array(w.shape[-1].bit_length() - 1)
+    return np.sum(levels * w, axis=-1) / (4.0 * p * (1.0 - p))
+
+
+def squares_coordinate_influences(w: np.ndarray, p: float) -> np.ndarray:
+    """The n coordinate influences of squared coefficients along the last axis.
+
+    Inf_i is the squared mass on the sets containing i, scaled by
+    1/(4p(1-p)).  With h = 2**(i-1), those sets are the odd h-blocks of
+    each row, so each coordinate is one strided sum.
+    """
+    n = w.shape[-1].bit_length() - 1
+    lead = w.shape[:-1]
+    out = np.empty((*lead, n), dtype=np.float64)
+    for i in range(n):
+        out[..., i] = np.sum(w.reshape(*lead, -1, 2, 1 << i)[..., 1, :], axis=(-2, -1))
+    return out / (4.0 * p * (1.0 - p))
+
+
+def spectral_entropy(spec: Spectrum | DyadicSpectrum) -> float:
+    """Shannon entropy (bits) of the squared-coefficient distribution."""
     if isinstance(spec, DyadicSpectrum):
         spec = spec.to_spectrum()
-    w = spec.squares()
-    nz = w[w > 0.0]
-    if nz.size == 0:
-        return 0.0
-    # + 0.0 turns the -0.0 of a point-mass spectrum into plain zero
-    return float(-np.sum(nz * np.log2(nz))) + 0.0
+    return float(squares_entropy(spec.squares()))
 
 
 def total_influence_spectral(spec: Spectrum | DyadicSpectrum) -> float:
     """Sum of |S| times squared coefficient, scaled by 1/(4p(1-p))."""
     if isinstance(spec, DyadicSpectrum):
         spec = spec.to_spectrum()
-    raw = float(np.sum(level_array(spec.n) * spec.squares()))
-    return raw / (4.0 * spec.p * (1.0 - spec.p))
+    return float(squares_influence(spec.squares(), spec.p))
 
 
 def coordinate_influences(spec: Spectrum | DyadicSpectrum) -> np.ndarray:
-    """All n coordinate influences from the spectrum.
-
-    Inf_i is the squared mass on the sets containing i, scaled by
-    1/(4p(1-p)).  With h = 2**(i-1), those sets are the odd h-blocks of
-    the coefficient array, so each coordinate is one strided sum.
-    """
+    """All n coordinate influences from the spectrum."""
     if isinstance(spec, DyadicSpectrum):
         spec = spec.to_spectrum()
-    w = spec.squares()
-    out = np.empty(spec.n, dtype=np.float64)
-    for i in range(1, spec.n + 1):
-        out[i - 1] = np.sum(w.reshape(-1, 2, 1 << (i - 1))[:, 1, :])
-    return out / (4.0 * spec.p * (1.0 - spec.p))
+    return squares_coordinate_influences(spec.squares(), spec.p)
 
 
 def _level_probabilities(n: int, p: float) -> np.ndarray:
@@ -382,10 +396,6 @@ def exact_level_profile(dspec: DyadicSpectrum) -> LevelProfile:
     exact = tuple(Fraction(total, denom) for total in sums)
     weights = np.array([float(x) for x in exact], dtype=np.float64)
     return LevelProfile(n, weights, exact=exact)
-
-
-def tail_weight(profile: LevelProfile, k: int) -> float:
-    return profile.tail(k)
 
 
 def degree(spec: Spectrum | DyadicSpectrum, tol: float = 1e-9) -> int:

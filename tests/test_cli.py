@@ -233,3 +233,18 @@ def test_version_flag_exits_zero():
 def test_threads_and_max_n_flags(capsys):
     assert run("analyze", "--family", "majority:3", "--threads", "2",
                "--max-n", "20") == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    out = subprocess.run(
+        [sys.executable, "-m", "cubefourier", "analyze", "--family", "majority:3",
+         "--format", "json"],
+        env=dict(os.environ), capture_output=True, text=True, check=True,
+    )
+    payload = json.loads(out.stdout)
+    assert payload["command"] == "analyze"
+    assert payload["entropy"] == 2.0

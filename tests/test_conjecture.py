@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubefourier as cf
+from cubefourier.boolfn import rows_to_hex
 from cubefourier.conjecture import (
-    _function_hex,
+    _id_bits,
     _table_from_id,
     proven_bound_violations,
 )
@@ -106,8 +107,20 @@ def test_analyze_to_dict_is_json_ready():
 
 
 def test_function_hex_matches_table_hex():
-    for fid in (0, 1, 0x8000, 0xBEEF):
-        assert _function_hex(4, fid) == cf.table_to_hex(_table_from_id(4, fid))
+    cases = {
+        1: (0, 1, 2, 3),
+        2: (0, 1, 0x6, 0xF),
+        4: (0, 1, 0x8000, 0xBEEF),
+        5: (0, 1, 0x80000000, 0xDEADBEEF),
+    }
+    for n, fids in cases.items():
+        ids = np.array(fids, dtype=np.int64)
+        batch = rows_to_hex(_id_bits(n, ids))
+        for fid, got in zip(fids, batch):
+            # mask 0 is the most significant bit of the hex number
+            literal = sum(((fid >> j) & 1) << ((1 << n) - 1 - j) for j in range(1 << n))
+            want = format(literal, f"0{((1 << n) + 3) // 4}x")
+            assert got == want == cf.table_to_hex(_table_from_id(n, fid)), (n, fid)
 
 
 def test_sweep_n1_by_hand():
@@ -129,6 +142,19 @@ def test_sweep_statistics_match_single_function_path():
         assert res.influence[fid] == pytest.approx(
             cf.total_influence_spectral(sp), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_sweep_matches_analyze_bitwise_on_every_n3_function(p):
+    res = cf.exhaustive_sweep(3, p=p)
+    assert res.count == 256
+    for fid in range(256):
+        rep = cf.analyze(_table_from_id(3, fid), p)
+        assert res.entropy[fid] == rep.entropy, fid
+        assert res.influence[fid] == rep.influence, fid
+        if p == 0.5:
+            assert res.h_bound[fid] == rep.bounds["h_bound"], fid
+            assert res.logn_bound[fid] == rep.bounds["logn_bound"], fid
 
 
 def test_sweep_is_deterministic_across_threads_and_runs():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import cubefourier as cf
 from cubefourier import _kernels_py, kernels
+from cubefourier.errors import InputError
 
 try:
     from cubefourier import _core
@@ -281,3 +282,63 @@ def test_load_error_is_none_when_the_extension_loads():
         "m.stage_f64 = m.stage_i64 = None; sys.modules['cubefourier._core'] = m; "
     )
     assert _child_kernels(fake) == ["compiled", None]
+
+
+def _batch_rows(n):
+    # 4097 rows make a short last phase-one run at small n; above n = 10 the
+    # same happens with one row past a whole run, at a size that fits memory
+    rows = {1, 3}
+    rows.add(4097 if n <= 10 else (1 << max(0, kernels._BLOCK_LOG2 - n)) + 1)
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("backend", STAGE_BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[1])
+@pytest.mark.parametrize("case", ["forward_p03", "inverse_p03", "wht"])
+@pytest.mark.parametrize("n", range(1, 18))
+def test_batch_of_rows_matches_each_row_alone(backend, case, n):
+    """One call on a (rows, 2^n) buffer equals transforming every row by itself."""
+    name, w = _schedule_cases()[case]
+    stage = getattr(backend, name)
+    rng = np.random.Generator(np.random.PCG64(n))
+    if case == "wht":
+        distinct = rng.integers(-50, 50, size=(7, 1 << n), dtype=np.int64)
+    else:
+        distinct = rng.standard_normal((7, 1 << n))
+    alone = distinct.copy()
+    for row in alone:
+        kernels._run_stages(row, stage, w, 1)
+    for rows in _batch_rows(n):
+        # 7 distinct rows repeat; two rows a power of two apart always differ
+        batch = np.resize(distinct, (rows, 1 << n))
+        expected = np.resize(alone, (rows, 1 << n))
+        for threads in (1, 2, 3):
+            v = batch.copy()
+            kernels._run_stages(v, stage, w, threads)
+            assert np.array_equal(v, expected), (case, n, rows, threads)
+
+
+def test_public_transforms_take_batches_and_reject_strided_ones():
+    rng = np.random.Generator(np.random.PCG64(7))
+    batch = rng.standard_normal((6, 1 << 5))
+    got = batch.copy()
+    kernels.biased_forward_inplace(got, 0.3)
+    for k, row in enumerate(batch):
+        want = row.copy()
+        kernels.biased_forward_inplace(want, 0.3)
+        assert np.array_equal(got[k], want)
+    with pytest.raises(InputError):
+        kernels.biased_forward_inplace(np.zeros((4, 64))[:, ::2], 0.3)
+
+
+def test_small_rows_share_phase_one_runs():
+    """Phase one takes whole runs of rows, not one call per row and stage."""
+    calls = []
+
+    def counting(v, *args):
+        calls.append(args[-3:])
+        _kernels_py.stage_i64(v, *args)
+
+    n, rows = 4, 4097  # 65552 entries: one full run of 2^16 and one short run
+    kernels._run_stages(np.zeros((rows, 1 << n), dtype=np.int64), counting, (), 1)
+    assert len(calls) == 2 * n
+    assert calls[-1] == (1 << (n - 1), (1 << 16) >> n, (rows << n) >> n)
