@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the butterfly kernels: compiled extension vs numpy fallback.
+"""Benchmark the butterfly kernels: C stages (through ctypes) vs numpy fallback.
 
 Runs the full forward transform at several sizes with each backend driving
 the same stage schedule, then reports times and the speedup.  Both produce
@@ -15,13 +15,15 @@ import time
 
 import numpy as np
 
-from cubefourier import _kernels_py
+from cubefourier import _kernels_py, _stages
 from cubefourier.kernels import _run_stages
 
 try:
-    from cubefourier import _core
-except ImportError:
-    _core = None
+    _stages.load()
+    _compiled = _stages
+except OSError as exc:
+    print(f"C stage kernels not loaded: {exc}")
+    _compiled = None
 
 
 def bench(run, shape, repeats=3):
@@ -53,19 +55,19 @@ def main():
     print(f"{'n':>4} {'numpy':>12} {'compiled':>12} {'speedup':>9}  identical")
     for n in range(12, args.max_n + 1, 2):
         t_py, v_py = bench(driver(_kernels_py.stage_f64), 1 << n)
-        if _core is None:
+        if _compiled is None:
             print(f"{n:>4} {t_py:>11.4f}s {'n/a':>12} {'n/a':>9}")
             continue
-        t_c, v_c = bench(driver(_core.stage_f64), 1 << n)
+        t_c, v_c = bench(driver(_compiled.stage_f64), 1 << n)
         same = np.array_equal(v_py, v_c)
         print(
             f"{n:>4} {t_py:>11.4f}s {t_c:>11.4f}s {t_py / t_c:>8.1f}x  {same}"
         )
 
     rows = 4096
-    stage = (_core or _kernels_py).stage_f64
+    stage = (_compiled or _kernels_py).stage_f64
     batch, one_row = driver(stage), driver(stage, threads=1)
-    print(f"\n{rows} rows, {'compiled' if _core else 'numpy'} stages")
+    print(f"\n{rows} rows, {'compiled' if _compiled else 'numpy'} stages")
     print(f"{'n':>4} {'batch':>12} {'row loop':>12}  identical")
     for n in range(3, 7):
         t_batch, v_batch = bench(batch, (rows, 1 << n))

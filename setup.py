@@ -1,44 +1,32 @@
-"""Build script for the optional compiled butterfly kernels.
+"""Build script: ships the C stage kernels compiled with the package.
 
-The package works without the extension (a numpy fallback is selected at
-import time), so a missing compiler or Cython only costs speed.
+At import the package compiles ``_stages.c`` into its ``__pycache__`` when no
+matching library is cached there (see ``cubefourier/_stages.py``).  Building
+it here too, with the same function, lets installs that are read-only at run
+time find it.  A missing compiler only costs speed: the numpy fallback is
+used.
 """
 
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
+import importlib.util
+import os
+
+from setuptools import setup
+from setuptools.command.build_py import build_py
 
 
-class OptionalBuildExt(build_ext):
-    """Build the extension if possible; fall back to pure Python otherwise."""
-
+class BuildPyWithStages(build_py):
     def run(self):
+        super().run()
+        # loaded by path: importing the package would need its dependencies
+        spec = importlib.util.spec_from_file_location(
+            "cubefourier_stages_build", os.path.join("src", "cubefourier", "_stages.py")
+        )
+        stages = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(stages)
         try:
-            super().run()
-        except Exception as exc:  # noqa: BLE001 - any build failure is non-fatal
-            print(f"warning: compiled kernels skipped ({exc}); using numpy fallback")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:  # noqa: BLE001
-            print(f"warning: {ext.name} skipped ({exc}); using numpy fallback")
+            stages.build(os.path.join(self.build_lib, "cubefourier"))
+        except OSError as exc:
+            print(f"warning: C stage kernels not built ({exc}); using numpy fallback")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    # No -march/-ffast-math: results must be reproducible IEEE doubles.  And
-    # -ffp-contract=off: otherwise GCC may fuse w00*lo + w01*hi into one FMA
-    # on targets where FMA is baseline (aarch64), and the doubles would no
-    # longer match the numpy fallback bit for bit.
-    ext = Extension(
-        "cubefourier._core",
-        sources=["src/cubefourier/_core.pyx"],
-        extra_compile_args=["-O3", "-ffp-contract=off"],
-    )
-    return cythonize([ext], compiler_directives={"language_level": "3"})
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(cmdclass={"build_py": BuildPyWithStages})

@@ -451,14 +451,20 @@ def parse_truth_table(text: str) -> TruthTable:
         return TruthTable(n, bits[bits.size - size :])
     if len(body) != size:
         raise InputError(f"expected 2^{n} = {size} characters of '0'/'1', got {len(body)}")
-    if set(body) - {"0", "1"}:
+    # one byte per character ('?' for non-ASCII); every byte but '0' and '1' wraps past 1
+    bits = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8) - np.uint8(ord("0"))
+    if bits.max() > 1:
         raise InputError("table body may contain only '0' and '1'")
-    return TruthTable(n, np.frombuffer(body.encode("ascii"), dtype=np.uint8) - ord("0"))
+    return TruthTable(n, bits)
 
 
 def load_truth_table(path) -> TruthTable:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_truth_table(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: byte {exc.start} is not ASCII text") from None
+    return parse_truth_table(text)
 
 
 def save_truth_table(f: TruthTable, path) -> None:

@@ -33,7 +33,7 @@ from .boolfn import (
     table_to_hex,
     tribes,
 )
-from .config import set_max_n, set_threads
+from .config import get_max_n, get_threads, set_max_n, set_threads
 from .conjecture import (
     analyze,
     clique_experiment,
@@ -528,6 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # --max-n and --threads hold for one command: a caller in the same process
+    # (a test, a notebook) keeps its own settings afterwards.
+    saved = get_max_n(), get_threads()
     try:
         ns = parser.parse_args(argv)
         _apply_common(ns)
@@ -535,6 +538,9 @@ def main(argv=None) -> int:
     except (InputError, ResourceError, OSError) as exc:
         print(f"cubefourier: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        set_max_n(saved[0])
+        set_threads(saved[1])
 
 
 if __name__ == "__main__":

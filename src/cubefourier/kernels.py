@@ -1,10 +1,11 @@
 """Backend selection and stage driver for the cube transforms.
 
-The compiled extension (``cubefourier._core``) is preferred; the numpy
-fallback is selected automatically when the extension is unavailable, or
-explicitly via ``CUBEFOURIER_PURE_PYTHON=1``.  ``LOAD_ERROR`` keeps the
-reason the extension was not used (``None`` when it loaded).  Both backends
-run the same stage schedule, so they agree to the last double.
+The C stage kernels (``_stages.c``, built on first import and loaded
+through ctypes, see ``_stages``) are preferred; the numpy fallback is
+selected automatically when they cannot be built or loaded, or explicitly
+via ``CUBEFOURIER_PURE_PYTHON=1``.  ``LOAD_ERROR`` keeps the reason the C
+kernels were not used (``None`` when they loaded).  Both backends run the
+same stage schedule, so they agree to the last double.
 
 The transforms take one table of 2^n entries or a C-contiguous (rows, 2^n)
 batch.  Stage i pairs entries k and k + 2^i inside aligned runs of 2^(i+1)
@@ -21,7 +22,9 @@ arithmetic expression, so the output is bitwise identical to the plain
 stage-after-stage loop, for every thread count.
 
 Threading splits phase one's runs, and each phase-two stage's butterfly
-blocks, into contiguous ranges on a module thread pool.
+blocks, into contiguous ranges on a module thread pool.  The C stages run
+without the interpreter lock (ctypes releases it for each call), so the
+workers run in parallel.
 """
 
 import math
@@ -30,7 +33,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 
-from . import _kernels_py
+import numpy as np
+
+from . import _kernels_py, _stages
 from .errors import InputError
 
 LOAD_ERROR = None
@@ -40,13 +45,13 @@ if os.environ.get("CUBEFOURIER_PURE_PYTHON", "0") not in ("", "0"):
     LOAD_ERROR = "compiled kernels not loaded: CUBEFOURIER_PURE_PYTHON is set"
 else:
     try:
-        from . import _core as _impl
-
+        _stages.load()
+        _impl = _stages
         BACKEND = "compiled"
-    except ImportError as exc:
+    except OSError as exc:  # no compiler, a failed build, an unwritable cache, a bad library
         _impl = _kernels_py
         BACKEND = "python"
-        LOAD_ERROR = str(exc)
+        LOAD_ERROR = f"C stage kernels not loaded: {exc}"
 
 # Phase one works on runs of 2^_BLOCK_LOG2 entries: 512 KiB of float64,
 # which stays in a 2 MiB L2 across the run's stages.
@@ -89,8 +94,16 @@ def _split(pool, fn, count, threads):
 
 
 def _run_stages(v, stage, weights, threads):
-    if not v.flags.c_contiguous:
-        raise InputError("the transforms work in place on C-contiguous arrays")
+    # The C stages write through a raw pointer, so check what they trust
+    # first.  The float64 stage takes four weights, the int64 stage none.
+    dtype = np.dtype(np.float64 if weights else np.int64)
+    if not (
+        isinstance(v, np.ndarray)
+        and v.dtype == dtype
+        and v.flags.c_contiguous
+        and v.flags.writeable
+    ):
+        raise InputError(f"the transforms work in place on writable C-contiguous {dtype} arrays")
     flat = v.reshape(-1)  # a view: whole rows of 2^n entries, back to back
     size = flat.size
     n = v.shape[-1].bit_length() - 1

@@ -13,6 +13,7 @@ coordinate i corresponds to mask bit i-1.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -486,14 +487,18 @@ def parseval_gap(spec: Spectrum, f: TruthTable | RealTable) -> float:
     """|sum of squared coefficients - E[f^2]| under the spectrum's measure.
 
     E[f^2] is taken from the table's values, grouped by level: every mask
-    of level k has probability p^k (1-p)^(n-k).
+    of level k has probability p^k (1-p)^(n-k).  A Boolean f has f^2 = 1, so
+    its level sums are the counts C(n, k), exactly what summing ones gives.
     """
     if f.n != spec.n:
         raise InputError("function and spectrum sizes differ")
-    vals = f.sign_values()
-    per_level = np.bincount(
-        level_array(f.n), weights=np.square(vals, out=vals), minlength=f.n + 1
-    )
+    if isinstance(f, TruthTable):
+        per_level = np.array([math.comb(f.n, k) for k in range(f.n + 1)], dtype=np.float64)
+    else:
+        vals = f.sign_values()
+        per_level = np.bincount(
+            level_array(f.n), weights=np.square(vals, out=vals), minlength=f.n + 1
+        )
     energy = float(np.sum(per_level * _level_probabilities(f.n, spec.p)))
     return abs(float(np.sum(spec.squares())) - energy)
 
@@ -535,10 +540,16 @@ def load_spectrum_json(path) -> Spectrum:
         return spectrum_from_json(fh.read())
 
 
+def _header(spec: Spectrum) -> bytes:
+    return _MAGIC + struct.pack("<I", spec.n) + struct.pack("<d", spec.p)
+
+
+def _body(spec: Spectrum) -> np.ndarray:
+    return np.ascontiguousarray(spec.coeffs, dtype="<f8")
+
+
 def spectrum_to_bytes(spec: Spectrum) -> bytes:
-    head = _MAGIC + struct.pack("<I", spec.n) + struct.pack("<d", spec.p)
-    body = np.ascontiguousarray(spec.coeffs, dtype="<f8").tobytes()
-    return head + body
+    return _header(spec) + _body(spec).tobytes()
 
 
 def spectrum_from_bytes(data: bytes) -> Spectrum:
@@ -559,8 +570,10 @@ def spectrum_from_bytes(data: bytes) -> Spectrum:
 
 
 def save_spectrum_binary(spec: Spectrum, path) -> None:
+    """Write the bytes of :func:`spectrum_to_bytes` without building them in memory."""
     with open(path, "wb") as fh:
-        fh.write(spectrum_to_bytes(spec))
+        fh.write(_header(spec))
+        fh.write(_body(spec).data)
 
 
 def load_spectrum_binary(path) -> Spectrum:

@@ -261,6 +261,16 @@ def test_parse_rejects_malformed_input():
         parse_truth_table("n=5\nhex:ab  cdef\n")
 
 
+def test_character_body_accepts_only_0_and_1():
+    """Every other character is refused, the ones below '0' (which wrap) included."""
+    assert parse_truth_table("n=2\n0110\n") == from_bits(2, "0110")
+    for code in [*range(0x30), *range(0x32, 0x80), 0xE9, 0x2603]:
+        if chr(code).isspace():
+            continue  # splits or pads the line: a length error
+        with pytest.raises(InputError, match="only '0' and '1'"):
+            parse_truth_table(f"n=2\n01{chr(code)}1\n")
+
+
 def test_file_roundtrip(tmp_path):
     f = random_function(4, 11)
     path = tmp_path / "f.tt"

@@ -196,6 +196,13 @@ def test_missing_file_is_exit_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_ascii_file_is_exit_one(tmp_path, capsys):
+    path = tmp_path / "f.tt"
+    path.write_bytes(b"n=2\n01\xc31\n")
+    assert run("analyze", "--file", str(path)) == 1
+    assert "byte 6 is not ASCII" in capsys.readouterr().err
+
+
 def test_argparse_syntax_errors_are_exit_one(capsys):
     assert run("analyze") == 1
     assert run("frobnicate") == 1
@@ -231,8 +238,15 @@ def test_version_flag_exits_zero():
 
 
 def test_threads_and_max_n_flags(capsys):
+    from cubefourier.config import get_max_n, get_threads
+
+    before = get_max_n(), get_threads()
     assert run("analyze", "--family", "majority:3", "--threads", "2",
                "--max-n", "20") == 0
+    # the flags hold for one command, not for the rest of the process
+    assert (get_max_n(), get_threads()) == before
+    assert run("analyze", "--family", "majority:5", "--threads", "3", "--max-n", "4") == 1
+    assert (get_max_n(), get_threads()) == before
 
 
 def test_python_dash_m_runs_the_cli():

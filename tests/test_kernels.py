@@ -1,10 +1,14 @@
-"""Backend parity: compiled extension vs pure-numpy stage kernels.
+"""Backend parity: C stage kernels (through ctypes) vs pure-numpy ones.
 
 Both backends are loaded directly here (the package-level selection picks
-one, but the modules themselves are always importable), and must produce
-bitwise identical doubles: the arithmetic is the same sequence of IEEE
-operations either way.
+one, but both modules are always importable, and the C library loads
+wherever a C compiler or a cached build exists), and must produce bitwise
+identical doubles: the arithmetic is the same sequence of IEEE operations
+either way.
 """
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +16,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubefourier as cf
-from cubefourier import _kernels_py, kernels
+from cubefourier import _kernels_py, _stages, kernels
 from cubefourier.errors import InputError
 
 try:
-    from cubefourier import _core
-except ImportError:
-    _core = None
+    _stages.load()
+    _compiled = _stages
+except OSError:
+    _compiled = None
 
-needs_core = pytest.mark.skipif(_core is None, reason="compiled backend not built")
+needs_compiled = pytest.mark.skipif(_compiled is None, reason="C stage kernels cannot be built here")
 
 
 def _random_vec(n, seed):
@@ -28,7 +33,7 @@ def _random_vec(n, seed):
     return rng.standard_normal(1 << n)
 
 
-@needs_core
+@needs_compiled
 @given(st.integers(1, 10), st.integers(0, 1000), st.sampled_from([0.5, 0.25, 0.3, 0.71]))
 def test_stage_f64_backends_agree_bitwise(n, seed, p):
     v1 = _random_vec(n, seed)
@@ -37,12 +42,12 @@ def test_stage_f64_backends_agree_bitwise(n, seed, p):
     for i in range(n):
         h = 1 << i
         nblocks = (1 << n) >> (i + 1)
-        _core.stage_f64(v1, 1 - p, p, c, -c, h, 0, nblocks)
+        _compiled.stage_f64(v1, 1 - p, p, c, -c, h, 0, nblocks)
         _kernels_py.stage_f64(v2, 1 - p, p, c, -c, h, 0, nblocks)
     assert np.array_equal(v1, v2)
 
 
-@needs_core
+@needs_compiled
 @given(st.integers(1, 10), st.integers(0, 1000))
 def test_stage_i64_backends_agree_exactly(n, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -51,21 +56,21 @@ def test_stage_i64_backends_agree_exactly(n, seed):
     for i in range(n):
         h = 1 << i
         nblocks = (1 << n) >> (i + 1)
-        _core.stage_i64(v1, h, 0, nblocks)
+        _compiled.stage_i64(v1, h, 0, nblocks)
         _kernels_py.stage_i64(v2, h, 0, nblocks)
     assert np.array_equal(v1, v2)
 
 
-@needs_core
+@needs_compiled
 def test_partial_block_ranges_compose():
     """Processing [0, k) then [k, nblocks) must equal one full pass."""
     v_full = _random_vec(8, 7)
     v_split = v_full.copy()
     h = 4
     nblocks = (1 << 8) // (2 * h)
-    _core.stage_f64(v_full, 0.7, 0.3, 0.1, -0.1, h, 0, nblocks)
-    _core.stage_f64(v_split, 0.7, 0.3, 0.1, -0.1, h, 0, 5)
-    _core.stage_f64(v_split, 0.7, 0.3, 0.1, -0.1, h, 5, nblocks)
+    _compiled.stage_f64(v_full, 0.7, 0.3, 0.1, -0.1, h, 0, nblocks)
+    _compiled.stage_f64(v_split, 0.7, 0.3, 0.1, -0.1, h, 0, 5)
+    _compiled.stage_f64(v_split, 0.7, 0.3, 0.1, -0.1, h, 5, nblocks)
     assert np.array_equal(v_full, v_split)
 
 
@@ -120,7 +125,7 @@ def test_pure_python_fallback_is_forced_by_env(tmp_path):
     assert out.stdout.strip() == "python"
 
 
-@needs_core
+@needs_compiled
 def test_full_transform_same_under_both_backends():
     f = cf.random_function(12, seed=5)
     v1 = f.sign_values()
@@ -131,14 +136,14 @@ def test_full_transform_same_under_both_backends():
     p = 0.3
     c = np.sqrt(p * (1 - p))
     w = (1 - p, p, c, -c)
-    _run_stages(v1, _core.stage_f64, w, threads=1)
+    _run_stages(v1, _compiled.stage_f64, w, threads=1)
     _run_stages(v2, _kernels_py.stage_f64, w, threads=1)
     assert np.array_equal(v1, v2)
 
 
 # --- the two-phase schedule, the piecewise numpy stages and the worker pool ---
 
-STAGE_BACKENDS = [_kernels_py] + ([_core] if _core is not None else [])
+STAGE_BACKENDS = [_kernels_py] + ([_compiled] if _compiled is not None else [])
 
 
 def _schedule_cases():
@@ -246,7 +251,6 @@ def test_concurrent_callers_share_the_pool_safely():
 def _child_kernels(prelude="", **env_extra):
     """BACKEND and LOAD_ERROR of cubefourier.kernels in a fresh interpreter."""
     import json
-    import os
     import subprocess
     import sys
 
@@ -254,9 +258,10 @@ def _child_kernels(prelude="", **env_extra):
         prelude
         + "import json, cubefourier.kernels as k; print(json.dumps([k.BACKEND, k.LOAD_ERROR]))"
     )
-    env = {"PATH": "/usr/bin:/bin", **env_extra}
+    env = {"PATH": "/usr/bin:/bin"}
     if "PYTHONPATH" in os.environ:
         env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+    env.update(env_extra)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -269,19 +274,67 @@ def test_load_error_names_the_forcing_variable():
     assert "CUBEFOURIER_PURE_PYTHON" in error
 
 
-def test_load_error_keeps_the_import_failure():
-    # None in sys.modules makes importing the extension fail whether or not it is built.
-    backend, error = _child_kernels("import sys; sys.modules['cubefourier._core'] = None; ")
+def _package_copy(tmp_path):
+    """A copy of the package without its __pycache__, so nothing is cached."""
+    import shutil
+
+    src = Path(kernels.__file__).parent
+    dst = tmp_path / "pkg"
+    shutil.copytree(src, dst / "cubefourier", ignore=shutil.ignore_patterns("__pycache__"))
+    return dst
+
+
+def _set_cc(cc):
+    return f"import sysconfig; sysconfig.get_config_vars()['CC'] = {cc!r}; "
+
+
+def test_load_error_keeps_the_build_failure(tmp_path):
+    pkg = _package_copy(tmp_path)
+    missing = str(tmp_path / "no-such-cc")
+    backend, error = _child_kernels(_set_cc(missing), PYTHONPATH=str(pkg))
     assert backend == "python"
-    assert "cubefourier._core" in error
+    assert "cannot run the C compiler" in error and missing in error
+
+    failing = tmp_path / "failing-cc"
+    failing.write_text("#!/bin/sh\necho 'cc: no licence for _stages.c' >&2\nexit 3\n")
+    failing.chmod(0o755)
+    backend, error = _child_kernels(_set_cc(str(failing)), PYTHONPATH=str(pkg))
+    assert backend == "python"
+    assert "exit code 3" in error and "no licence for _stages.c" in error
+    cached = os.listdir(pkg / "cubefourier" / "__pycache__")
+    assert not [name for name in cached if name.startswith("_stages-")], cached
+
+    # a cache that cannot be written (a plain file where the directory goes)
+    unwritable = _package_copy(tmp_path / "unwritable")
+    (unwritable / "cubefourier" / "__pycache__").write_text("")
+    backend, error = _child_kernels(PYTHONPATH=str(unwritable))
+    assert backend == "python"
+    assert "__pycache__" in error
 
 
-def test_load_error_is_none_when_the_extension_loads():
-    fake = (
-        "import sys, types; m = types.ModuleType('cubefourier._core'); "
-        "m.stage_f64 = m.stage_i64 = None; sys.modules['cubefourier._core'] = m; "
-    )
-    assert _child_kernels(fake) == ["compiled", None]
+@needs_compiled
+def test_load_error_is_none_when_the_extension_loads(tmp_path):
+    pkg = _package_copy(tmp_path)
+    assert _child_kernels(PYTHONPATH=str(pkg)) == ["compiled", None]
+    cached = os.listdir(pkg / "cubefourier" / "__pycache__")
+    libs = [name for name in cached if name.startswith("_stages-")]
+    assert len(libs) == 1 and libs[0].endswith(".so"), cached
+    # a second import loads the cached library without rebuilding it
+    lib = pkg / "cubefourier" / "__pycache__" / libs[0]
+    stamp = lib.stat().st_mtime_ns
+    assert _child_kernels(PYTHONPATH=str(pkg)) == ["compiled", None]
+    assert lib.stat().st_mtime_ns == stamp
+
+
+def test_cache_key_follows_source_compiler_and_flags(monkeypatch):
+    source = Path(_stages.PACKAGE_DIR, "_stages.c").read_bytes()
+    key = _stages.cache_key(source, ["gcc"])
+    assert key == _stages.cache_key(source, ["gcc"])
+    assert key != _stages.cache_key(source.replace(b"w00 * lo", b"lo * w00"), ["gcc"])
+    assert key != _stages.cache_key(source + b"\n", ["gcc"])
+    assert key != _stages.cache_key(source, ["clang"])
+    monkeypatch.setattr(_stages, "FLAGS", _stages.FLAGS + ("-march=native",))
+    assert key != _stages.cache_key(source, ["gcc"])
 
 
 def _batch_rows(n):
@@ -342,3 +395,30 @@ def test_small_rows_share_phase_one_runs():
     kernels._run_stages(np.zeros((rows, 1 << n), dtype=np.int64), counting, (), 1)
     assert len(calls) == 2 * n
     assert calls[-1] == (1 << (n - 1), (1 << 16) >> n, (rows << n) >> n)
+
+
+@pytest.mark.parametrize("backend", STAGE_BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[1])
+@pytest.mark.parametrize("case", ["forward_p03", "wht"])
+def test_driver_refuses_arrays_the_stages_cannot_write_in_place(backend, case):
+    """Checked before any stage runs: the C stages write through a raw pointer."""
+    name, w = _schedule_cases()[case]
+    stage = getattr(backend, name)
+    good = _case_input(case, 8)
+    read_only = good.copy()
+    read_only.flags.writeable = False
+    refused = {
+        "read-only": read_only,
+        "bytes": np.frombuffer(good.tobytes(), dtype=good.dtype),
+        "float32": good.astype(np.float32),
+        "int32": good.astype(np.int32),
+        "other kind": good.astype(np.float64 if case == "wht" else np.int64),
+        "big-endian": good.astype(good.dtype.newbyteorder(">")),
+        "strided": np.repeat(good, 2)[::2],
+        "strided rows": np.repeat(good.reshape(4, -1), 2, axis=1)[:, ::2],
+        "list": good.tolist(),
+    }
+    for label, v in refused.items():
+        before = np.array(v, copy=True)
+        with pytest.raises(InputError):
+            kernels._run_stages(v, stage, w, 1)
+        assert np.array_equal(np.asarray(v), before), label

@@ -68,6 +68,15 @@ def test_parseval_energy_is_one(n, seed, p):
     sp = cf.transform(f, p)
     assert abs(np.sum(sp.squares()) - 1.0) < 1e-10
     assert cf.parseval_gap(sp, f) < 1e-10
+    # a Boolean table takes the binomial level counts: bitwise the same gap
+    assert cf.parseval_gap(sp, cf.RealTable(n, f.sign_values())) == cf.parseval_gap(sp, f)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_parseval_gap_of_a_large_boolean_table_matches_the_real_path(p):
+    f = cf.random_function(20, 4)
+    sp = cf.transform(f, p)
+    assert cf.parseval_gap(sp, cf.RealTable(20, f.sign_values())) == cf.parseval_gap(sp, f)
 
 
 @given(st.integers(1, 5), st.sampled_from(BIASES))
@@ -333,6 +342,7 @@ def test_spectrum_binary_roundtrip_is_bit_exact(tmp_path):
     sp = cf.transform(cf.random_function(7, 2), 0.71)
     path = tmp_path / "s.spec"
     cf.save_spectrum_binary(sp, path)
+    assert path.read_bytes() == cf.spectral.spectrum_to_bytes(sp)
     back = cf.load_spectrum_binary(path)
     assert back == sp
 
