@@ -99,11 +99,14 @@ def _run_stages(v, stage, weights, threads):
     dtype = np.dtype(np.float64 if weights else np.int64)
     if not (
         isinstance(v, np.ndarray)
+        and v.ndim
         and v.dtype == dtype
         and v.flags.c_contiguous
         and v.flags.writeable
     ):
         raise InputError(f"the transforms work in place on writable C-contiguous {dtype} arrays")
+    if v.shape[-1] & (v.shape[-1] - 1):
+        raise InputError(f"a table holds 2^n entries, not {v.shape[-1]}")
     flat = v.reshape(-1)  # a view: whole rows of 2^n entries, back to back
     size = flat.size
     n = v.shape[-1].bit_length() - 1

@@ -62,6 +62,17 @@ def test_stage_i64_backends_agree_exactly(n, seed):
 
 
 @needs_compiled
+def test_stage_i64_backends_wrap_alike_on_overflow():
+    big = np.iinfo(np.int64).max
+    v1 = np.array([big, big, -big - 1, 7, big // 2 + 5, -3, big, -big], dtype=np.int64)
+    v2 = v1.copy()
+    for i in range(3):
+        _compiled.stage_i64(v1, 1 << i, 0, 8 >> (i + 1))
+        _kernels_py.stage_i64(v2, 1 << i, 0, 8 >> (i + 1))
+    assert np.array_equal(v1, v2)
+
+
+@needs_compiled
 def test_partial_block_ranges_compose():
     """Processing [0, k) then [k, nblocks) must equal one full pass."""
     v_full = _random_vec(8, 7)
@@ -416,6 +427,8 @@ def test_driver_refuses_arrays_the_stages_cannot_write_in_place(backend, case):
         "strided": np.repeat(good, 2)[::2],
         "strided rows": np.repeat(good.reshape(4, -1), 2, axis=1)[:, ::2],
         "list": good.tolist(),
+        "0-d": good[:1].reshape(()).copy(),
+        "rows of 3": good[:12].reshape(4, 3).copy(),
     }
     for label, v in refused.items():
         before = np.array(v, copy=True)
