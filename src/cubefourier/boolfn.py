@@ -100,7 +100,9 @@ class TruthTable:
 
     def sign_values(self) -> np.ndarray:
         """The +-1 view as a fresh float64 array: bit b maps to (-1)**b."""
-        return 1.0 - 2.0 * self.bits.astype(np.float64)
+        v = np.multiply(self.bits, -2.0, dtype=np.float64)
+        v += 1.0
+        return v
 
     def bit(self, mask: int) -> int:
         return int(self.bits[mask])

@@ -9,7 +9,6 @@ proven bound (which would indicate a software defect, not new mathematics).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,9 +33,7 @@ from .spectral import (
     level_profile,
     parseval_gap,
     spectral_entropy,
-    squares_coordinate_influences,
-    squares_entropy,
-    squares_influence,
+    square_sums,
     support_size,
     total_influence_spectral,
     transform,
@@ -186,6 +183,7 @@ def analyze(
     """Full spectral report: entropy, influences, ratio, bounds, support."""
     bias = as_bias(p)
     spec = transform(f, bias, threads=threads)
+    spec.sums(threads)  # one blocked pass feeds every quantity below
     ent = spectral_entropy(spec)
     infl = total_influence_spectral(spec)
     ivec = coordinate_influences(spec)
@@ -289,12 +287,13 @@ def _sweep_chunk(n: int, p: float, ids: np.ndarray) -> dict:
     The rows go through the same transform, reductions and bounds as
     :func:`analyze`, so results do not depend on batching.
     """
-    coeffs = 1.0 - 2.0 * _id_bits(n, ids).astype(np.float64)
+    coeffs = np.multiply(_id_bits(n, ids), -2.0, dtype=np.float64)
+    coeffs += 1.0
     biased_forward_inplace(coeffs, p, threads=1)
-    squares = np.square(coeffs, out=coeffs)
-    ent = squares_entropy(squares)
-    infl = squares_influence(squares, p)
-    bounds = entropy_upper_bounds(n, infl, squares_coordinate_influences(squares, p))
+    sums = square_sums(coeffs, by_level=False)
+    ent = sums.entropy()
+    infl = sums.influence(p)
+    bounds = entropy_upper_bounds(n, infl, sums.coordinate_influences(p))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(infl > 0.0, ent / infl, np.nan)
     bad = np.zeros(ids.size, dtype=bool)
@@ -377,26 +376,27 @@ def exhaustive_sweep(
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    """One row per function: hex id, entropy, influence, ratio, two bounds."""
+    """One row per function: hex id, entropy, influence, ratio, two bounds.
+
+    The bytes are those of ``csv.writer`` with its defaults: no field needs
+    quoting, rows end in "\\r\\n", and an undefined ratio is an empty field.
+    """
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["function_hex", "entropy", "influence", "ratio", "h_bound", "logn_bound"]
-        )
+        fh.write("function_hex,entropy,influence,ratio,h_bound,logn_bound\r\n")
         for start in range(0, result.count, SWEEP_CHUNK):
-            names = result.function_hex(slice(start, start + SWEEP_CHUNK))
-            for k, name in enumerate(names, start):
-                ratio = result.ratio[k]
-                writer.writerow(
-                    [
-                        name,
-                        f"{result.entropy[k]:.12g}",
-                        f"{result.influence[k]:.12g}",
-                        "" if not np.isfinite(ratio) else f"{ratio:.12g}",
-                        f"{result.h_bound[k]:.12g}",
-                        f"{result.logn_bound[k]:.12g}",
-                    ]
-                )
+            part = slice(start, start + SWEEP_CHUNK)
+            ratio = [
+                "%.12g" % r if math.isfinite(r) else "" for r in result.ratio[part].tolist()
+            ]
+            rows = zip(
+                result.function_hex(part),
+                result.entropy[part].tolist(),
+                result.influence[part].tolist(),
+                ratio,
+                result.h_bound[part].tolist(),
+                result.logn_bound[part].tolist(),
+            )
+            fh.write("".join(["%s,%.12g,%.12g,%s,%.12g,%.12g\r\n" % row for row in rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,13 @@ coordinate i corresponds to mask bit i-1.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,9 +45,8 @@ __all__ = [
     "reconstruct_exact",
     "spectral_entropy",
     "total_influence_spectral",
-    "squares_entropy",
-    "squares_influence",
-    "squares_coordinate_influences",
+    "SquareSums",
+    "square_sums",
     "influence_combinatorial",
     "influence_vector",
     "coordinate_influences",
@@ -94,14 +97,17 @@ class Spectrum:
     def size(self) -> int:
         return 1 << self.n
 
+    def sums(self, threads: int | None = None) -> "SquareSums":
+        """The sums of :func:`square_sums`, computed on first use and shared."""
+        sums = self.__dict__.get("_sums")
+        if sums is None:
+            sums = square_sums(self.coeffs.reshape(1, -1), _resolve_threads(threads))
+            object.__setattr__(self, "_sums", sums)
+        return sums
+
     def squares(self) -> np.ndarray:
-        """Squared coefficients, computed on first use and shared (read-only)."""
-        w = self.__dict__.get("_squares")
-        if w is None:
-            w = self.coeffs * self.coeffs
-            w.setflags(write=False)
-            object.__setattr__(self, "_squares", w)
-        return w
+        """Squared coefficients (read-only), from the same pass as :meth:`sums`."""
+        return self.sums().squares[0]
 
     def coefficient(self, mask: int) -> float:
         return float(self.coeffs[mask])
@@ -275,58 +281,234 @@ def reconstruct_exact(dspec: DyadicSpectrum, threads: int | None = None):
 # derived quantities
 
 
-def squares_entropy(w: np.ndarray) -> np.ndarray:
-    """Shannon entropy (bits) of squared coefficients along the last axis.
+@dataclass(frozen=True, eq=False)
+class SquareSums:
+    """Sums over the squared coefficients w = c*c of each row of a (rows, 2^n) array.
 
-    Zero squares contribute nothing.  The squares of a +-1 valued function
-    sum to 1, so this is the entropy of a probability distribution; for
-    other tables it is the same sum taken literally.
+    Built by :func:`square_sums`.  Every array is read-only and has one
+    entry (or one row) per table row; ``levels`` and ``peaks`` are None
+    when the pass was asked to skip them.
     """
-    logs = np.log2(w, out=np.zeros_like(w), where=w > 0.0)
-    # + 0.0 turns the -0.0 of a point-mass spectrum into plain zero
-    return -np.sum(np.multiply(w, logs, out=logs), axis=-1) + 0.0
+
+    n: int
+    squares: np.ndarray  # (rows, 2^n): the w themselves
+    total: np.ndarray  # sum of w
+    plogp: np.ndarray  # sum of w log2 w over w > 0
+    level_mass: np.ndarray  # sum of |S| w
+    levels: np.ndarray | None  # (rows, n + 1): sum of w over |S| = k
+    coords: np.ndarray  # (rows, n): sum of w over the sets containing i + 1
+    peaks: np.ndarray | None  # (rows, n + 1): largest |c| over |S| = k, NaN ignored
+
+    def __post_init__(self):
+        for arr in (self.squares, self.total, self.plogp, self.level_mass, self.levels,
+                    self.coords, self.peaks):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    def entropy(self) -> np.ndarray:
+        """Shannon entropy (bits) of each row's squares.
+
+        The squares of a +-1 valued function sum to 1, so this is the entropy
+        of a probability distribution; for other tables it is the same sum
+        taken literally.
+        """
+        # + 0.0 turns the -0.0 of a point-mass spectrum into plain zero
+        return -self.plogp + 0.0
+
+    def influence(self, p: float) -> np.ndarray:
+        """Sum of |S| times squared coefficient, over 4p(1-p)."""
+        return self.level_mass / (4.0 * p * (1.0 - p))
+
+    def coordinate_influences(self, p: float) -> np.ndarray:
+        """Inf_i: the squared mass on the sets containing i, over 4p(1-p)."""
+        return self.coords / (4.0 * p * (1.0 - p))
+
+    def degree(self, tol: float) -> np.ndarray:
+        """Largest level holding a coefficient above ``tol`` in magnitude, else 0."""
+        return np.max(np.where(self.peaks > tol, np.arange(self.n + 1), 0), axis=-1)
 
 
-def squares_influence(w: np.ndarray, p: float) -> np.ndarray:
-    """Sum of |S| times squared coefficient along the last axis, over 4p(1-p)."""
-    levels = level_array(w.shape[-1].bit_length() - 1)
-    return np.sum(levels * w, axis=-1) / (4.0 * p * (1.0 - p))
+# w log2 w is taken as w log2 max(w, _TINY): the smallest subnormal leaves
+# every w > 0 unchanged and gives 0 * -1074 = 0 for w = 0.
+_TINY = 5e-324
+
+# Scratch for the blocked pass, one block-sized buffer per thread.
+_local = threading.local()
 
 
-def squares_coordinate_influences(w: np.ndarray, p: float) -> np.ndarray:
-    """The n coordinate influences of squared coefficients along the last axis.
+def _scratch() -> np.ndarray:
+    buf = getattr(_local, "buf", None)
+    if buf is None:
+        buf = _local.buf = np.empty(1 << kernels._BLOCK_LOG2)
+    return buf
 
-    Inf_i is the squared mass on the sets containing i, scaled by
-    1/(4p(1-p)).  With h = 2**(i-1), those sets are the odd h-blocks of
-    each row, so each coordinate is one strided sum.
+
+@functools.lru_cache(maxsize=None)
+def _level_layout(m: int):
+    """|S| of each of 2^m masks as float64, the masks sorted by level, and
+    where each level starts in that order."""
+    levels = level_array(m)
+    order = np.argsort(levels, kind="stable")
+    starts = np.searchsorted(levels[order], np.arange(m + 1))
+    floats = levels.astype(np.float64)
+    for arr in (floats, order, starts):
+        arr.setflags(write=False)
+    return floats, order, starts
+
+
+def _fold_coordinates(x: np.ndarray, out: np.ndarray) -> None:
+    """out[:, i] = sum of x[:, j] over the j with bit i set, for x of shape (r, 2^m).
+
+    Folds from the top bit: the upper half sums to that bit's value, and
+    the upper half added onto the lower half leaves the same problem on
+    the bits below.  The temporaries are at most half of x.
     """
-    n = w.shape[-1].bit_length() - 1
-    lead = w.shape[:-1]
-    out = np.empty((*lead, n), dtype=np.float64)
-    for i in range(n):
-        out[..., i] = np.sum(w.reshape(*lead, -1, 2, 1 << i)[..., 1, :], axis=(-2, -1))
-    return out / (4.0 * p * (1.0 - p))
+    for i in reversed(range(x.shape[-1].bit_length() - 1)):
+        h = 1 << i
+        np.add.reduce(x[:, h:], axis=-1, out=out[:, i])
+        if i:
+            x = x[:, :h] + x[:, h:]
+
+
+def _block_sums(c, w, offset, sums, j):
+    """Sums for the rows of one cache-sized block into entries j, j+1, ...
+
+    ``c`` is (r, 2^m) with r * 2^m <= 2^_BLOCK_LOG2; its squares go to
+    ``w``.  Every mask in the block has ``offset`` more set bits than its
+    index inside the row: the popcount of the block's place in its table.
+    The sums go through ``np.add.reduce``, which is ``np.sum``.
+    """
+    rows = slice(j, j + c.shape[0])
+    total, plogp, level_mass, levels, coords, peaks = sums
+    floats, order, starts = _level_layout(c.shape[-1].bit_length() - 1)
+    t = _scratch()[: c.size].reshape(c.shape)
+    np.multiply(c, c, out=w)
+    np.add.reduce(w, axis=-1, out=total[rows])
+    np.maximum(w, _TINY, out=t)
+    np.log2(t, out=t)
+    np.multiply(w, t, out=t)
+    np.add.reduce(t, axis=-1, out=plogp[rows])
+    np.add(floats, offset, out=t)
+    np.multiply(t, w, out=t)
+    np.add.reduce(t, axis=-1, out=level_mass[rows])
+    _fold_coordinates(w, coords[rows])
+    if levels is None:
+        return
+    # |c| in level order: per-level maxima and sums are one reduceat each
+    # ("wrap" never acts on these indices; it skips a buffered copy), and
+    # |c| * |c| is c * c to the bit
+    g = np.abs(np.take(c, order, axis=-1, out=t, mode="wrap"), out=t)
+    np.fmax.reduceat(g, starts, axis=-1, out=peaks[rows])
+    np.add.reduceat(np.multiply(g, g, out=g), starts, axis=-1, out=levels[rows])
+
+
+def _pair_sums(a: np.ndarray) -> np.ndarray:
+    """Sum along axis 1 in adjacent pairs, as np.sum halves a power-of-two length."""
+    while a.shape[1] > 1:
+        a = a[:, 0::2] + a[:, 1::2]
+    return a[:, 0]
+
+
+def square_sums(coeffs: np.ndarray, threads: int = 1, by_level: bool = True) -> SquareSums:
+    """All of :class:`SquareSums` for a (rows, 2^n) coefficient array in one pass.
+
+    The pass walks aligned blocks of 2^_BLOCK_LOG2 entries, the butterfly's
+    phase-one size, so each block stays in L2 while every sum is taken from
+    it.  For n <= _BLOCK_LOG2 a block holds whole rows (a batch of small
+    tables); otherwise each row is 2^(n - _BLOCK_LOG2) blocks, combined in
+    a fixed order:
+
+    * total, plogp and level_mass add the block sums in adjacent pairs,
+      which reproduces ``np.sum`` of the whole row bit for bit;
+    * a block's level sums move up by the popcount of its place in the row;
+    * the coordinates above the block take the block totals, folded as the
+      entries are inside a block.
+
+    With more than one thread, workers take whole blocks.  Each block's
+    numbers do not depend on which thread computed them, so the results
+    are bitwise identical for every thread count.
+
+    ``by_level=False`` skips the level sums and peaks, which reduce along
+    short rows one row at a time: in a batch of small tables they would
+    cost more than all the other sums together.
+    """
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+    if coeffs.ndim != 2 or coeffs.shape[1] < 1 or coeffs.shape[1] & (coeffs.shape[1] - 1):
+        raise InputError(f"square_sums takes a (rows, 2^n) array, not shape {coeffs.shape}")
+    rows, size = coeffs.shape
+    n = size.bit_length() - 1
+    m = min(n, kernels._BLOCK_LOG2)
+    parts = size >> m  # blocks per row
+    per_block = (1 << kernels._BLOCK_LOG2) >> m  # rows per block
+    # one entry per row part: a whole row when n <= _BLOCK_LOG2
+    flat = coeffs.reshape(-1, 1 << m)
+    count = flat.shape[0]
+    squares = np.empty_like(flat)
+    sums = (
+        np.empty(count),
+        np.empty(count),
+        np.empty(count),
+        np.empty((count, m + 1)) if by_level else None,
+        np.empty((count, m)),
+        np.empty((count, m + 1)) if by_level else None,
+    )
+    offsets = np.bitwise_count(np.arange(parts)).tolist()
+
+    def run(block_lo, block_hi):
+        for b in range(block_lo, block_hi):
+            lo, hi = b * per_block, min((b + 1) * per_block, count)
+            _block_sums(flat[lo:hi], squares[lo:hi], offsets[lo % parts], sums, lo)
+
+    use_pool = threads > 1 and coeffs.size >= kernels._PARALLEL_MIN_SIZE
+    pool = kernels.get_pool(threads) if use_pool else None
+    kernels._split(pool, run, -(-count // per_block), threads)
+
+    total, plogp, level_mass, part_levels, part_coords, part_peaks = (
+        None if a is None else a.reshape(rows, parts, *a.shape[1:]) for a in sums
+    )
+    coords = np.empty((rows, n))
+    coords[:, :m] = _pair_sums(part_coords)
+    _fold_coordinates(total, coords[:, m:])
+    levels = peaks = None
+    if by_level:
+        levels = np.zeros((rows, n + 1))
+        peaks = np.zeros((rows, n + 1))
+        for k in range(n - m + 1):
+            sel = [b for b in range(parts) if offsets[b] == k]
+            levels[:, k : k + m + 1] += np.sum(part_levels[:, sel], axis=1)
+            np.fmax(peaks[:, k : k + m + 1], np.fmax.reduce(part_peaks[:, sel], axis=1),
+                    out=peaks[:, k : k + m + 1])
+    return SquareSums(
+        n,
+        squares.reshape(rows, size),
+        _pair_sums(total),
+        _pair_sums(plogp),
+        _pair_sums(level_mass),
+        levels,
+        coords,
+        peaks,
+    )
+
+
+def _as_spectrum(spec: Spectrum | DyadicSpectrum) -> Spectrum:
+    return spec.to_spectrum() if isinstance(spec, DyadicSpectrum) else spec
 
 
 def spectral_entropy(spec: Spectrum | DyadicSpectrum) -> float:
     """Shannon entropy (bits) of the squared-coefficient distribution."""
-    if isinstance(spec, DyadicSpectrum):
-        spec = spec.to_spectrum()
-    return float(squares_entropy(spec.squares()))
+    return float(_as_spectrum(spec).sums().entropy()[0])
 
 
 def total_influence_spectral(spec: Spectrum | DyadicSpectrum) -> float:
     """Sum of |S| times squared coefficient, scaled by 1/(4p(1-p))."""
-    if isinstance(spec, DyadicSpectrum):
-        spec = spec.to_spectrum()
-    return float(squares_influence(spec.squares(), spec.p))
+    spec = _as_spectrum(spec)
+    return float(spec.sums().influence(spec.p)[0])
 
 
 def coordinate_influences(spec: Spectrum | DyadicSpectrum) -> np.ndarray:
     """All n coordinate influences from the spectrum."""
-    if isinstance(spec, DyadicSpectrum):
-        spec = spec.to_spectrum()
-    return squares_coordinate_influences(spec.squares(), spec.p)
+    spec = _as_spectrum(spec)
+    return spec.sums().coordinate_influences(spec.p)[0]
 
 
 def _level_probabilities(n: int, p: float) -> np.ndarray:
@@ -369,8 +551,7 @@ def total_influence_combinatorial(f: TruthTable, p=0.5) -> float:
 def level_profile(spec: Spectrum | DyadicSpectrum) -> LevelProfile:
     if isinstance(spec, DyadicSpectrum):
         return exact_level_profile(spec)
-    weights = np.bincount(level_array(spec.n), weights=spec.squares(), minlength=spec.n + 1)
-    return LevelProfile(spec.n, weights)
+    return LevelProfile(spec.n, spec.sums().levels[0])
 
 
 def exact_level_profile(dspec: DyadicSpectrum) -> LevelProfile:
@@ -402,10 +583,8 @@ def exact_level_profile(dspec: DyadicSpectrum) -> LevelProfile:
 def degree(spec: Spectrum | DyadicSpectrum, tol: float = 1e-9) -> int:
     """Largest |S| carrying a coefficient; exact spectra ignore ``tol``."""
     if isinstance(spec, DyadicSpectrum):
-        live = spec.numerators != 0
-    else:
-        live = np.abs(spec.coeffs) > tol
-    return int(np.max(level_array(spec.n), where=live, initial=0))
+        return int(np.max(level_array(spec.n), where=spec.numerators != 0, initial=0))
+    return int(spec.sums().degree(tol)[0])
 
 
 def top_masks(values: np.ndarray, k: int) -> np.ndarray:
@@ -429,22 +608,27 @@ def support_size(spec: Spectrum | DyadicSpectrum, epsilon: float) -> tuple[int, 
     Taking squares in decreasing order gives the same partial sums whatever
     the order among ties, so a plain sort replaces the stable argsort and
     both numbers are bitwise equal to the ones ``min_support`` reports.
+    Only the nonzero squares are sorted: the zeros trail and never change
+    the running sum.
     """
-    if epsilon < 0.0:
-        raise InputError("epsilon must be nonnegative")
-    if isinstance(spec, DyadicSpectrum):
-        spec = spec.to_spectrum()
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise InputError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    spec = _as_spectrum(spec)
     w = spec.squares()
-    total = float(np.sum(w))
+    total = float(spec.sums().total[0])
     if total <= epsilon:
         return 0, 0.0
-    captured = np.cumsum(np.sort(w)[::-1])
-    # the complement weight only shrinks along the partial sums; when
-    # rounding keeps it above epsilon to the end (the pairwise total can
-    # exceed the running sum by an ulp), every mask is kept
-    enough = total - captured <= epsilon
-    keep = int(np.argmax(enough)) + 1 if enough[-1] else w.size
-    return keep, float(captured[keep - 1])
+    live = w[w > 0.0]
+    live.sort()
+    captured = np.cumsum(live[::-1])
+    # the complement weight total - captured[i] only shrinks with i, so the
+    # first i where it is <= epsilon is found by bisection; when rounding
+    # keeps it above epsilon to the end (the pairwise total can exceed the
+    # running sum by an ulp), every mask is kept
+    cut = bisect.bisect_left(captured, True, key=lambda c: total - c <= epsilon)
+    if cut == captured.size:
+        return w.size, float(captured[-1])
+    return cut + 1, float(captured[cut])
 
 
 def min_support(spec: Spectrum | DyadicSpectrum, epsilon: float):
@@ -500,7 +684,7 @@ def parseval_gap(spec: Spectrum, f: TruthTable | RealTable) -> float:
             level_array(f.n), weights=np.square(vals, out=vals), minlength=f.n + 1
         )
     energy = float(np.sum(per_level * _level_probabilities(f.n, spec.p)))
-    return abs(float(np.sum(spec.squares())) - energy)
+    return abs(float(spec.sums().total[0]) - energy)
 
 
 # ---------------------------------------------------------------------------
@@ -552,21 +736,27 @@ def spectrum_to_bytes(spec: Spectrum) -> bytes:
     return _header(spec) + _body(spec).tobytes()
 
 
-def spectrum_from_bytes(data: bytes) -> Spectrum:
-    head = len(_MAGIC) + 4 + 8
-    if len(data) < head or data[: len(_MAGIC)] != _MAGIC:
+_HEAD = len(_MAGIC) + 4 + 8
+
+
+def _read_header(head: bytes, length: int) -> tuple[int, float]:
+    """n and p from the first _HEAD bytes of a binary spectrum of ``length`` bytes."""
+    if len(head) < _HEAD or head[: len(_MAGIC)] != _MAGIC:
         raise InputError("not a spectrum file (bad magic)")
-    (n,) = struct.unpack_from("<I", data, len(_MAGIC))
-    (p,) = struct.unpack_from("<d", data, len(_MAGIC) + 4)
+    (n,) = struct.unpack_from("<I", head, len(_MAGIC))
+    (p,) = struct.unpack_from("<d", head, len(_MAGIC) + 4)
     if n < 1 or n > 48:
         raise InputError(f"corrupt spectrum file: n={n}")
-    expected = head + (1 << n) * 8
-    if len(data) != expected:
-        raise InputError(
-            f"corrupt spectrum file: expected {expected} bytes, got {len(data)}"
-        )
-    coeffs = np.frombuffer(data, dtype="<f8", offset=head).astype(np.float64)
-    return Spectrum(int(n), float(p), coeffs)
+    expected = _HEAD + (1 << n) * 8
+    if length != expected:
+        raise InputError(f"corrupt spectrum file: expected {expected} bytes, got {length}")
+    return int(n), float(p)
+
+
+def spectrum_from_bytes(data: bytes) -> Spectrum:
+    n, p = _read_header(data[:_HEAD], len(data))
+    coeffs = np.frombuffer(data, dtype="<f8", offset=_HEAD).astype(np.float64)
+    return Spectrum(n, p, coeffs)
 
 
 def save_spectrum_binary(spec: Spectrum, path) -> None:
@@ -577,5 +767,11 @@ def save_spectrum_binary(spec: Spectrum, path) -> None:
 
 
 def load_spectrum_binary(path) -> Spectrum:
+    """Read a file of :func:`spectrum_to_bytes` straight into the coefficient array."""
     with open(path, "rb") as fh:
-        return spectrum_from_bytes(fh.read())
+        n, p = _read_header(fh.read(_HEAD), os.fstat(fh.fileno()).st_size)
+        check_table_size(n, "spectrum")
+        coeffs = np.empty(1 << n, dtype="<f8")
+        if fh.readinto(coeffs) != coeffs.nbytes:
+            raise InputError("corrupt spectrum file: it changed while being read")
+    return Spectrum(n, p, coeffs.astype(np.float64, copy=False))

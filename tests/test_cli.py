@@ -63,6 +63,15 @@ def test_analyze_rejects_conflicting_bias(capsys):
     assert run("analyze", "--family", "mux3", "--p", "0.3", "--pt", "1", "--pm", "2") == 1
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-0.5"])
+def test_analyze_rejects_epsilon_that_is_not_finite_and_nonnegative(tmp_path, capsys, eps):
+    out = tmp_path / "report.json"
+    code = run("analyze", "--family", "mux3", "--epsilon", eps, "--format", "json",
+               "--output", str(out))
+    assert code == 1
+    assert not out.exists()
+
+
 def test_bits_source(capsys):
     assert run("analyze", "--bits", "00010110", "--format", "json") == 0
     assert json.loads(capsys.readouterr().out)["n"] == 3

@@ -10,6 +10,7 @@ import cubefourier as cf
 from cubefourier.boolfn import rows_to_hex
 from cubefourier.conjecture import (
     _id_bits,
+    _sweep_chunk,
     _table_from_id,
     proven_bound_violations,
 )
@@ -207,6 +208,46 @@ def test_sweep_csv_layout(tmp_path):
     assert len(rows) == res.count + 1
     # constants have an empty ratio cell
     assert rows[1][3] == ""
+
+
+def _csv_writer_bytes(res, path):
+    """The sweep CSV as csv.writer formats it, one f-string per cell."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["function_hex", "entropy", "influence", "ratio", "h_bound", "logn_bound"]
+        )
+        for k, name in enumerate(res.function_hex(slice(None))):
+            ratio = res.ratio[k]
+            writer.writerow(
+                [
+                    name,
+                    f"{res.entropy[k]:.12g}",
+                    f"{res.influence[k]:.12g}",
+                    "" if not np.isfinite(ratio) else f"{ratio:.12g}",
+                    f"{res.h_bound[k]:.12g}",
+                    f"{res.logn_bound[k]:.12g}",
+                ]
+            )
+    return path.read_bytes()
+
+
+def _sampled_n5_with_constants():
+    """A sampled n = 5 sweep at p = 0.3 that also holds both constant functions."""
+    rng = np.random.Generator(np.random.PCG64(11))
+    ids = np.concatenate(([0, (1 << 32) - 1], rng.integers(0, 1 << 32, size=5000)))
+    stats = _sweep_chunk(5, 0.3, ids)
+    stats.pop("bad")
+    return cf.SweepResult(n=5, p=0.3, exhaustive=False, function_ids=ids, **stats)
+
+
+@pytest.mark.parametrize("case", ["n3", "n5-sampled"])
+def test_sweep_csv_bytes_match_csv_writer(tmp_path, case):
+    res = cf.exhaustive_sweep(3) if case == "n3" else _sampled_n5_with_constants()
+    assert not np.all(np.isfinite(res.ratio))  # some rows have an empty ratio
+    fast = tmp_path / "fast.csv"
+    cf.write_sweep_csv(res, fast)
+    assert fast.read_bytes() == _csv_writer_bytes(res, tmp_path / "reference.csv")
 
 
 # --- clique experiment ----------------------------------------------------------

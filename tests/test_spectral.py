@@ -7,9 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubefourier as cf
+from cubefourier import kernels
+from cubefourier.boolfn import level_array
 from cubefourier.errors import InputError
-from cubefourier.spectral import measure_weights
+from cubefourier.spectral import measure_weights, square_sums
 from conftest import naive_character, naive_transform
+from test_kernels import STAGE_BACKENDS
 
 BIASES = [0.5, 0.25, 0.125, 0.3, 0.71]
 
@@ -358,6 +361,22 @@ def test_binary_format_rejects_corruption(tmp_path):
         cf.spectral.spectrum_from_bytes(data[:-8])
 
 
+def test_binary_file_loader_rejects_what_the_bytes_parser_rejects(tmp_path):
+    sp = cf.transform(cf.random_function(5, 1), 0.3)
+    data = cf.spectral.spectrum_to_bytes(sp)
+    path = tmp_path / "s.spec"
+    for bad in (b"", b"WRONGMAG" + data[8:], data[:-8], data + b"\0", data[:20]):
+        path.write_bytes(bad)
+        with pytest.raises(InputError):
+            cf.load_spectrum_binary(path)
+        with pytest.raises(InputError):
+            cf.spectral.spectrum_from_bytes(bad)
+    path.write_bytes(data)
+    back = cf.load_spectrum_binary(path)
+    assert back == cf.spectral.spectrum_from_bytes(data) == sp
+    assert not back.coeffs.flags.writeable
+
+
 def test_json_rejects_missing_keys():
     with pytest.raises(InputError):
         cf.spectral.spectrum_from_json('{"n": 1, "coeffs": [0, 1]}')
@@ -401,8 +420,9 @@ def test_support_size_with_ties_and_empty_support():
         masks, captured = cf.min_support(sp, eps)
         assert cf.support_size(sp, eps) == (masks.size, captured)
     assert cf.support_size(sp, 1.0) == (0, 0.0)
-    with pytest.raises(InputError):
-        cf.support_size(sp, -0.1)
+    for eps in (-0.1, math.nan, math.inf):
+        with pytest.raises(InputError):
+            cf.support_size(sp, eps)
 
 
 def test_support_at_epsilon_zero_survives_rounding():
@@ -449,3 +469,99 @@ def test_exact_level_profile_big_numerators_take_the_integer_fallback():
     prof = cf.spectral.exact_level_profile(d)
     assert prof.exact == _literal_level_fractions(d)
     assert prof.exact[0] == Fraction(int(np.sum(vals)), 1 << 12) ** 2
+
+
+# --- the blocked pass against the whole-array formulas ------------------------
+
+
+def _whole_array(coeffs, p):
+    """Each quantity as one literal expression over the whole table."""
+    n = coeffs.size.bit_length() - 1
+    w = coeffs * coeffs
+    logs = np.log2(w, out=np.zeros_like(w), where=w > 0.0)
+    levels = level_array(n)
+    scale = 4.0 * p * (1.0 - p)
+    return {
+        "squares": w,
+        "total": np.sum(w),
+        "entropy": -np.sum(w * logs) + 0.0,
+        "influence": np.sum(levels * w) / scale,
+        "coords": np.array([np.sum(w.reshape(-1, 2, 1 << i)[:, 1, :]) for i in range(n)])
+        / scale,
+        "levels": np.bincount(levels, weights=w, minlength=n + 1),
+        "degree": int(np.max(levels, where=np.abs(coeffs) > 1e-9, initial=0)),
+    }
+
+
+def _tables(n):
+    """A flat spectrum and a concentrated one (a 6-variable junta)."""
+    junta = cf.random_function(6, n)
+    return [cf.random_function(n, n), cf.TruthTable(n, np.tile(junta.bits, 1 << (n - 6)))]
+
+
+@pytest.mark.parametrize("backend", STAGE_BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[1])
+@pytest.mark.parametrize("p", [0.5, 0.3])
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_blocked_pass_matches_whole_array_formulas(monkeypatch, backend, p, n):
+    monkeypatch.setattr(kernels, "_impl", backend)
+    for f in _tables(n):
+        sp = cf.transform(f, p)
+        want = _whole_array(sp.coeffs, p)
+        # summed in adjacent pairs of 2^16-entry blocks: the same bits as np.sum
+        assert np.array_equal(sp.squares(), want["squares"])
+        assert sp.sums().total[0] == want["total"]
+        assert cf.spectral_entropy(sp) == want["entropy"]
+        assert cf.total_influence_spectral(sp) == want["influence"]
+        assert cf.degree(sp) == want["degree"]
+        # folded and level-sorted sums add in another order
+        assert np.max(np.abs(cf.coordinate_influences(sp) - want["coords"])) <= 1e-14
+        assert np.max(np.abs(cf.level_profile(sp).weights - want["levels"])) <= 1e-14
+
+
+def _row(sums, r):
+    """Every array of a SquareSums at row r."""
+    return [
+        getattr(sums, k)[r]
+        for k in ("squares", "total", "plogp", "level_mass", "levels", "coords", "peaks")
+    ]
+
+
+def _same(a, b):
+    return all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b, strict=True))
+
+
+@pytest.mark.parametrize("n", [16, 17, 19])
+def test_blocked_pass_is_bitwise_identical_across_threads(n):
+    rng = np.random.Generator(np.random.PCG64(n))
+    coeffs = rng.standard_normal((1, 1 << n))
+    coeffs[0, rng.integers(0, 1 << n, size=100)] = 0.0
+    one = _row(square_sums(coeffs, threads=1), 0)
+    for threads in (2, 3):
+        assert _same(_row(square_sums(coeffs, threads=threads), 0), one), threads
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_batch_rows_match_each_row_alone(n):
+    """A (rows, 2^n) batch gives every row the sums it gets by itself."""
+    rng = np.random.Generator(np.random.PCG64(n))
+    distinct = rng.standard_normal((7, 1 << n))
+    distinct[1] = 0.0  # an all-zero row: no log2 of zero, degree 0
+    distinct[2, ::3] = 0.0
+    alone = [_row(square_sums(row.reshape(1, -1)), 0) for row in distinct]
+    # a short last block, and with it blocks that end mid-batch
+    rows = (1 << max(0, 16 - n)) + 5
+    batch = square_sums(np.resize(distinct, (rows, 1 << n)), threads=2)
+    for k, got in enumerate(_row(batch, slice(None))):
+        want = np.resize(np.stack([a[k] for a in alone]), got.shape)
+        assert np.array_equal(got, want), (n, k)
+    # skipping the level sums leaves every other sum as it was
+    lean = square_sums(np.resize(distinct, (rows, 1 << n)), by_level=False)
+    assert lean.levels is None and lean.peaks is None
+    for k in ("squares", "total", "plogp", "level_mass", "coords"):
+        assert np.array_equal(getattr(lean, k), getattr(batch, k)), (n, k)
+
+
+def test_square_sums_rejects_arrays_that_are_not_rows_of_tables():
+    for bad in (np.zeros(8), np.zeros((2, 0)), np.zeros((2, 6)), np.zeros((2, 2, 4))):
+        with pytest.raises(InputError):
+            square_sums(bad)
