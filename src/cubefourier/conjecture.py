@@ -183,7 +183,6 @@ def analyze(
     """Full spectral report: entropy, influences, ratio, bounds, support."""
     bias = as_bias(p)
     spec = transform(f, bias, threads=threads)
-    spec.sums(threads)  # one blocked pass feeds every quantity below
     ent = spectral_entropy(spec)
     infl = total_influence_spectral(spec)
     ivec = coordinate_influences(spec)
@@ -290,7 +289,7 @@ def _sweep_chunk(n: int, p: float, ids: np.ndarray) -> dict:
     coeffs = np.multiply(_id_bits(n, ids), -2.0, dtype=np.float64)
     coeffs += 1.0
     biased_forward_inplace(coeffs, p, threads=1)
-    sums = square_sums(coeffs, by_level=False)
+    sums = square_sums(coeffs)
     ent = sums.entropy()
     infl = sums.influence(p)
     bounds = entropy_upper_bounds(n, infl, sums.coordinate_influences(p))

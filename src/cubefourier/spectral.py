@@ -17,8 +17,8 @@ import functools
 import json
 import math
 import os
+import stat
 import struct
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +47,8 @@ __all__ = [
     "total_influence_spectral",
     "SquareSums",
     "square_sums",
+    "LevelSums",
+    "level_sums",
     "influence_combinatorial",
     "influence_vector",
     "coordinate_influences",
@@ -97,13 +99,20 @@ class Spectrum:
     def size(self) -> int:
         return 1 << self.n
 
-    def sums(self, threads: int | None = None) -> "SquareSums":
+    def sums(self) -> "SquareSums":
         """The sums of :func:`square_sums`, computed on first use and shared."""
-        sums = self.__dict__.get("_sums")
-        if sums is None:
-            sums = square_sums(self.coeffs.reshape(1, -1), _resolve_threads(threads))
-            object.__setattr__(self, "_sums", sums)
-        return sums
+        return self._cached("_sums", square_sums)
+
+    def level_sums(self) -> "LevelSums":
+        """The sums of :func:`level_sums`, computed on first use and shared."""
+        return self._cached("_level_sums", level_sums)
+
+    def _cached(self, key: str, compute):
+        value = self.__dict__.get(key)
+        if value is None:
+            value = compute(self.coeffs.reshape(1, -1))
+            object.__setattr__(self, key, value)
+        return value
 
     def squares(self) -> np.ndarray:
         """Squared coefficients (read-only), from the same pass as :meth:`sums`."""
@@ -286,8 +295,7 @@ class SquareSums:
     """Sums over the squared coefficients w = c*c of each row of a (rows, 2^n) array.
 
     Built by :func:`square_sums`.  Every array is read-only and has one
-    entry (or one row) per table row; ``levels`` and ``peaks`` are None
-    when the pass was asked to skip them.
+    entry (or one row) per table row.
     """
 
     n: int
@@ -295,15 +303,11 @@ class SquareSums:
     total: np.ndarray  # sum of w
     plogp: np.ndarray  # sum of w log2 w over w > 0
     level_mass: np.ndarray  # sum of |S| w
-    levels: np.ndarray | None  # (rows, n + 1): sum of w over |S| = k
     coords: np.ndarray  # (rows, n): sum of w over the sets containing i + 1
-    peaks: np.ndarray | None  # (rows, n + 1): largest |c| over |S| = k, NaN ignored
 
     def __post_init__(self):
-        for arr in (self.squares, self.total, self.plogp, self.level_mass, self.levels,
-                    self.coords, self.peaks):
-            if arr is not None:
-                arr.setflags(write=False)
+        for arr in (self.squares, self.total, self.plogp, self.level_mass, self.coords):
+            arr.setflags(write=False)
 
     def entropy(self) -> np.ndarray:
         """Shannon entropy (bits) of each row's squares.
@@ -323,6 +327,22 @@ class SquareSums:
         """Inf_i: the squared mass on the sets containing i, over 4p(1-p)."""
         return self.coords / (4.0 * p * (1.0 - p))
 
+
+@dataclass(frozen=True, eq=False)
+class LevelSums:
+    """Per-level sums of each row of a (rows, 2^n) coefficient array.
+
+    Built by :func:`level_sums`; both arrays are read-only, (rows, n + 1).
+    """
+
+    n: int
+    levels: np.ndarray  # sum of c*c over |S| = k
+    peaks: np.ndarray  # largest |c| over |S| = k, NaN ignored
+
+    def __post_init__(self):
+        self.levels.setflags(write=False)
+        self.peaks.setflags(write=False)
+
     def degree(self, tol: float) -> np.ndarray:
         """Largest level holding a coefficient above ``tol`` in magnitude, else 0."""
         return np.max(np.where(self.peaks > tol, np.arange(self.n + 1), 0), axis=-1)
@@ -331,16 +351,6 @@ class SquareSums:
 # w log2 w is taken as w log2 max(w, _TINY): the smallest subnormal leaves
 # every w > 0 unchanged and gives 0 * -1074 = 0 for w = 0.
 _TINY = 5e-324
-
-# Scratch for the blocked pass, one block-sized buffer per thread.
-_local = threading.local()
-
-
-def _scratch() -> np.ndarray:
-    buf = getattr(_local, "buf", None)
-    if buf is None:
-        buf = _local.buf = np.empty(1 << kernels._BLOCK_LOG2)
-    return buf
 
 
 @functools.lru_cache(maxsize=None)
@@ -370,38 +380,6 @@ def _fold_coordinates(x: np.ndarray, out: np.ndarray) -> None:
             x = x[:, :h] + x[:, h:]
 
 
-def _block_sums(c, w, offset, sums, j):
-    """Sums for the rows of one cache-sized block into entries j, j+1, ...
-
-    ``c`` is (r, 2^m) with r * 2^m <= 2^_BLOCK_LOG2; its squares go to
-    ``w``.  Every mask in the block has ``offset`` more set bits than its
-    index inside the row: the popcount of the block's place in its table.
-    The sums go through ``np.add.reduce``, which is ``np.sum``.
-    """
-    rows = slice(j, j + c.shape[0])
-    total, plogp, level_mass, levels, coords, peaks = sums
-    floats, order, starts = _level_layout(c.shape[-1].bit_length() - 1)
-    t = _scratch()[: c.size].reshape(c.shape)
-    np.multiply(c, c, out=w)
-    np.add.reduce(w, axis=-1, out=total[rows])
-    np.maximum(w, _TINY, out=t)
-    np.log2(t, out=t)
-    np.multiply(w, t, out=t)
-    np.add.reduce(t, axis=-1, out=plogp[rows])
-    np.add(floats, offset, out=t)
-    np.multiply(t, w, out=t)
-    np.add.reduce(t, axis=-1, out=level_mass[rows])
-    _fold_coordinates(w, coords[rows])
-    if levels is None:
-        return
-    # |c| in level order: per-level maxima and sums are one reduceat each
-    # ("wrap" never acts on these indices; it skips a buffered copy), and
-    # |c| * |c| is c * c to the bit
-    g = np.abs(np.take(c, order, axis=-1, out=t, mode="wrap"), out=t)
-    np.fmax.reduceat(g, starts, axis=-1, out=peaks[rows])
-    np.add.reduceat(np.multiply(g, g, out=g), starts, axis=-1, out=levels[rows])
-
-
 def _pair_sums(a: np.ndarray) -> np.ndarray:
     """Sum along axis 1 in adjacent pairs, as np.sum halves a power-of-two length."""
     while a.shape[1] > 1:
@@ -409,7 +387,33 @@ def _pair_sums(a: np.ndarray) -> np.ndarray:
     return a[:, 0]
 
 
-def square_sums(coeffs: np.ndarray, threads: int = 1, by_level: bool = True) -> SquareSums:
+def _row_parts(coeffs: np.ndarray, what: str):
+    """Cut a (rows, 2^n) array into row parts of 2^m <= 2^_BLOCK_LOG2 entries.
+
+    Returns n, the parts as a (rows * 2^(n - m), 2^m) view, the popcount
+    of each part's place in its row (every mask in the part has that many
+    more set bits than its index inside the part), and the [lo, hi) runs
+    of parts that fill one aligned 2^_BLOCK_LOG2 block.
+    """
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+    if coeffs.ndim != 2 or coeffs.shape[1] < 1 or coeffs.shape[1] & (coeffs.shape[1] - 1):
+        raise InputError(f"{what} takes a (rows, 2^n) array, not shape {coeffs.shape}")
+    size = coeffs.shape[1]
+    n = size.bit_length() - 1
+    m = min(n, kernels._BLOCK_LOG2)
+    parts = coeffs.reshape(-1, 1 << m)
+    step = 1 << (kernels._BLOCK_LOG2 - m)
+    count = parts.shape[0]
+    blocks = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+    return n, parts, np.bitwise_count(np.arange(size >> m)).tolist(), blocks
+
+
+def _by_row(a: np.ndarray, offsets: list[int]) -> np.ndarray:
+    """Per-part results, (rows * parts, ...), as (rows, parts, ...)."""
+    return a.reshape(-1, len(offsets), *a.shape[1:])
+
+
+def square_sums(coeffs: np.ndarray) -> SquareSums:
     """All of :class:`SquareSums` for a (rows, 2^n) coefficient array in one pass.
 
     The pass walks aligned blocks of 2^_BLOCK_LOG2 entries, the butterfly's
@@ -420,74 +424,79 @@ def square_sums(coeffs: np.ndarray, threads: int = 1, by_level: bool = True) -> 
 
     * total, plogp and level_mass add the block sums in adjacent pairs,
       which reproduces ``np.sum`` of the whole row bit for bit;
-    * a block's level sums move up by the popcount of its place in the row;
     * the coordinates above the block take the block totals, folded as the
       entries are inside a block.
-
-    With more than one thread, workers take whole blocks.  Each block's
-    numbers do not depend on which thread computed them, so the results
-    are bitwise identical for every thread count.
-
-    ``by_level=False`` skips the level sums and peaks, which reduce along
-    short rows one row at a time: in a batch of small tables they would
-    cost more than all the other sums together.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 2 or coeffs.shape[1] < 1 or coeffs.shape[1] & (coeffs.shape[1] - 1):
-        raise InputError(f"square_sums takes a (rows, 2^n) array, not shape {coeffs.shape}")
-    rows, size = coeffs.shape
-    n = size.bit_length() - 1
-    m = min(n, kernels._BLOCK_LOG2)
-    parts = size >> m  # blocks per row
-    per_block = (1 << kernels._BLOCK_LOG2) >> m  # rows per block
-    # one entry per row part: a whole row when n <= _BLOCK_LOG2
-    flat = coeffs.reshape(-1, 1 << m)
-    count = flat.shape[0]
-    squares = np.empty_like(flat)
-    sums = (
-        np.empty(count),
-        np.empty(count),
-        np.empty(count),
-        np.empty((count, m + 1)) if by_level else None,
-        np.empty((count, m)),
-        np.empty((count, m + 1)) if by_level else None,
-    )
-    offsets = np.bitwise_count(np.arange(parts)).tolist()
-
-    def run(block_lo, block_hi):
-        for b in range(block_lo, block_hi):
-            lo, hi = b * per_block, min((b + 1) * per_block, count)
-            _block_sums(flat[lo:hi], squares[lo:hi], offsets[lo % parts], sums, lo)
-
-    use_pool = threads > 1 and coeffs.size >= kernels._PARALLEL_MIN_SIZE
-    pool = kernels.get_pool(threads) if use_pool else None
-    kernels._split(pool, run, -(-count // per_block), threads)
-
-    total, plogp, level_mass, part_levels, part_coords, part_peaks = (
-        None if a is None else a.reshape(rows, parts, *a.shape[1:]) for a in sums
-    )
+    n, parts, offsets, blocks = _row_parts(coeffs, "square_sums")
+    count, width = parts.shape
+    m = width.bit_length() - 1
+    floats = _level_layout(m)[0]
+    squares = np.empty_like(parts)
+    total, plogp, level_mass = np.empty(count), np.empty(count), np.empty(count)
+    part_coords = np.empty((count, m))
+    buf = np.empty(min(parts.size, 1 << kernels._BLOCK_LOG2))  # reused by every block
+    for lo, hi in blocks:
+        c, w = parts[lo:hi], squares[lo:hi]
+        t = buf[: c.size].reshape(c.shape)
+        np.multiply(c, c, out=w)
+        np.add.reduce(w, axis=-1, out=total[lo:hi])
+        np.maximum(w, _TINY, out=t)
+        np.log2(t, out=t)
+        np.multiply(w, t, out=t)
+        np.add.reduce(t, axis=-1, out=plogp[lo:hi])
+        np.add(floats, offsets[lo % len(offsets)], out=t)
+        np.multiply(t, w, out=t)
+        np.add.reduce(t, axis=-1, out=level_mass[lo:hi])
+        _fold_coordinates(w, part_coords[lo:hi])
+    total = _by_row(total, offsets)
+    rows = total.shape[0]
     coords = np.empty((rows, n))
-    coords[:, :m] = _pair_sums(part_coords)
+    coords[:, :m] = _pair_sums(_by_row(part_coords, offsets))
     _fold_coordinates(total, coords[:, m:])
-    levels = peaks = None
-    if by_level:
-        levels = np.zeros((rows, n + 1))
-        peaks = np.zeros((rows, n + 1))
-        for k in range(n - m + 1):
-            sel = [b for b in range(parts) if offsets[b] == k]
-            levels[:, k : k + m + 1] += np.sum(part_levels[:, sel], axis=1)
-            np.fmax(peaks[:, k : k + m + 1], np.fmax.reduce(part_peaks[:, sel], axis=1),
-                    out=peaks[:, k : k + m + 1])
     return SquareSums(
         n,
-        squares.reshape(rows, size),
+        squares.reshape(rows, -1),
         _pair_sums(total),
-        _pair_sums(plogp),
-        _pair_sums(level_mass),
-        levels,
+        _pair_sums(_by_row(plogp, offsets)),
+        _pair_sums(_by_row(level_mass, offsets)),
         coords,
-        peaks,
     )
+
+
+def level_sums(coeffs: np.ndarray) -> LevelSums:
+    """All of :class:`LevelSums` for a (rows, 2^n) coefficient array.
+
+    Walks the same blocks as :func:`square_sums`.  Each block is gathered
+    once in level order, so the level sums and maxima are one ``reduceat``
+    each; a block's levels then move up by the popcount of its place in
+    the row.  Only the quantities that read the level profile pay for the
+    gather.
+    """
+    n, parts, offsets, blocks = _row_parts(coeffs, "level_sums")
+    count, width = parts.shape
+    m = width.bit_length() - 1
+    _, order, starts = _level_layout(m)
+    part_levels = np.empty((count, m + 1))
+    part_peaks = np.empty((count, m + 1))
+    buf = np.empty(min(parts.size, 1 << kernels._BLOCK_LOG2))  # reused by every block
+    for lo, hi in blocks:
+        c = parts[lo:hi]
+        # |c| in level order ("wrap" never acts on these indices; it skips a
+        # buffered copy), and |c| * |c| is c * c to the bit
+        g = buf[: c.size].reshape(c.shape)
+        np.abs(np.take(c, order, axis=-1, out=g, mode="wrap"), out=g)
+        np.fmax.reduceat(g, starts, axis=-1, out=part_peaks[lo:hi])
+        np.add.reduceat(np.multiply(g, g, out=g), starts, axis=-1, out=part_levels[lo:hi])
+    part_levels, part_peaks = _by_row(part_levels, offsets), _by_row(part_peaks, offsets)
+    rows = part_levels.shape[0]
+    levels = np.zeros((rows, n + 1))
+    peaks = np.zeros((rows, n + 1))
+    for k in range(n - m + 1):
+        sel = [b for b, offset in enumerate(offsets) if offset == k]
+        levels[:, k : k + m + 1] += np.sum(part_levels[:, sel], axis=1)
+        np.fmax(peaks[:, k : k + m + 1], np.fmax.reduce(part_peaks[:, sel], axis=1),
+                out=peaks[:, k : k + m + 1])
+    return LevelSums(n, levels, peaks)
 
 
 def _as_spectrum(spec: Spectrum | DyadicSpectrum) -> Spectrum:
@@ -551,7 +560,7 @@ def total_influence_combinatorial(f: TruthTable, p=0.5) -> float:
 def level_profile(spec: Spectrum | DyadicSpectrum) -> LevelProfile:
     if isinstance(spec, DyadicSpectrum):
         return exact_level_profile(spec)
-    return LevelProfile(spec.n, spec.sums().levels[0])
+    return LevelProfile(spec.n, spec.level_sums().levels[0])
 
 
 def exact_level_profile(dspec: DyadicSpectrum) -> LevelProfile:
@@ -584,7 +593,7 @@ def degree(spec: Spectrum | DyadicSpectrum, tol: float = 1e-9) -> int:
     """Largest |S| carrying a coefficient; exact spectra ignore ``tol``."""
     if isinstance(spec, DyadicSpectrum):
         return int(np.max(level_array(spec.n), where=spec.numerators != 0, initial=0))
-    return int(spec.sums().degree(tol)[0])
+    return int(spec.level_sums().degree(tol)[0])
 
 
 def top_masks(values: np.ndarray, k: int) -> np.ndarray:
@@ -616,6 +625,9 @@ def support_size(spec: Spectrum | DyadicSpectrum, epsilon: float) -> tuple[int, 
     spec = _as_spectrum(spec)
     w = spec.squares()
     total = float(spec.sums().total[0])
+    if not math.isfinite(total):
+        # a NaN or infinite square: no cut exists, every mask is kept
+        return w.size, total
     if total <= epsilon:
         return 0, 0.0
     live = w[w > 0.0]
@@ -769,7 +781,11 @@ def save_spectrum_binary(spec: Spectrum, path) -> None:
 def load_spectrum_binary(path) -> Spectrum:
     """Read a file of :func:`spectrum_to_bytes` straight into the coefficient array."""
     with open(path, "rb") as fh:
-        n, p = _read_header(fh.read(_HEAD), os.fstat(fh.fileno()).st_size)
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            # a pipe has no size to check first
+            return spectrum_from_bytes(fh.read())
+        n, p = _read_header(fh.read(_HEAD), info.st_size)
         check_table_size(n, "spectrum")
         coeffs = np.empty(1 << n, dtype="<f8")
         if fh.readinto(coeffs) != coeffs.nbytes:

@@ -176,6 +176,22 @@ def test_spectrum_export_load_roundtrip(tmp_path, capsys):
     assert np.array_equal(loaded.coeffs, direct.coeffs)
 
 
+def test_spectrum_loads_from_standard_input(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "maj.spec"
+    cf.save_spectrum_binary(cf.transform(cf.majority(5), 0.3), path)
+    out = subprocess.run(
+        [sys.executable, "-m", "cubefourier", "spectrum", "--load", "/dev/stdin",
+         "--format", "json"],
+        env=dict(os.environ), input=path.read_bytes(), capture_output=True, check=True,
+    )
+    payload = json.loads(out.stdout)
+    assert (payload["n"], payload["p"]) == (5, 0.3)
+
+
 @pytest.mark.parametrize("top", [0, 1, 5, 8, 16, 32, 100])
 def test_spectrum_top_order_matches_full_stable_argsort(capsys, top):
     # majority:5 at p = 1/2 has many coefficients of equal magnitude

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ import cubefourier as cf
 from cubefourier import kernels
 from cubefourier.boolfn import level_array
 from cubefourier.errors import InputError
-from cubefourier.spectral import measure_weights, square_sums
+from cubefourier.spectral import level_sums, measure_weights, square_sums
 from conftest import naive_character, naive_transform
 from test_kernels import STAGE_BACKENDS
 
@@ -377,6 +379,24 @@ def test_binary_file_loader_rejects_what_the_bytes_parser_rejects(tmp_path):
     assert not back.coeffs.flags.writeable
 
 
+def test_binary_file_loader_reads_a_pipe(tmp_path):
+    sp = cf.transform(cf.random_function(5, 1), 0.3)
+    data = cf.spectral.spectrum_to_bytes(sp)
+    fifo = tmp_path / "s.fifo"
+    os.mkfifo(fifo)
+    for body in (data, data[:-8], data + b"\0"):
+        writer = threading.Thread(target=fifo.write_bytes, args=(body,), daemon=True)
+        writer.start()
+        try:
+            if body is data:
+                assert cf.load_spectrum_binary(fifo) == sp
+            else:
+                with pytest.raises(InputError):
+                    cf.load_spectrum_binary(fifo)
+        finally:
+            writer.join(timeout=10)
+
+
 def test_json_rejects_missing_keys():
     with pytest.raises(InputError):
         cf.spectral.spectrum_from_json('{"n": 1, "coeffs": [0, 1]}')
@@ -423,6 +443,17 @@ def test_support_size_with_ties_and_empty_support():
     for eps in (-0.1, math.nan, math.inf):
         with pytest.raises(InputError):
             cf.support_size(sp, eps)
+    # a NaN or infinite square leaves no cut: every mask is kept and the
+    # captured weight is the total, as in a sort of all the squares
+    for bad in (math.nan, math.inf):
+        coeffs = sp.coeffs.copy()
+        coeffs[3] = bad
+        size, captured = cf.support_size(cf.Spectrum(5, 0.5, coeffs), 0.1)
+        assert size == 32 and np.array_equal(captured, bad, equal_nan=True)
+    assert np.array_equal(
+        cf.support_size(cf.Spectrum(5, 0.5, np.full(32, math.nan)), 0.1), (32, math.nan),
+        equal_nan=True,
+    )
 
 
 def test_support_at_epsilon_zero_survives_rounding():
@@ -518,26 +549,11 @@ def test_blocked_pass_matches_whole_array_formulas(monkeypatch, backend, p, n):
         assert np.max(np.abs(cf.level_profile(sp).weights - want["levels"])) <= 1e-14
 
 
-def _row(sums, r):
-    """Every array of a SquareSums at row r."""
-    return [
-        getattr(sums, k)[r]
-        for k in ("squares", "total", "plogp", "level_mass", "levels", "coords", "peaks")
-    ]
-
-
-def _same(a, b):
-    return all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b, strict=True))
-
-
-@pytest.mark.parametrize("n", [16, 17, 19])
-def test_blocked_pass_is_bitwise_identical_across_threads(n):
-    rng = np.random.Generator(np.random.PCG64(n))
-    coeffs = rng.standard_normal((1, 1 << n))
-    coeffs[0, rng.integers(0, 1 << n, size=100)] = 0.0
-    one = _row(square_sums(coeffs, threads=1), 0)
-    for threads in (2, 3):
-        assert _same(_row(square_sums(coeffs, threads=threads), 0), one), threads
+def _row(coeffs, r):
+    """Every array of square_sums and level_sums of ``coeffs`` at row r."""
+    sums, by_level = square_sums(coeffs), level_sums(coeffs)
+    names = ("squares", "total", "plogp", "level_mass", "coords")
+    return [getattr(sums, k)[r] for k in names] + [by_level.levels[r], by_level.peaks[r]]
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -547,21 +563,17 @@ def test_batch_rows_match_each_row_alone(n):
     distinct = rng.standard_normal((7, 1 << n))
     distinct[1] = 0.0  # an all-zero row: no log2 of zero, degree 0
     distinct[2, ::3] = 0.0
-    alone = [_row(square_sums(row.reshape(1, -1)), 0) for row in distinct]
+    alone = [_row(row.reshape(1, -1), 0) for row in distinct]
     # a short last block, and with it blocks that end mid-batch
     rows = (1 << max(0, 16 - n)) + 5
-    batch = square_sums(np.resize(distinct, (rows, 1 << n)), threads=2)
-    for k, got in enumerate(_row(batch, slice(None))):
+    for k, got in enumerate(_row(np.resize(distinct, (rows, 1 << n)), slice(None))):
         want = np.resize(np.stack([a[k] for a in alone]), got.shape)
         assert np.array_equal(got, want), (n, k)
-    # skipping the level sums leaves every other sum as it was
-    lean = square_sums(np.resize(distinct, (rows, 1 << n)), by_level=False)
-    assert lean.levels is None and lean.peaks is None
-    for k in ("squares", "total", "plogp", "level_mass", "coords"):
-        assert np.array_equal(getattr(lean, k), getattr(batch, k)), (n, k)
 
 
 def test_square_sums_rejects_arrays_that_are_not_rows_of_tables():
     for bad in (np.zeros(8), np.zeros((2, 0)), np.zeros((2, 6)), np.zeros((2, 2, 4))):
         with pytest.raises(InputError):
             square_sums(bad)
+        with pytest.raises(InputError):
+            level_sums(bad)
