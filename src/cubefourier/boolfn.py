@@ -338,14 +338,20 @@ def mux3() -> TruthTable:
 
 
 def clique_indicator(spec: GraphPropertySpec) -> TruthTable:
-    """Bit 1 at edge mask T iff the graph with edge set T contains K_r."""
+    """Bit 1 at edge mask T iff the graph with edge set T contains K_r.
+
+    Built as the superset closure of the clique edge masks: stage j ORs
+    every mask without edge j into the same mask with edge j added, the
+    monotone analogue of a butterfly stage.
+    """
     n = spec.n_edges
     check_table_size(n, "clique indicator")
-    masks = mask_array(n)
-    sat = np.zeros(masks.size, dtype=bool)
-    for cm in spec.clique_edge_masks():
-        sat |= (masks & cm) == cm
-    return TruthTable(n, sat.astype(np.uint8))
+    sat = np.zeros(1 << n, dtype=np.uint8)
+    sat[spec.clique_edge_masks()] = 1
+    for j in range(n):
+        pairs = sat.reshape(-1, 2, 1 << j)
+        pairs[:, 1, :] |= pairs[:, 0, :]
+    return TruthTable(n, sat)
 
 
 def critical_p0(spec: GraphPropertySpec) -> Bias:

@@ -77,13 +77,41 @@ class ReductionLayout:
 
     def original_masks(self, y: np.ndarray) -> np.ndarray:
         """Original input mask selected by each reduced input mask."""
-        y = np.asarray(y, dtype=np.int64)
-        block = np.int64((1 << self.m) - 1)
-        out = np.zeros_like(y)
-        for i in range(self.n_original):
-            vals = (y >> np.int64(i * self.m)) & block
-            out |= (vals >= self.threshold).astype(np.int64) << np.int64(i)
-        return out
+        y = _check_masks(self, y)
+        return _original_table(self)[y].astype(np.int64)
+
+
+def _block_table(layout: ReductionLayout, lut: np.ndarray) -> np.ndarray:
+    """Bit i of entry y is lut[block i of y], for every reduced mask y.
+
+    Built from outer products: the table for blocks 1..i+1 is the table for
+    blocks 1..i repeated once per value of block i+1, ORed with that
+    block's bit.  Entries use the smallest unsigned type that holds them.
+    """
+    lut = lut.astype(np.min_scalar_type((1 << layout.n_original) - 1))
+    out = lut
+    for i in range(1, layout.n_original):
+        out = ((lut << i)[:, None] | out[None, :]).ravel()
+    return out
+
+
+def _original_table(layout: ReductionLayout) -> np.ndarray:
+    """Original input mask selected by every reduced input mask."""
+    return _block_table(layout, np.arange(1 << layout.m) >= layout.threshold)
+
+
+def _projection_table(layout: ReductionLayout) -> np.ndarray:
+    """Block projection of every reduced subset mask."""
+    return _block_table(layout, np.arange(1 << layout.m) != 0)
+
+
+def _check_masks(layout: ReductionLayout, masks) -> np.ndarray:
+    masks = np.asarray(masks, dtype=np.int64)
+    if masks.size and (masks.min() < 0 or masks.max() >= 1 << layout.n_reduced):
+        raise InputError(
+            f"reduced masks must lie in [0, 2^{layout.n_reduced}) for this layout"
+        )
+    return masks
 
 
 def _exact_bias(p: Bias) -> tuple[int, int]:
@@ -103,8 +131,7 @@ def layout_for(n: int, p: Bias) -> ReductionLayout:
 def reduce_table(f: TruthTable | RealTable, p: Bias):
     """Pull f back to the uniform cube on n*m variables."""
     layout = layout_for(f.n, p)
-    y = np.arange(1 << layout.n_reduced, dtype=np.int64)
-    x = layout.original_masks(y)
+    x = _original_table(layout)
     if isinstance(f, TruthTable):
         return TruthTable(layout.n_reduced, f.bits[x])
     return RealTable(layout.n_reduced, f.values[x])
@@ -116,13 +143,8 @@ def block_projection(layout: ReductionLayout, masks: np.ndarray) -> np.ndarray:
     A reduced subset S projects to the original subset containing exactly
     the coordinates whose block in S is nonempty.
     """
-    masks = np.asarray(masks, dtype=np.int64)
-    block = np.int64((1 << layout.m) - 1)
-    out = np.zeros_like(masks)
-    for i in range(layout.n_original):
-        nz = ((masks >> np.int64(i * layout.m)) & block) != 0
-        out |= nz.astype(np.int64) << np.int64(i)
-    return out
+    masks = _check_masks(layout, masks)
+    return _projection_table(layout)[masks].astype(np.int64)
 
 
 def floor_log2_reciprocal(t: int, m: int) -> int:
@@ -156,8 +178,9 @@ def verify_red0(
         g_spec = _reduced_spectrum(g)
     if f_spec is None:
         f_spec = transform(f, p)
-    proj = block_projection(layout, np.arange(1 << layout.n_reduced, dtype=np.int64))
-    grouped = np.bincount(proj, weights=g_spec.squares(), minlength=1 << f.n)
+    grouped = np.bincount(
+        _projection_table(layout), weights=g_spec.squares(), minlength=1 << f.n
+    )
     return float(np.max(np.abs(grouped - f_spec.squares())))
 
 

@@ -197,6 +197,12 @@ class LevelProfile:
         if self.exact is not None and len(self.exact) != self.n + 1:
             raise InputError("exact profile length mismatch")
 
+    @classmethod
+    def from_numerators(cls, n: int, numerators, denom: int) -> "LevelProfile":
+        """Exact profile with weights numerators[k] / denom, floats rounded from them."""
+        exact = tuple(Fraction(num, denom) for num in numerators)
+        return cls(n, np.array([float(x) for x in exact], dtype=np.float64), exact=exact)
+
     @property
     def total(self) -> float:
         return float(np.sum(self.weights))
@@ -256,7 +262,8 @@ def exact_transform(f: TruthTable | RealTable, threads: int | None = None) -> Dy
     2**n-term sums cannot overflow 64 bits.
     """
     if isinstance(f, TruthTable):
-        v = 1 - 2 * f.bits.astype(np.int64)
+        v = np.multiply(f.bits, -2, dtype=np.int64)
+        v += 1
     else:
         vals = f.values
         rounded = np.rint(vals)
@@ -583,10 +590,7 @@ def exact_level_profile(dspec: DyadicSpectrum) -> LevelProfile:
         sums = [0] * (n + 1)
         for lvl, num in zip(levels[live].tolist(), nums[live].tolist()):
             sums[lvl] += num * num
-    denom = 1 << (2 * n)
-    exact = tuple(Fraction(total, denom) for total in sums)
-    weights = np.array([float(x) for x in exact], dtype=np.float64)
-    return LevelProfile(n, weights, exact=exact)
+    return LevelProfile.from_numerators(n, sums, 1 << (2 * n))
 
 
 def degree(spec: Spectrum | DyadicSpectrum, tol: float = 1e-9) -> int:

@@ -10,14 +10,14 @@ analysed "virtually", without materialising a 2**(N*n) table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .boolfn import RealTable, TruthTable, as_bias
-from .config import check_table_size
-from .errors import InputError
+from .config import check_table_size, get_max_n
+from .errors import InputError, ResourceError
 from .spectral import (
     DyadicSpectrum,
     LevelProfile,
@@ -62,32 +62,67 @@ def tensor_power(f: TruthTable, N: int) -> TruthTable:
 
 def profile_convolve(a: LevelProfile, b: LevelProfile) -> LevelProfile:
     """Level profile of a tensor product from the factors' profiles."""
-    weights = np.convolve(a.weights, b.weights)
-    exact = None
-    if a.exact is not None and b.exact is not None:
-        exact = _convolve_fractions(a.exact, b.exact)
-        weights = np.array([float(x) for x in exact], dtype=np.float64)
-    return LevelProfile(a.n + b.n, weights, exact=exact)
-
-
-def _convolve_fractions(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return tuple(out)
+    if a.exact is None or b.exact is None:
+        return LevelProfile(a.n + b.n, np.convolve(a.weights, b.weights))
+    (na, da), (nb, db) = _numerators(a), _numerators(b)
+    count = a.n + b.n + 1
+    slot = _slot_bytes(sum(na).bit_length() + sum(nb).bit_length(), count)
+    packed = _pack(na, slot) * _pack(nb, slot)
+    return LevelProfile.from_numerators(a.n + b.n, _unpack(packed, count, slot), da * db)
 
 
 def profile_power(base: LevelProfile, N: int) -> LevelProfile:
+    """Level profile of the N-th tensor power: the N-fold self-convolution.
+
+    Exact profiles are raised in one step by Kronecker substitution: the
+    numerators over a common denominator D sit in fixed-width slots of one
+    integer, and the slots of its N-th power are the numerators over D**N.
+    A slot of N * bit_length(sum of numerators) bits cannot overflow, since
+    every coefficient of the power is at most (sum of numerators)**N.
+    """
     if N < 1:
         raise InputError("profile power needs N >= 1")
-    out = base
-    for _ in range(N - 1):
-        out = profile_convolve(out, base)
-    return out
+    if base.exact is None:
+        out = base
+        for _ in range(N - 1):
+            out = profile_convolve(out, base)
+        return out
+    nums, denom = _numerators(base)
+    count = base.n * N + 1
+    slot = _slot_bytes(N * sum(nums).bit_length(), count)
+    packed = pow(_pack(nums, slot), N)
+    return LevelProfile.from_numerators(base.n * N, _unpack(packed, count, slot), denom**N)
+
+
+def _numerators(profile: LevelProfile) -> tuple[list[int], int]:
+    """Exact level weights as integers over their least common denominator."""
+    denom = math.lcm(*(x.denominator for x in profile.exact))
+    nums = [x.numerator * (denom // x.denominator) for x in profile.exact]
+    if min(nums) < 0:
+        raise InputError("a level profile holds squared mass; got a negative exact weight")
+    return nums, denom
+
+
+def _slot_bytes(bits: int, count: int) -> int:
+    """Whole bytes per slot, refusing results above the table memory cap."""
+    slot = max(1, -(-bits // 8))
+    limit = 8 << get_max_n()
+    if count * slot > limit:
+        raise ResourceError(
+            f"exact profile of {count} levels needs {count * slot} bytes, over the "
+            f"cap of {limit} (8 * 2^{get_max_n()}); raise it with set_max_n(), "
+            "--max-n, or CUBEFOURIER_MAX_N"
+        )
+    return slot
+
+
+def _pack(nums: list[int], slot: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(slot, "little") for c in nums), "little")
+
+
+def _unpack(packed: int, count: int, slot: int) -> list[int]:
+    raw = packed.to_bytes(count * slot, "little")
+    return [int.from_bytes(raw[i : i + slot], "little") for i in range(0, len(raw), slot)]
 
 
 def tail_decay(profile: LevelProfile) -> np.ndarray:

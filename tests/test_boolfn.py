@@ -285,3 +285,21 @@ def test_real_table_validates_shape():
         RealTable(2, np.zeros(3))
     with pytest.raises(InputError):
         RealTable(1, np.array([1.0, np.inf]))
+
+
+def _clique_oracle(spec):
+    """OR over every clique of 'all its edges present', mask by mask."""
+    masks = np.arange(1 << spec.n_edges)
+    sat = np.zeros(masks.size, dtype=bool)
+    for cm in spec.clique_edge_masks():
+        sat |= (masks & cm) == cm
+    return sat.astype(np.uint8)
+
+
+@pytest.mark.parametrize(
+    "nv, r",
+    [(nv, r) for nv in range(2, 7) for r in range(2, nv + 1)] + [(7, 3)],
+)
+def test_clique_indicator_matches_the_per_clique_oracle(nv, r):
+    spec = GraphPropertySpec(nv, r)
+    assert np.array_equal(clique_indicator(spec).bits, _clique_oracle(spec))

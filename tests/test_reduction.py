@@ -207,3 +207,51 @@ def test_real_tables_reduce_by_the_same_layout():
     f = cf.RealTable(1, np.array([2.0, -3.0]))
     g = cf.reduce_table(f, Bias.exact(1, 2))
     assert g.values.tolist() == [2.0, 2.0, 2.0, -3.0]
+
+
+# --- block tables against the per-block formula -----------------------------
+
+
+def _per_block(layout, y, keep):
+    """Bit i of the result is keep(block i of y), one block at a time."""
+    y = np.asarray(y, dtype=np.int64)
+    out = np.zeros_like(y)
+    for i in range(layout.n_original):
+        vals = (y >> (i * layout.m)) & ((1 << layout.m) - 1)
+        out |= keep(vals).astype(np.int64) << i
+    return out
+
+
+@st.composite
+def _layout_and_masks(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 14 // m))
+    t = draw(st.integers(1, (1 << m) - 1))
+    layout = ReductionLayout(n, t=t, m=m)
+    masks = draw(st.lists(st.integers(0, (1 << layout.n_reduced) - 1), max_size=64))
+    return layout, np.array(masks, dtype=np.int64)
+
+
+@given(_layout_and_masks())
+def test_original_masks_match_the_per_block_formula(case):
+    layout, y = case
+    x = layout.original_masks(y)
+    assert x.dtype == np.int64
+    assert x.tolist() == _per_block(layout, y, lambda v: v >= layout.threshold).tolist()
+
+
+@given(_layout_and_masks())
+def test_block_projection_matches_the_per_block_formula(case):
+    layout, masks = case
+    proj = block_projection(layout, masks)
+    assert proj.dtype == np.int64
+    assert proj.tolist() == _per_block(layout, masks, lambda v: v != 0).tolist()
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 6, [0, 5, -3], [63, 64]])
+def test_masks_outside_the_reduced_cube_are_input_errors(bad):
+    layout = ReductionLayout(3, t=1, m=2)
+    with pytest.raises(InputError):
+        layout.original_masks(bad)
+    with pytest.raises(InputError):
+        block_projection(layout, bad)

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubefourier as cf
-from cubefourier.errors import InputError
+from cubefourier.errors import InputError, ResourceError
+from cubefourier.spectral import LevelProfile, exact_level_profile
 
 
 def test_product_multiplies_sign_values():
@@ -151,3 +152,84 @@ def test_profile_convolution_agrees_with_float_path():
     twice = cf.profile_power(base, 2)
     explicit = cf.level_profile(cf.transform(cf.tensor_power(f, 2)))
     assert np.max(np.abs(twice.weights - explicit.weights)) < 1e-12
+
+
+# --- exact profile powers against independent oracles -----------------------
+
+
+def _sequential_fraction_convolve(a, b):
+    """The schoolbook Fraction convolution, one product at a time."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _exact_profile(f):
+    return exact_level_profile(cf.exact_transform(f))
+
+
+@given(st.integers(2, 4), st.integers(1, 7), st.integers(0, 10_000))
+def test_exact_power_matches_the_explicit_tensor_power(n, N, seed):
+    N = min(N, 14 // n)
+    f = cf.random_function(n, seed)
+    power = cf.profile_power(_exact_profile(f), N)
+    explicit = _exact_profile(cf.tensor_power(f, N))
+    assert power.n == explicit.n == n * N
+    assert power.exact == explicit.exact
+    assert np.array_equal(power.weights, explicit.weights)
+
+
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 10_000), st.integers(0, 10_000))
+def test_exact_convolution_matches_the_explicit_product(na, nb, seed_a, seed_b):
+    f, g = cf.random_function(na, seed_a), cf.random_function(nb, seed_b)
+    prod = cf.profile_convolve(_exact_profile(f), _exact_profile(g))
+    explicit = _exact_profile(cf.tensor_product(f, g))
+    assert prod.exact == explicit.exact
+    assert np.array_equal(prod.weights, explicit.weights)
+
+
+def test_exact_power_of_majority3_matches_sequential_fraction_convolution():
+    base = _exact_profile(cf.majority(3))
+    expected = base.exact
+    for _ in range(199):
+        expected = _sequential_fraction_convolve(expected, base.exact)
+    power = cf.profile_power(base, 200)
+    assert power.exact == expected
+    assert np.array_equal(power.weights, [float(x) for x in expected])
+
+
+def test_exact_convolution_mixes_denominators():
+    a = LevelProfile(1, np.array([0.25, 0.75]), exact=(Fraction(1, 4), Fraction(3, 4)))
+    b = LevelProfile(2, np.array([1 / 3, 0.5, 1 / 6]),
+                     exact=(Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)))
+    prod = cf.profile_convolve(a, b)
+    assert prod.exact == _sequential_fraction_convolve(a.exact, b.exact)
+    zero = LevelProfile(1, np.zeros(2), exact=(Fraction(0), Fraction(0)))
+    assert cf.profile_power(zero, 3).exact == (Fraction(0),) * 4
+
+
+@given(st.integers(1, 12), st.integers(0, 100))
+def test_float_power_keeps_its_sequential_convolution(N, seed):
+    base = cf.level_profile(cf.transform(cf.random_function(3, seed), 0.3))
+    expected = base.weights
+    for _ in range(N - 1):
+        expected = np.convolve(expected, base.weights)
+    assert np.array_equal(cf.profile_power(base, N).weights, expected)
+
+
+def test_exact_power_refuses_a_result_over_the_memory_cap():
+    base = _exact_profile(cf.majority(3))
+    with pytest.raises(ResourceError):
+        cf.profile_power(base, 10**6)
+    with pytest.raises(ResourceError):
+        cf.virtual_power_stats(cf.majority(3), 10**6, exact=True)
+
+
+def test_exact_power_refuses_negative_weights():
+    bad = LevelProfile(1, np.array([1.5, -0.5]), exact=(Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(InputError):
+        cf.profile_power(bad, 10**6)
+    with pytest.raises(InputError):
+        cf.profile_convolve(bad, bad)
