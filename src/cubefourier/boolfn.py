@@ -40,6 +40,7 @@ __all__ = [
     "random_function",
     "mask_array",
     "popcounts",
+    "sign_array",
     "level_array",
     "parse_truth_table",
     "format_truth_table",
@@ -57,6 +58,13 @@ def mask_array(n: int) -> np.ndarray:
 
 def popcounts(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks)
+
+
+def sign_array(bits: np.ndarray, dtype) -> np.ndarray:
+    """The +-1 values (-1)**b of output bits b, as a fresh ``dtype`` array."""
+    v = np.multiply(bits, -2, dtype=dtype)
+    v += 1
+    return v
 
 
 @functools.lru_cache(maxsize=4)
@@ -100,9 +108,7 @@ class TruthTable:
 
     def sign_values(self) -> np.ndarray:
         """The +-1 view as a fresh float64 array: bit b maps to (-1)**b."""
-        v = np.multiply(self.bits, -2.0, dtype=np.float64)
-        v += 1.0
-        return v
+        return sign_array(self.bits, np.float64)
 
     def bit(self, mask: int) -> int:
         return int(self.bits[mask])

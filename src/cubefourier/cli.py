@@ -35,6 +35,7 @@ from .boolfn import (
 )
 from .config import get_max_n, get_threads, set_max_n, set_threads
 from .conjecture import (
+    PROVEN_BOUNDS,
     analyze,
     clique_experiment,
     exhaustive_sweep,
@@ -209,7 +210,7 @@ def _apply_common(ns) -> None:
 def _cmd_analyze(ns) -> int:
     f = _load_source(ns)
     bias = _get_bias(ns)
-    report = analyze(f, bias, epsilon=ns.epsilon, threads=ns.threads)
+    report = analyze(f, bias, epsilon=ns.epsilon)
     if ns.format == "json":
         payload = {"schema": 1, "command": "analyze"}
         payload.update(report.to_dict())
@@ -227,7 +228,7 @@ def _cmd_analyze(ns) -> int:
         ]
         for name, value in report.bounds.items():
             if value is not None:
-                if name == "displayed_form":
+                if name not in PROVEN_BOUNDS:
                     mark = "recorded"
                 else:
                     mark = "VIOLATED" if name in report.violations else "ok"
@@ -277,7 +278,7 @@ def _cmd_tensor(ns) -> int:
     if ns.power is not None:
         if ns.explicit:
             g = tensor_power(f, ns.power)
-            sp = transform(g, bias, threads=ns.threads)
+            sp = transform(g, bias)
             payload = {
                 "schema": 1,
                 "command": "tensor",
@@ -289,9 +290,7 @@ def _cmd_tensor(ns) -> int:
                 "influence": total_influence_spectral(sp),
             }
         else:
-            stats = virtual_power_stats(
-                f, ns.power, bias, exact=ns.exact, threads=ns.threads
-            )
+            stats = virtual_power_stats(f, ns.power, bias, exact=ns.exact)
             payload = {
                 "schema": 1,
                 "command": "tensor",
@@ -311,7 +310,7 @@ def _cmd_tensor(ns) -> int:
             raise InputError("tensor needs --power N or a second factor")
         g2 = _load_source(ns, suffix="2")
         prod = tensor_product(f, g2)
-        sp = transform(prod, bias, threads=ns.threads)
+        sp = transform(prod, bias)
         payload = {
             "schema": 1,
             "command": "tensor",
@@ -336,8 +335,7 @@ def _cmd_tensor(ns) -> int:
 
 def _cmd_sweep(ns) -> int:
     result = exhaustive_sweep(
-        ns.n, p=ns.p if ns.p is not None else 0.5, sample=ns.sample, seed=ns.seed,
-        threads=ns.threads,
+        ns.n, p=ns.p if ns.p is not None else 0.5, sample=ns.sample, seed=ns.seed
     )
     best, best_hex = result.max_ratio()
     if ns.csv:
@@ -368,7 +366,7 @@ def _cmd_sweep(ns) -> int:
 
 
 def _cmd_clique(ns) -> int:
-    report = clique_experiment(ns.nv, ns.r, threads=ns.threads)
+    report = clique_experiment(ns.nv, ns.r)
     if ns.format == "json":
         payload = {"schema": 1, "command": "clique"}
         payload.update(report.to_dict())
@@ -399,10 +397,7 @@ def _cmd_spectrum(ns) -> int:
     if ns.load:
         sp = load_spectrum_binary(ns.load)
     else:
-        if ns.family is None and ns.file is None and ns.bits is None:
-            raise InputError("spectrum needs a source or --load")
-        f = _load_source(ns)
-        sp = transform(f, _get_bias(ns), threads=ns.threads)
+        sp = transform(_load_source(ns), _get_bias(ns))
     if ns.export:
         save_spectrum_binary(sp, ns.export)
     if ns.export_json:

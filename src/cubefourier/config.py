@@ -7,6 +7,7 @@ The variable-count cap bounds every 2**n allocation (2**26 doubles is about
 the setters at import, so a bad value raises :class:`InputError` naming it.
 """
 
+import numbers
 import os
 
 from .errors import InputError, ResourceError
@@ -21,10 +22,14 @@ def get_max_n() -> int:
     return _max_n
 
 
+def _check_count(value, what: str) -> None:
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise InputError(f"{what} must be an integer of at least 1, got {value!r}")
+
+
 def set_max_n(n: int) -> None:
     global _max_n
-    if n < 1:
-        raise InputError("max_n must be at least 1")
+    _check_count(n, "max_n")
     _max_n = n
 
 
@@ -34,8 +39,7 @@ def get_threads() -> int:
 
 def set_threads(count: int) -> None:
     global _threads
-    if count < 1:
-        raise InputError("thread count must be at least 1")
+    _check_count(count, "thread count")
     _threads = count
 
 

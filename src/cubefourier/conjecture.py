@@ -23,6 +23,7 @@ from .boolfn import (
     critical_p0,
     mask_array,
     rows_to_hex,
+    sign_array,
 )
 from .config import check_table_size, get_threads
 from .errors import InputError
@@ -111,25 +112,21 @@ def entropy_upper_bounds(n: int, influence, infl_vec=None) -> dict:
 PROVEN_BOUNDS = ("h_bound", "proof_form", "logn_bound")
 
 
-def exceeded_bounds(entropy, bounds: dict, slack: float = PROVEN_BOUND_SLACK) -> dict:
+def exceeded_bounds(entropy, bounds: dict) -> dict:
     """For each proven bound present, whether the entropy exceeds it (elementwise)."""
     return {
-        name: entropy > bounds[name] + slack
+        name: entropy > bounds[name] + PROVEN_BOUND_SLACK
         for name in PROVEN_BOUNDS
         if bounds[name] is not None
     }
 
 
 def proven_bound_violations(
-    n: int,
-    entropy: float,
-    influence: float,
-    infl_vec=None,
-    slack: float = PROVEN_BOUND_SLACK,
+    n: int, entropy: float, influence: float, infl_vec=None
 ) -> list[str]:
     """Names of proven bounds the given numbers violate (should be empty)."""
     bounds = entropy_upper_bounds(n, influence, infl_vec)
-    return [name for name, bad in exceeded_bounds(entropy, bounds, slack).items() if bad]
+    return [name for name, bad in exceeded_bounds(entropy, bounds).items() if bad]
 
 
 @dataclass(frozen=True)
@@ -174,15 +171,10 @@ class AnalysisReport:
         }
 
 
-def analyze(
-    f: TruthTable,
-    p=0.5,
-    epsilon: float = 1e-2,
-    threads: int | None = None,
-) -> AnalysisReport:
+def analyze(f: TruthTable, p=0.5, epsilon: float = 1e-2) -> AnalysisReport:
     """Full spectral report: entropy, influences, ratio, bounds, support."""
     bias = as_bias(p)
-    spec = transform(f, bias, threads=threads)
+    spec = transform(f, bias)
     ent = spectral_entropy(spec)
     infl = total_influence_spectral(spec)
     ivec = coordinate_influences(spec)
@@ -190,7 +182,7 @@ def analyze(
     size, captured = support_size(spec, epsilon)
     if bias.p == 0.5:
         bounds = entropy_upper_bounds(f.n, infl, ivec)
-        violations = tuple(proven_bound_violations(f.n, ent, infl, ivec))
+        violations = tuple(name for name, bad in exceeded_bounds(ent, bounds).items() if bad)
         claim = None
     else:
         # The proven bounds are uniform-measure statements; at other biases
@@ -286,8 +278,7 @@ def _sweep_chunk(n: int, p: float, ids: np.ndarray) -> dict:
     The rows go through the same transform, reductions and bounds as
     :func:`analyze`, so results do not depend on batching.
     """
-    coeffs = np.multiply(_id_bits(n, ids), -2.0, dtype=np.float64)
-    coeffs += 1.0
+    coeffs = sign_array(_id_bits(n, ids), np.float64)
     biased_forward_inplace(coeffs, p, threads=1)
     sums = square_sums(coeffs)
     ent = sums.entropy()
@@ -317,7 +308,6 @@ def exhaustive_sweep(
     p: float = 0.5,
     sample: int | None = None,
     seed: int = 0,
-    threads: int | None = None,
 ) -> SweepResult:
     """Statistics for every function on n variables (or a random sample).
 
@@ -354,7 +344,7 @@ def exhaustive_sweep(
         all_ids[start : start + SWEEP_CHUNK]
         for start in range(0, all_ids.size, SWEEP_CHUNK)
     ]
-    nthreads = get_threads() if threads is None else max(1, int(threads))
+    nthreads = get_threads()
     if nthreads > 1 and len(chunks) > 1:
         parts = list(get_pool(nthreads).map(partial(_sweep_chunk, n, p), chunks))
     else:
@@ -436,9 +426,7 @@ class CliqueReport:
         }
 
 
-def clique_experiment(
-    n_vertices: int, r: int, threads: int | None = None
-) -> CliqueReport:
+def clique_experiment(n_vertices: int, r: int) -> CliqueReport:
     """Analyse K_r-containment at the bias where E[#cliques] = 1/2.
 
     The total influence at that bias is at most r(r-1)/(4 p0) by a union
@@ -452,7 +440,7 @@ def clique_experiment(
     exponent = math.comb(r, 2)
     residual = abs(subsets * bias.p**exponent - 0.5)
 
-    sp = transform(f, bias, threads=threads)
+    sp = transform(f, bias)
     ent = spectral_entropy(sp)
     infl = total_influence_spectral(sp)
     union = r * (r - 1) / (4.0 * bias.p)
@@ -473,14 +461,14 @@ def clique_experiment(
     )
 
 
-def min_support_check(f: TruthTable, p=0.5, epsilon: float = 1e-2, threads=None) -> dict:
+def min_support_check(f: TruthTable, p=0.5, epsilon: float = 1e-2) -> dict:
     """Size of the epsilon-support against total influence.
 
     Records log2 |B_eps| / I_p; the conjectured statement makes this
     bounded in terms of 1/eps, so the number is reported, never asserted.
     """
     bias = as_bias(p)
-    sp = transform(f, bias, threads=threads)
+    sp = transform(f, bias)
     size, captured = support_size(sp, epsilon)
     infl = total_influence_spectral(sp)
     log_size = math.log2(size) if size else 0.0

@@ -21,14 +21,9 @@ import numpy as np
 
 from .boolfn import Bias, RealTable, TruthTable
 from .config import check_table_size
+from .conjecture import PROVEN_BOUND_SLACK
 from .errors import InputError
-from .spectral import (
-    Spectrum,
-    exact_transform,
-    spectral_entropy,
-    total_influence_spectral,
-    transform,
-)
+from .spectral import spectral_entropy, total_influence_spectral, transform
 
 __all__ = [
     "ReductionLayout",
@@ -152,99 +147,59 @@ def floor_log2_reciprocal(t: int, m: int) -> int:
     return ((1 << m) // t).bit_length() - 1
 
 
-def _reduced_spectrum(g) -> Spectrum:
-    if isinstance(g, TruthTable):
-        return exact_transform(g).to_spectrum()
-    return transform(g, 0.5)
+def reduction_report(f: TruthTable | RealTable, p: Bias) -> dict:
+    """Run all three reduction checks on one pair of spectra.
+
+    The reduced table g is transformed at p = 1/2 in floating point.  Every
+    butterfly weight there is +-1/2, so for a +-1 table each coefficient is
+    exactly the dyadic rational the integer transform gives.
+    """
+    t, m = _exact_bias(p)
+    layout = ReductionLayout(f.n, t, m)
+    g_spec = transform(reduce_table(f, p), 0.5)
+    f_spec = transform(f, p)
+    grouped = np.bincount(
+        _projection_table(layout), weights=g_spec.squares(), minlength=1 << f.n
+    )
+    lhs = total_influence_spectral(g_spec)
+    rhs = 6.0 * (t / (1 << m)) * floor_log2_reciprocal(t, m) * total_influence_spectral(f_spec)
+    reduced = spectral_entropy(g_spec)
+    original = spectral_entropy(f_spec)
+    return {
+        "p": t / (1 << m),
+        "t": t,
+        "m": m,
+        "red0_max_gap": float(np.max(np.abs(grouped - f_spec.squares()))),
+        "red_fk": {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + PROVEN_BOUND_SLACK)},
+        "entropy": {
+            "reduced": reduced,
+            "original": original,
+            "holds": bool(reduced >= original - PROVEN_BOUND_SLACK),
+        },
+    }
 
 
-def verify_red0(
-    f: TruthTable | RealTable,
-    p: Bias,
-    g=None,
-    f_spec: Spectrum | None = None,
-    g_spec: Spectrum | None = None,
-) -> float:
+def verify_red0(f: TruthTable | RealTable, p: Bias) -> float:
     """Max gap between aggregated reduced squares and original squares.
 
     Checks every original subset at once: squared coefficients of the
     reduced function, grouped by block projection, must reproduce the
     squared coefficients of f exactly.
     """
-    layout = layout_for(f.n, p)
-    if g is None:
-        g = reduce_table(f, p)
-    if g_spec is None:
-        g_spec = _reduced_spectrum(g)
-    if f_spec is None:
-        f_spec = transform(f, p)
-    grouped = np.bincount(
-        _projection_table(layout), weights=g_spec.squares(), minlength=1 << f.n
-    )
-    return float(np.max(np.abs(grouped - f_spec.squares())))
+    return reduction_report(f, p)["red0_max_gap"]
 
 
-def verify_red_fk(
-    f: TruthTable | RealTable,
-    p: Bias,
-    g=None,
-    f_spec: Spectrum | None = None,
-    g_spec: Spectrum | None = None,
-    slack: float = 1e-9,
-) -> tuple[float, float, bool]:
+def verify_red_fk(f: TruthTable | RealTable, p: Bias) -> tuple[float, float, bool]:
     """Check uniform influence of g against 6 p floor(log2(1/p)) I_p(f).
 
     The bound is proven for p <= 1/2; above that the floor term vanishes
     and the comparison is reported but not meaningful.
     """
-    t, m = _exact_bias(p)
-    if g is None:
-        g = reduce_table(f, p)
-    if g_spec is None:
-        g_spec = _reduced_spectrum(g)
-    if f_spec is None:
-        f_spec = transform(f, p)
-    lhs = total_influence_spectral(g_spec)
-    rhs = 6.0 * (t / (1 << m)) * floor_log2_reciprocal(t, m) * total_influence_spectral(f_spec)
-    return lhs, rhs, bool(lhs <= rhs + slack)
+    fk = reduction_report(f, p)["red_fk"]
+    return fk["lhs"], fk["rhs"], fk["holds"]
 
 
-def verify_entropy_monotone(
-    f: TruthTable | RealTable,
-    p: Bias,
-    g=None,
-    f_spec: Spectrum | None = None,
-    g_spec: Spectrum | None = None,
-    slack: float = 1e-9,
-) -> tuple[float, float, bool]:
+def verify_entropy_monotone(f: TruthTable | RealTable, p: Bias) -> tuple[float, float, bool]:
     """Spectral entropy may only grow under the reduction (up to slack)."""
-    if g is None:
-        g = reduce_table(f, p)
-    if g_spec is None:
-        g_spec = _reduced_spectrum(g)
-    if f_spec is None:
-        f_spec = transform(f, p)
-    reduced = spectral_entropy(g_spec)
-    original = spectral_entropy(f_spec)
-    return reduced, original, bool(reduced >= original - slack)
-
-
-def reduction_report(f: TruthTable | RealTable, p: Bias) -> dict:
-    """Run all three reduction checks once and collect them in a dict."""
-    t, m = _exact_bias(p)
-    g = reduce_table(f, p)
-    g_spec = _reduced_spectrum(g)
-    f_spec = transform(f, p)
-    gap = verify_red0(f, p, g=g, f_spec=f_spec, g_spec=g_spec)
-    lhs, rhs, fk_holds = verify_red_fk(f, p, g=g, f_spec=f_spec, g_spec=g_spec)
-    reduced_ent, original_ent, ent_holds = verify_entropy_monotone(
-        f, p, g=g, f_spec=f_spec, g_spec=g_spec
-    )
-    return {
-        "p": t / (1 << m),
-        "t": t,
-        "m": m,
-        "red0_max_gap": gap,
-        "red_fk": {"lhs": lhs, "rhs": rhs, "holds": fk_holds},
-        "entropy": {"reduced": reduced_ent, "original": original_ent, "holds": ent_holds},
-    }
+    ent = reduction_report(f, p)["entropy"]
+    return ent["reduced"], ent["original"], ent["holds"]

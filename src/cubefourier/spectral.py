@@ -31,6 +31,7 @@ from .boolfn import (
     as_bias,
     level_array,
     mask_array,
+    sign_array,
 )
 from .config import check_table_size, get_threads
 from .errors import InputError
@@ -233,37 +234,32 @@ class LevelProfile:
 # transforms
 
 
-def _resolve_threads(threads: int | None) -> int:
-    return get_threads() if threads is None else max(1, int(threads))
-
-
-def transform(f: TruthTable | RealTable, p=0.5, threads: int | None = None) -> Spectrum:
+def transform(f: TruthTable | RealTable, p=0.5) -> Spectrum:
     """Coefficients of f in the orthonormal basis of the p-biased measure."""
     bias = as_bias(p)
     v = f.sign_values()  # fresh, writable copy
-    kernels.biased_forward_inplace(v, bias.p, threads=_resolve_threads(threads))
+    kernels.biased_forward_inplace(v, bias.p, threads=get_threads())
     return Spectrum(f.n, bias.p, v)
 
 
-def inverse_transform(spec: Spectrum, threads: int | None = None) -> RealTable:
+def inverse_transform(spec: Spectrum) -> RealTable:
     """Rebuild the function table from its coefficients."""
     v = spec.coeffs.copy()
-    kernels.biased_inverse_inplace(v, spec.p, threads=_resolve_threads(threads))
+    kernels.biased_inverse_inplace(v, spec.p, threads=get_threads())
     return RealTable(spec.n, v)
 
 
 _EXACT_VALUE_BOUND = 1 << 20
 
 
-def exact_transform(f: TruthTable | RealTable, threads: int | None = None) -> DyadicSpectrum:
+def exact_transform(f: TruthTable | RealTable) -> DyadicSpectrum:
     """Uniform-measure coefficients in exact integer arithmetic.
 
     Accepts any integer-valued table whose entries are small enough that the
     2**n-term sums cannot overflow 64 bits.
     """
     if isinstance(f, TruthTable):
-        v = np.multiply(f.bits, -2, dtype=np.int64)
-        v += 1
+        v = sign_array(f.bits, np.int64)
     else:
         vals = f.values
         rounded = np.rint(vals)
@@ -276,14 +272,14 @@ def exact_transform(f: TruthTable | RealTable, threads: int | None = None) -> Dy
         v = rounded.astype(np.int64)
     if f.n < 1:
         raise InputError("exact transform needs at least one variable")
-    kernels.wht_inplace(v, threads=_resolve_threads(threads))
+    kernels.wht_inplace(v, threads=get_threads())
     return DyadicSpectrum(f.n, v)
 
 
-def reconstruct_exact(dspec: DyadicSpectrum, threads: int | None = None):
+def reconstruct_exact(dspec: DyadicSpectrum):
     """Invert an exact spectrum; returns a TruthTable when the values are +-1."""
     v = dspec.numerators.copy()
-    kernels.wht_inplace(v, threads=_resolve_threads(threads))
+    kernels.wht_inplace(v, threads=get_threads())
     size = 1 << dspec.n
     if np.any(v % size):
         raise InputError("numerators are not a valid exact spectrum")

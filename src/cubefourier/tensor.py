@@ -166,7 +166,6 @@ def virtual_power_stats(
     N: int,
     p=0.5,
     exact: bool = False,
-    threads: int | None = None,
 ) -> VirtualPowerStats:
     """Entropy, influence and level profile of the N-th tensor power.
 
@@ -181,11 +180,11 @@ def virtual_power_stats(
     if exact:
         if bias.p != 0.5:
             raise InputError("exact virtual powers are supported at p = 1/2 only")
-        dspec = exact_transform(f, threads=threads)
+        dspec = exact_transform(f)
         base_profile = exact_level_profile(dspec)
         spec: Spectrum | DyadicSpectrum = dspec
     else:
-        spec = transform(f, bias, threads=threads)
+        spec = transform(f, bias)
         base_profile = level_profile(spec)
     return VirtualPowerStats(
         base_n=f.n,

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 import cubefourier as cf
-from cubefourier import kernels
+from cubefourier import config, kernels
 from cubefourier.boolfn import Bias
 from conftest import naive_transform
 
@@ -234,8 +234,14 @@ def test_criterion_07_exhaustive_sweep(capsys):
     violations = 0
     for n in range(1, 4):
         violations += len(cf.exhaustive_sweep(n).violations)
-    first = cf.exhaustive_sweep(4, threads=1)
-    second = cf.exhaustive_sweep(4, threads=4)
+    saved = config.get_threads()
+    try:
+        config.set_threads(1)
+        first = cf.exhaustive_sweep(4)
+        config.set_threads(4)
+        second = cf.exhaustive_sweep(4)
+    finally:
+        config.set_threads(saved)
     violations += len(first.violations) + len(second.violations)
     stable = (
         np.array_equal(first.entropy, second.entropy)
@@ -361,10 +367,15 @@ def test_criterion_11_analyze_performance(capsys):
     combinatorial ones within 1e-12."""
     f = cf.random_function(20, seed=11)
     best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        report = cf.analyze(f, 0.3, threads=1)
-        best = min(best, time.perf_counter() - t0)
+    saved = config.get_threads()
+    try:
+        config.set_threads(1)
+        for _ in range(3):
+            t0 = time.perf_counter()
+            report = cf.analyze(f, 0.3)
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        config.set_threads(saved)
     oracle = cf.influence_vector(f, 0.3)
     worst = float(np.max(np.abs(np.array(report.influence_vec) - oracle)))
     ok = best < 0.35 and worst < 1e-12

@@ -287,3 +287,22 @@ def test_python_dash_m_runs_the_cli():
     payload = json.loads(out.stdout)
     assert payload["command"] == "analyze"
     assert payload["entropy"] == 2.0
+
+
+def test_traced_cli_names_resolve():
+    """perfbench/traced_cli.py wraps each name it lists and fails on a missing one."""
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    missing = [
+        f"{mod}.{name}"
+        for mod, names in traced.TRACED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(mod), name, None))
+    ]
+    assert missing == []

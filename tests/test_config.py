@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from cubefourier import config
+import cubefourier as cf
+from cubefourier import config, conjecture, kernels
 from cubefourier.errors import InputError
 
 
@@ -44,3 +45,48 @@ def test_setters_reject_nonpositive_values():
         config.set_threads(0)
     with pytest.raises(InputError):
         config.set_max_n(0)
+
+
+@pytest.mark.parametrize("value", [2.9, "3", None])
+def test_setters_reject_non_integers(value):
+    saved = config.get_max_n(), config.get_threads()
+    with pytest.raises(InputError):
+        config.set_threads(value)
+    with pytest.raises(InputError):
+        config.set_max_n(value)
+    assert (config.get_max_n(), config.get_threads()) == saved
+
+
+def test_set_threads_reaches_the_kernels(monkeypatch):
+    """The configured count is what the butterfly and the sweep's pool get."""
+    stage_threads, pool_threads = [], []
+
+    def spy(real, seen):
+        def wrapper(*args):
+            seen.append(args[-1])
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "_run_stages", spy(kernels._run_stages, stage_threads))
+    monkeypatch.setattr(conjecture, "get_pool", spy(conjecture.get_pool, pool_threads))
+    f = cf.random_function(6, 1)
+    calls = {
+        "transform": lambda: cf.transform(f, 0.3),
+        "exact_transform": lambda: cf.exact_transform(f),
+        "analyze": lambda: cf.analyze(f),
+        "clique_experiment": lambda: cf.clique_experiment(5, 3),
+    }
+    saved = config.get_threads()
+    try:
+        config.set_threads(3)
+        for name, call in calls.items():
+            stage_threads.clear()
+            call()
+            assert stage_threads == [3], name
+        stage_threads.clear()
+        cf.exhaustive_sweep(4)
+        # the pool is 3 wide; each worker runs its chunk's butterfly alone
+        assert pool_threads == [3]
+        assert stage_threads and set(stage_threads) == {1}
+    finally:
+        config.set_threads(saved)

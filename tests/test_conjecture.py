@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubefourier as cf
+from cubefourier import config
 from cubefourier.boolfn import rows_to_hex
 from cubefourier.conjecture import (
     _id_bits,
@@ -159,8 +160,14 @@ def test_sweep_matches_analyze_bitwise_on_every_n3_function(p):
 
 
 def test_sweep_is_deterministic_across_threads_and_runs():
-    a = cf.exhaustive_sweep(3, threads=1)
-    b = cf.exhaustive_sweep(3, threads=7)
+    saved = config.get_threads()
+    try:
+        config.set_threads(1)
+        a = cf.exhaustive_sweep(3)
+        config.set_threads(7)
+        b = cf.exhaustive_sweep(3)
+    finally:
+        config.set_threads(saved)
     assert np.array_equal(a.entropy, b.entropy)
     assert np.array_equal(a.influence, b.influence)
     assert np.array_equal(a.ratio, b.ratio, equal_nan=True)

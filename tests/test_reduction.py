@@ -114,6 +114,19 @@ def test_worked_example_dictator_quarter():
     assert report["entropy"]["holds"]
 
 
+@pytest.mark.parametrize(
+    "f",
+    [cf.majority(3), cf.RealTable(2, np.array([3.0, -1.0, 0.0, 2.0]))],
+    ids=["truth-table", "integer-real-table"],
+)
+def test_each_check_is_its_field_of_the_report(f):
+    p = Bias.exact(3, 3)
+    report = cf.reduction_report(f, p)
+    assert cf.verify_red0(f, p) == report["red0_max_gap"]
+    assert cf.verify_red_fk(f, p) == tuple(report["red_fk"].values())
+    assert cf.verify_entropy_monotone(f, p) == tuple(report["entropy"].values())
+
+
 def test_red0_aggregates_squares_exactly_for_dictator():
     f = cf.dictator(1, 1)
     p = Bias.exact(1, 2)

@@ -146,12 +146,15 @@ def test_derivative_spectrum_is_a_slice(n, seed):
 # --- exact arithmetic -------------------------------------------------------
 
 
-@given(st.integers(1, 8), st.integers(0, 10_000))
+@given(st.integers(1, 14), st.integers(0, 10_000))
 def test_exact_transform_matches_float_transform(n, seed):
+    # every weight at p = 1/2 is +-1/2, so the float butterfly is exact; the
+    # reduction checks rely on this to transform reduced tables in floats
     f = cf.random_function(n, seed)
-    d = cf.exact_transform(f)
-    sp = cf.transform(f, 0.5)
-    assert np.max(np.abs(d.numerators / (1 << n) - sp.coeffs)) < 1e-12
+    exact = cf.exact_transform(f).to_spectrum().coeffs
+    fast = cf.transform(f, 0.5).coeffs
+    assert np.array_equal(exact, fast)
+    assert np.array_equal(np.signbit(exact), np.signbit(fast))
 
 
 @given(st.integers(1, 8), st.integers(0, 10_000))
