@@ -402,7 +402,7 @@ def _cmd_spectrum(ns) -> int:
         save_spectrum_binary(sp, ns.export)
     if ns.export_json:
         save_spectrum_json(sp, ns.export_json)
-    order = top_masks(np.abs(sp.coeffs), ns.top)
+    order = top_masks(sp.coeffs, ns.top, key=np.abs)
     ent = spectral_entropy(sp)
     infl = total_influence_spectral(sp)
     lines = [f"n = {sp.n}   p = {sp.p:.6g}   entropy = {ent:.10g}   influence = {infl:.10g}"]

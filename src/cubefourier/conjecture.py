@@ -121,14 +121,6 @@ def exceeded_bounds(entropy, bounds: dict) -> dict:
     }
 
 
-def proven_bound_violations(
-    n: int, entropy: float, influence: float, infl_vec=None
-) -> list[str]:
-    """Names of proven bounds the given numbers violate (should be empty)."""
-    bounds = entropy_upper_bounds(n, influence, infl_vec)
-    return [name for name, bad in exceeded_bounds(entropy, bounds).items() if bad]
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
     """Everything the analyzer computes for one function at one bias."""
@@ -350,9 +342,11 @@ def exhaustive_sweep(
     else:
         parts = [_sweep_chunk(n, p, ids) for ids in chunks]
 
-    merged = {key: np.concatenate([c[key] for c in parts]) for key in parts[0]}
-    bad = np.flatnonzero(merged.pop("bad"))
-    result = SweepResult(n=n, p=p, exhaustive=exhaustive, function_ids=all_ids, **merged)
+    # one column at a time, each chunk's piece dropped once it is copied,
+    # so the merge holds one column more than the results themselves
+    columns = {key: np.concatenate([part.pop(key) for part in parts]) for key in list(parts[0])}
+    bad = np.flatnonzero(columns.pop("bad"))
+    result = SweepResult(n=n, p=p, exhaustive=exhaustive, function_ids=all_ids, **columns)
     for idx, name in zip(bad, result.function_hex(bad)):
         result.violations.append(
             {

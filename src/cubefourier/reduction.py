@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import kernels
 from .boolfn import Bias, RealTable, TruthTable
 from .config import check_table_size
 from .conjecture import PROVEN_BOUND_SLACK
@@ -72,8 +73,26 @@ class ReductionLayout:
 
     def original_masks(self, y: np.ndarray) -> np.ndarray:
         """Original input mask selected by each reduced input mask."""
-        y = _check_masks(self, y)
-        return _original_table(self)[y].astype(np.int64)
+        return _map_blocks(self, _check_masks(self, y), _original_lut(self))
+
+
+def _original_lut(layout: ReductionLayout) -> np.ndarray:
+    """Whether each m-bit block value makes its original coordinate read 1."""
+    return np.arange(1 << layout.m) >= layout.threshold
+
+
+def _projection_lut(layout: ReductionLayout) -> np.ndarray:
+    """Whether each m-bit block pattern is nonempty."""
+    return np.arange(1 << layout.m) != 0
+
+
+def _map_blocks(layout: ReductionLayout, masks: np.ndarray, lut: np.ndarray) -> np.ndarray:
+    """Bit i of each result is lut[block i of that mask], for the given masks only."""
+    out = np.zeros(masks.shape, dtype=np.int64)
+    low = (1 << layout.m) - 1
+    for i in range(layout.n_original):
+        out |= lut[(masks >> (i * layout.m)) & low].astype(np.int64) << i
+    return out[()]  # a scalar for a scalar mask, as indexing a table gives
 
 
 def _block_table(layout: ReductionLayout, lut: np.ndarray) -> np.ndarray:
@@ -92,12 +111,12 @@ def _block_table(layout: ReductionLayout, lut: np.ndarray) -> np.ndarray:
 
 def _original_table(layout: ReductionLayout) -> np.ndarray:
     """Original input mask selected by every reduced input mask."""
-    return _block_table(layout, np.arange(1 << layout.m) >= layout.threshold)
+    return _block_table(layout, _original_lut(layout))
 
 
 def _projection_table(layout: ReductionLayout) -> np.ndarray:
     """Block projection of every reduced subset mask."""
-    return _block_table(layout, np.arange(1 << layout.m) != 0)
+    return _block_table(layout, _projection_lut(layout))
 
 
 def _check_masks(layout: ReductionLayout, masks) -> np.ndarray:
@@ -138,8 +157,7 @@ def block_projection(layout: ReductionLayout, masks: np.ndarray) -> np.ndarray:
     A reduced subset S projects to the original subset containing exactly
     the coordinates whose block in S is nonempty.
     """
-    masks = _check_masks(layout, masks)
-    return _projection_table(layout)[masks].astype(np.int64)
+    return _map_blocks(layout, _check_masks(layout, masks), _projection_lut(layout))
 
 
 def floor_log2_reciprocal(t: int, m: int) -> int:
@@ -158,9 +176,14 @@ def reduction_report(f: TruthTable | RealTable, p: Bias) -> dict:
     layout = ReductionLayout(f.n, t, m)
     g_spec = transform(reduce_table(f, p), 0.5)
     f_spec = transform(f, p)
-    grouped = np.bincount(
-        _projection_table(layout), weights=g_spec.squares(), minlength=1 << f.n
-    )
+    # the squares of g summed per block projection, one block at a time;
+    # add.at adds into each bin in index order, as bincount does
+    proj, c = _projection_table(layout), g_spec.coeffs
+    grouped = np.zeros(1 << f.n)
+    step = 1 << kernels._BLOCK_LOG2
+    for lo in range(0, c.size, step):
+        w = c[lo : lo + step]
+        np.add.at(grouped, proj[lo : lo + step], w * w)
     lhs = total_influence_spectral(g_spec)
     rhs = 6.0 * (t / (1 << m)) * floor_log2_reciprocal(t, m) * total_influence_spectral(f_spec)
     reduced = spectral_entropy(g_spec)

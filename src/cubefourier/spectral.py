@@ -116,8 +116,8 @@ class Spectrum:
         return value
 
     def squares(self) -> np.ndarray:
-        """Squared coefficients (read-only), from the same pass as :meth:`sums`."""
-        return self.sums().squares[0]
+        """Squared coefficients, as a fresh read-only table on every call."""
+        return _squares(self.coeffs)
 
     def coefficient(self, mask: int) -> float:
         return float(self.coeffs[mask])
@@ -293,6 +293,12 @@ def reconstruct_exact(dspec: DyadicSpectrum):
 # derived quantities
 
 
+def _squares(c: np.ndarray) -> np.ndarray:
+    w = c * c
+    w.setflags(write=False)
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class SquareSums:
     """Sums over the squared coefficients w = c*c of each row of a (rows, 2^n) array.
@@ -302,15 +308,20 @@ class SquareSums:
     """
 
     n: int
-    squares: np.ndarray  # (rows, 2^n): the w themselves
+    coeffs: np.ndarray  # (rows, 2^n): a view of the rows that were summed
     total: np.ndarray  # sum of w
     plogp: np.ndarray  # sum of w log2 w over w > 0
     level_mass: np.ndarray  # sum of |S| w
     coords: np.ndarray  # (rows, n): sum of w over the sets containing i + 1
 
     def __post_init__(self):
-        for arr in (self.squares, self.total, self.plogp, self.level_mass, self.coords):
+        for arr in (self.coeffs, self.total, self.plogp, self.level_mass, self.coords):
             arr.setflags(write=False)
+
+    @property
+    def squares(self) -> np.ndarray:
+        """The w themselves, (rows, 2^n): computed afresh on every access."""
+        return _squares(self.coeffs)
 
     def entropy(self) -> np.ndarray:
         """Shannon entropy (bits) of each row's squares.
@@ -434,13 +445,13 @@ def square_sums(coeffs: np.ndarray) -> SquareSums:
     count, width = parts.shape
     m = width.bit_length() - 1
     floats = _level_layout(m)[0]
-    squares = np.empty_like(parts)
     total, plogp, level_mass = np.empty(count), np.empty(count), np.empty(count)
     part_coords = np.empty((count, m))
-    buf = np.empty(min(parts.size, 1 << kernels._BLOCK_LOG2))  # reused by every block
+    # two block buffers, reused by every block: the squares and a scratch
+    bufs = np.empty((2, min(parts.size, 1 << kernels._BLOCK_LOG2)))
     for lo, hi in blocks:
-        c, w = parts[lo:hi], squares[lo:hi]
-        t = buf[: c.size].reshape(c.shape)
+        c = parts[lo:hi]
+        w, t = (b[: c.size].reshape(c.shape) for b in bufs)
         np.multiply(c, c, out=w)
         np.add.reduce(w, axis=-1, out=total[lo:hi])
         np.maximum(w, _TINY, out=t)
@@ -458,7 +469,7 @@ def square_sums(coeffs: np.ndarray) -> SquareSums:
     _fold_coordinates(total, coords[:, m:])
     return SquareSums(
         n,
-        squares.reshape(rows, -1),
+        parts.reshape(rows, -1),
         _pair_sums(total),
         _pair_sums(_by_row(plogp, offsets)),
         _pair_sums(_by_row(level_mass, offsets)),
@@ -596,19 +607,47 @@ def degree(spec: Spectrum | DyadicSpectrum, tol: float = 1e-9) -> int:
     return int(spec.level_sums().degree(tol)[0])
 
 
-def top_masks(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest values: decreasing, ties by ascending index.
+def top_masks(values: np.ndarray, k: int, key=None) -> np.ndarray:
+    """Indices of the k largest keys: decreasing, ties by ascending index.
 
-    Equal to ``np.argsort(-values, kind="stable")[:k]``, but only the
-    entries at or above the k-th largest value are sorted.  ``k`` is
+    The key of each entry is ``key(values)`` for a unary ufunc such as
+    ``np.abs`` or ``np.square``, or the value itself when ``key`` is None.
+    Equal to ``np.argsort(-keys, kind="stable")[:k]`` (NaN keys come last),
+    but the keys are taken one aligned block of 2^_BLOCK_LOG2 entries at a
+    time in one reused buffer.  Each block passes on its own first k entries
+    in that order: those strictly above its k-th largest key, then the ties
+    with it by ascending index.  Only those candidates are sorted.  ``k`` is
     clipped to the array size.
     """
     k = min(max(int(k), 0), values.size)
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    cut = np.partition(values, values.size - k)[values.size - k]
-    candidates = np.flatnonzero(values >= cut)
-    return candidates[np.argsort(-values[candidates], kind="stable")[:k]]
+    step = 1 << kernels._BLOCK_LOG2
+    buf = np.empty(min(values.size, step))
+    masks, negs = [], []
+    for lo in range(0, values.size, step):
+        v = buf[: min(step, values.size - lo)]
+        block = values[lo : lo + v.size]
+        if key is None:
+            np.negative(block, out=v)
+        else:
+            np.negative(key(block, out=v), out=v)
+        if v.size <= k:
+            keep = np.arange(v.size)
+        else:
+            # the k smallest of -key: ascending sort order puts NaN last
+            cut = np.partition(v, k - 1)[k - 1]
+            if np.isnan(cut):
+                tied = np.isnan(v)
+                ahead = np.flatnonzero(~tied)
+            else:
+                tied = v == cut
+                ahead = np.flatnonzero(v < cut)
+            keep = np.concatenate((ahead, np.flatnonzero(tied)[: k - ahead.size]))
+        masks.append(keep + lo)
+        negs.append(v[keep])
+    masks, negs = np.concatenate(masks), np.concatenate(negs)
+    return masks[np.argsort(negs, kind="stable")[:k]]
 
 
 def support_size(spec: Spectrum | DyadicSpectrum, epsilon: float) -> tuple[int, float]:
@@ -618,28 +657,33 @@ def support_size(spec: Spectrum | DyadicSpectrum, epsilon: float) -> tuple[int, 
     the order among ties, so a plain sort replaces the stable argsort and
     both numbers are bitwise equal to the ones ``min_support`` reports.
     Only the nonzero squares are sorted: the zeros trail and never change
-    the running sum.
+    the running sum.  The one working array is a copy of the nonzero
+    coefficients, squared, sorted and summed in place.
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise InputError(f"epsilon must be finite and nonnegative, got {epsilon}")
     spec = _as_spectrum(spec)
-    w = spec.squares()
+    c = spec.coeffs
     total = float(spec.sums().total[0])
     if not math.isfinite(total):
         # a NaN or infinite square: no cut exists, every mask is kept
-        return w.size, total
+        return c.size, total
     if total <= epsilon:
         return 0, 0.0
-    live = w[w > 0.0]
+    live = c[c != 0.0]
+    np.multiply(live, live, out=live)
     live.sort()
-    captured = np.cumsum(live[::-1])
+    # squares that underflow to 0 sort first; drop them as well
+    live = live[np.searchsorted(live, 0.0, side="right") :]
+    captured = live[::-1]
+    np.cumsum(captured, out=captured)
     # the complement weight total - captured[i] only shrinks with i, so the
     # first i where it is <= epsilon is found by bisection; when rounding
     # keeps it above epsilon to the end (the pairwise total can exceed the
     # running sum by an ulp), every mask is kept
-    cut = bisect.bisect_left(captured, True, key=lambda c: total - c <= epsilon)
+    cut = bisect.bisect_left(captured, True, key=lambda s: total - s <= epsilon)
     if cut == captured.size:
-        return w.size, float(captured[-1])
+        return c.size, float(captured[-1])
     return cut + 1, float(captured[cut])
 
 
@@ -653,7 +697,7 @@ def min_support(spec: Spectrum | DyadicSpectrum, epsilon: float):
     if isinstance(spec, DyadicSpectrum):
         spec = spec.to_spectrum()
     keep, captured = support_size(spec, epsilon)
-    return top_masks(spec.squares(), keep), captured
+    return top_masks(spec.coeffs, keep, key=np.square), captured
 
 
 def dyadic_check(dspec: DyadicSpectrum, k: int) -> bool:

@@ -7,6 +7,8 @@ butterfly path, which is the point — agreement between the two is the main
 correctness evidence.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -55,3 +57,14 @@ def naive_transform(values: np.ndarray, n: int, p: float) -> np.ndarray:
 @pytest.fixture
 def naive():
     return naive_transform
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes traced while fn() runs, above those live when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -280,6 +280,27 @@ def test_file_roundtrip(tmp_path):
     assert path.read_text().splitlines()[1].strip("01") == ""
 
 
+@pytest.mark.parametrize("text", [
+    "n=2\n0110\n", "n=2\r\n0110\r\n", "n=2\r0110", "  n=2 \x0b 0110 \t\n\n",
+    "n=2\x1c0110\x1d", "n=2\x0c\x1f0110\x1f\x1e1111", "n=3\nhex:5a\n", "n=2\nhex:a\r\n",
+    "n=2\n\n0110\n", "n=2\n  \t\n", "n=2", "", " \n\t", "n=x\n0110\n", "m=2\n0110\n",
+    "n=2\n01 10\n", "n=2\n011\n", "n=2\n0120\n", "n=3\nhex:5 \n", "n=4\nhex:5 a9\n",
+    "n=0\n0\n",
+])
+def test_file_load_reads_what_the_text_parser_reads(tmp_path, text):
+    """Line breaks, padding and errors of a file are those of its text."""
+    path = tmp_path / "f.tt"
+    path.write_bytes(text.encode("ascii"))
+    try:
+        want = parse_truth_table(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            load_truth_table(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert load_truth_table(path) == want
+
+
 def test_real_table_validates_shape():
     with pytest.raises(InputError):
         RealTable(2, np.zeros(3))

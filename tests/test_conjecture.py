@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from cubefourier.conjecture import (
     _id_bits,
     _sweep_chunk,
     _table_from_id,
-    proven_bound_violations,
+    exceeded_bounds,
 )
 from cubefourier.errors import InputError
+from conftest import peak_bytes
 
 
 def test_binary_entropy_endpoints_and_symmetry():
@@ -85,7 +87,8 @@ def test_proven_bounds_hold_on_random_functions(n, seed):
 
 def test_violation_detector_fires_on_fabricated_numbers():
     # entropy far above every bound: the detector itself must not be a no-op
-    bad = proven_bound_violations(3, entropy=50.0, influence=1.0, infl_vec=[0.5, 0.5, 0.5])
+    bounds = cf.entropy_upper_bounds(3, 1.0, [0.5, 0.5, 0.5])
+    bad = [name for name, over in exceeded_bounds(50.0, bounds).items() if over]
     assert set(bad) == {"h_bound", "proof_form", "logn_bound"}
 
 
@@ -172,6 +175,49 @@ def test_sweep_is_deterministic_across_threads_and_runs():
     assert np.array_equal(a.influence, b.influence)
     assert np.array_equal(a.ratio, b.ratio, equal_nan=True)
     assert a.max_ratio() == b.max_ratio()
+
+
+def test_threaded_sweep_merges_chunks_in_order():
+    # more workers than cores and a short switch interval: chunk results
+    # merged out of chunk order would change some row
+    count = 20 * cf.conjecture.SWEEP_CHUNK + 7
+    saved, interval = config.get_threads(), sys.getswitchinterval()
+    try:
+        config.set_threads(1)
+        want = cf.exhaustive_sweep(5, sample=count, seed=4)
+        config.set_threads(4)
+        sys.setswitchinterval(1e-6)
+        got = cf.exhaustive_sweep(5, sample=count, seed=4)
+    finally:
+        sys.setswitchinterval(interval)
+        config.set_threads(saved)
+    for name in ("entropy", "influence", "ratio", "h_bound", "logn_bound"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+    assert got.violations == want.violations == []
+
+
+def test_sampled_sweep_holds_little_beyond_its_result_columns():
+    saved = config.get_threads()
+    try:
+        config.set_threads(1)
+        cf.exhaustive_sweep(5, p=0.3, sample=10)  # first-call allocations stay out
+        results = []
+        peak = peak_bytes(
+            lambda: results.append(cf.exhaustive_sweep(5, p=0.3, sample=600_000, seed=2))
+        )
+    finally:
+        config.set_threads(saved)
+    res = results[0]
+    columns = [res.function_ids, res.entropy, res.influence, res.ratio, res.h_bound,
+               res.logn_bound]
+    assert peak <= 1.25 * sum(col.nbytes for col in columns)
+
+
+def test_analyze_holds_the_spectrum_and_one_working_table():
+    f = cf.random_function(20, 6)
+    cf.analyze(cf.random_function(17, 6), 0.3)  # first-call allocations stay out
+    peak = peak_bytes(lambda: cf.analyze(f, 0.3))
+    assert peak <= 2.5 * (8 << 20)  # tables of 2^20 float64
 
 
 def test_sweep_rejects_unbounded_enumeration():

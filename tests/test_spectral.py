@@ -1,3 +1,4 @@
+import bisect
 import math
 import os
 import threading
@@ -12,8 +13,8 @@ import cubefourier as cf
 from cubefourier import kernels
 from cubefourier.boolfn import level_array
 from cubefourier.errors import InputError
-from cubefourier.spectral import level_sums, measure_weights, square_sums
-from conftest import naive_character, naive_transform
+from cubefourier.spectral import level_sums, measure_weights, square_sums, top_masks
+from conftest import naive_character, naive_transform, peak_bytes
 from test_kernels import STAGE_BACKENDS
 
 BIASES = [0.5, 0.25, 0.125, 0.3, 0.71]
@@ -476,6 +477,67 @@ def test_top_masks_equals_full_stable_argsort(n, seed, k):
     vals = np.abs(np.round(cf.transform(cf.random_function(n, seed), 0.3).coeffs, 2))
     expect = np.argsort(-vals, kind="stable")[:k]
     assert cf.spectral.top_masks(vals, k).tolist() == expect.tolist()
+
+
+def _sparse_and_tied(n):
+    """Two n-variable spectra with many equal keys, by mask order.
+
+    One is rounded to 3 decimals, with a run of 80 entries of -1 (the
+    largest magnitude) across the first block boundary and a few NaN; the
+    other, a 6-variable junta's, is zero but for 64 masks.
+    """
+    flat = np.round(cf.transform(cf.random_function(n, 3), 0.3).coeffs, 3)
+    flat[65536 - 40 : 65536 + 40] = -1.0
+    flat[[7, 65536 + 3, 3 << 16]] = math.nan
+    junta = cf.TruthTable(n, np.tile(cf.random_function(6, 5).bits, 1 << (n - 6)))
+    return [flat, cf.transform(junta, 0.3).coeffs.copy()]
+
+
+@pytest.mark.parametrize("k", [0, 1, 8, 50, 100, 65537, (1 << 17) + 5, 1 << 18])
+def test_blocked_top_masks_equal_a_full_stable_argsort(k):
+    # k = 50 cuts inside the run of ties across the block boundary; the
+    # junta's zeros tie in every block; k > 2^16 keeps whole blocks
+    for c in _sparse_and_tied(18):
+        for key, keys in ((None, c), (np.abs, np.abs(c)), (np.square, c * c)):
+            expect = np.argsort(-keys, kind="stable")[:k]
+            assert top_masks(c, k, key=key).tolist() == expect.tolist()
+
+
+def test_top_masks_holds_no_table_sized_array():
+    sp = cf.transform(cf.random_function(20, 4), 0.3)
+    top_masks(sp.coeffs, 8, key=np.abs)  # first-call allocations stay out
+    peak = peak_bytes(lambda: top_masks(sp.coeffs, 8, key=np.abs))
+    assert peak <= 0.25 * sp.coeffs.nbytes
+
+
+def _literal_support(sp, eps):
+    """The epsilon-support's size and weight: sort, running sum, bisection."""
+    w = sp.coeffs * sp.coeffs
+    total = float(np.sum(w))
+    if total <= eps:
+        return 0, 0.0
+    captured = np.cumsum(np.sort(w[w > 0.0])[::-1])
+    cut = bisect.bisect_left(captured, True, key=lambda c: total - c <= eps)
+    if cut == captured.size:
+        return w.size, float(captured[-1])
+    return cut + 1, float(captured[cut])
+
+
+@given(st.integers(1, 12), st.integers(0, 10_000), st.sampled_from(BIASES),
+       st.sampled_from([0.0, 1e-6, 1e-3, 0.01, 0.1, 0.5]), st.sampled_from([1.0, 1e-160]))
+def test_support_size_matches_the_literal_formula(n, seed, p, eps, scale):
+    # scaled by 1e-160, most squares are subnormal and some underflow to 0
+    coeffs = cf.transform(cf.random_function(n, seed), p).coeffs * scale
+    sp = cf.Spectrum(n, p, coeffs)
+    assert cf.support_size(sp, eps) == _literal_support(sp, eps)  # bitwise
+
+
+def test_squares_are_fresh_read_only_tables():
+    sp = cf.transform(cf.random_function(6, 1), 0.3)
+    a, b = sp.squares(), sp.sums().squares[0]
+    assert not np.shares_memory(a, b) and not np.shares_memory(a, sp.squares())
+    assert not a.flags.writeable and not b.flags.writeable
+    assert np.array_equal(a, sp.coeffs * sp.coeffs) and np.array_equal(a, b)
 
 
 def _literal_level_fractions(dspec):
