@@ -10,7 +10,6 @@ the set s.
 
 from __future__ import annotations
 
-import binascii
 import functools
 import math
 from dataclasses import dataclass
@@ -433,98 +432,53 @@ def rows_to_hex(bits: np.ndarray) -> list[str]:
     return [digits[end - width : end] for end in range(step, len(digits) + 1, step)]
 
 
-_NO_HEADER = 'truth-table text must start with an "n=<count>" line'
-
-
 def parse_truth_table(text: str) -> TruthTable:
     lines = [ln.strip() for ln in text.strip().splitlines()]
-    if len(lines) < 2:
-        raise InputError(_NO_HEADER)
-    # one byte per character ('?' for non-ASCII)
-    return _table_from_lines(lines[0], lines[1].encode("ascii", "replace"))
-
-
-def _table_from_lines(head: str, body) -> TruthTable:
-    """The table of a stripped header line and a stripped body line (bytes-like)."""
-    if not head.startswith("n="):
-        raise InputError(_NO_HEADER)
+    if len(lines) < 2 or not lines[0].startswith("n="):
+        raise InputError('truth-table text must start with an "n=<count>" line')
     try:
-        n = int(head[2:])
+        n = int(lines[0][2:])
     except ValueError as exc:
-        raise InputError(f"bad variable count {head[2:]!r}") from exc
+        raise InputError(f"bad variable count {lines[0][2:]!r}") from exc
     if n < 1:
         raise InputError("variable count must be at least 1")
     check_table_size(n, "truth table")
+    body = lines[1]
     size = 1 << n
-    if body[:4] == b"hex:":
+    if body.startswith("hex:"):
         digits = body[4:]
         expected = (size + 3) // 4
         if len(digits) != expected:
             raise InputError(
                 f"hex body must have {expected} digits for n={n}, got {len(digits)}"
             )
-        if len(digits) % 2:
-            # n <= 2 has a single digit: pad it to a whole byte
-            digits = b"0" + bytes(digits)
+        # n <= 2 has a single digit: pad it to a whole byte
+        padded = digits.zfill(2 * ((size + 7) // 8))
         try:
-            packed = binascii.unhexlify(digits)
-        except binascii.Error as exc:
+            packed = bytes.fromhex(padded)
+        except ValueError as exc:
             raise InputError("hex body contains non-hex characters") from exc
+        if 2 * len(packed) != len(padded):
+            # fromhex skips whitespace between digit pairs
+            raise InputError("hex body contains non-hex characters")
         bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
         return TruthTable(n, bits[bits.size - size :])
     if len(body) != size:
         raise InputError(f"expected 2^{n} = {size} characters of '0'/'1', got {len(body)}")
-    # every byte but '0' and '1' wraps past 1
-    bits = np.frombuffer(body, dtype=np.uint8) - np.uint8(ord("0"))
+    # one byte per character ('?' for non-ASCII); every byte but '0' and '1' wraps past 1
+    bits = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8) - np.uint8(ord("0"))
     if bits.max() > 1:
         raise InputError("table body may contain only '0' and '1'")
     return TruthTable(n, bits)
 
 
-# The ASCII characters that str.strip removes and that str.splitlines cuts
-# at ("\r\n" counts as one break).
-_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
-_BREAKS = (b"\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-
-
-def _skip_space(data: bytes, pos: int, end: int) -> int:
-    while pos < end and data[pos] in _SPACE:
-        pos += 1
-    return pos
-
-
-def _line_end(data: bytes, pos: int) -> tuple[int, int]:
-    """Where the line starting at pos ends, and where the next one starts."""
-    end = len(data)
-    for char in _BREAKS:
-        hit = data.find(char, pos, end)
-        if hit >= 0:
-            end = hit
-    return end, end + (2 if data[end : end + 2] == b"\r\n" else 1)
-
-
 def load_truth_table(path) -> TruthTable:
-    """Read a truth-table file: what :func:`parse_truth_table` gives for its text.
-
-    The file is read as bytes and must be ASCII.  Its first two lines are
-    found and stripped as ``str.strip`` and ``str.splitlines`` would, and
-    the body goes to numpy as a view of the file's bytes, without a text copy.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii():
-        first = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 0x7F))
-        raise InputError(f"{path}: byte {first} is not ASCII text")
-    start = _skip_space(data, 0, len(data))
-    head_end, lo = _line_end(data, start)
-    if _skip_space(data, lo, len(data)) >= len(data):
-        raise InputError(_NO_HEADER)  # fewer than two lines
-    hi = _line_end(data, lo)[0]
-    lo = _skip_space(data, lo, hi)
-    while hi > lo and data[hi - 1] in _SPACE:
-        hi -= 1
-    head = data[start:head_end].decode("ascii").rstrip()
-    return _table_from_lines(head, memoryview(data)[lo:hi])
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: byte {exc.start} is not ASCII text") from None
+    return parse_truth_table(text)
 
 
 def save_truth_table(f: TruthTable, path) -> None:

@@ -73,26 +73,8 @@ class ReductionLayout:
 
     def original_masks(self, y: np.ndarray) -> np.ndarray:
         """Original input mask selected by each reduced input mask."""
-        return _map_blocks(self, _check_masks(self, y), _original_lut(self))
-
-
-def _original_lut(layout: ReductionLayout) -> np.ndarray:
-    """Whether each m-bit block value makes its original coordinate read 1."""
-    return np.arange(1 << layout.m) >= layout.threshold
-
-
-def _projection_lut(layout: ReductionLayout) -> np.ndarray:
-    """Whether each m-bit block pattern is nonempty."""
-    return np.arange(1 << layout.m) != 0
-
-
-def _map_blocks(layout: ReductionLayout, masks: np.ndarray, lut: np.ndarray) -> np.ndarray:
-    """Bit i of each result is lut[block i of that mask], for the given masks only."""
-    out = np.zeros(masks.shape, dtype=np.int64)
-    low = (1 << layout.m) - 1
-    for i in range(layout.n_original):
-        out |= lut[(masks >> (i * layout.m)) & low].astype(np.int64) << i
-    return out[()]  # a scalar for a scalar mask, as indexing a table gives
+        y = _check_masks(self, y)
+        return _original_table(self)[y].astype(np.int64)
 
 
 def _block_table(layout: ReductionLayout, lut: np.ndarray) -> np.ndarray:
@@ -111,12 +93,12 @@ def _block_table(layout: ReductionLayout, lut: np.ndarray) -> np.ndarray:
 
 def _original_table(layout: ReductionLayout) -> np.ndarray:
     """Original input mask selected by every reduced input mask."""
-    return _block_table(layout, _original_lut(layout))
+    return _block_table(layout, np.arange(1 << layout.m) >= layout.threshold)
 
 
 def _projection_table(layout: ReductionLayout) -> np.ndarray:
     """Block projection of every reduced subset mask."""
-    return _block_table(layout, _projection_lut(layout))
+    return _block_table(layout, np.arange(1 << layout.m) != 0)
 
 
 def _check_masks(layout: ReductionLayout, masks) -> np.ndarray:
@@ -157,7 +139,8 @@ def block_projection(layout: ReductionLayout, masks: np.ndarray) -> np.ndarray:
     A reduced subset S projects to the original subset containing exactly
     the coordinates whose block in S is nonempty.
     """
-    return _map_blocks(layout, _check_masks(layout, masks), _projection_lut(layout))
+    masks = _check_masks(layout, masks)
+    return _projection_table(layout)[masks].astype(np.int64)
 
 
 def floor_log2_reciprocal(t: int, m: int) -> int:

@@ -117,7 +117,9 @@ class Spectrum:
 
     def squares(self) -> np.ndarray:
         """Squared coefficients, as a fresh read-only table on every call."""
-        return _squares(self.coeffs)
+        w = self.coeffs * self.coeffs
+        w.setflags(write=False)
+        return w
 
     def coefficient(self, mask: int) -> float:
         return float(self.coeffs[mask])
@@ -293,12 +295,6 @@ def reconstruct_exact(dspec: DyadicSpectrum):
 # derived quantities
 
 
-def _squares(c: np.ndarray) -> np.ndarray:
-    w = c * c
-    w.setflags(write=False)
-    return w
-
-
 @dataclass(frozen=True, eq=False)
 class SquareSums:
     """Sums over the squared coefficients w = c*c of each row of a (rows, 2^n) array.
@@ -308,20 +304,14 @@ class SquareSums:
     """
 
     n: int
-    coeffs: np.ndarray  # (rows, 2^n): a view of the rows that were summed
     total: np.ndarray  # sum of w
     plogp: np.ndarray  # sum of w log2 w over w > 0
     level_mass: np.ndarray  # sum of |S| w
     coords: np.ndarray  # (rows, n): sum of w over the sets containing i + 1
 
     def __post_init__(self):
-        for arr in (self.coeffs, self.total, self.plogp, self.level_mass, self.coords):
+        for arr in (self.total, self.plogp, self.level_mass, self.coords):
             arr.setflags(write=False)
-
-    @property
-    def squares(self) -> np.ndarray:
-        """The w themselves, (rows, 2^n): computed afresh on every access."""
-        return _squares(self.coeffs)
 
     def entropy(self) -> np.ndarray:
         """Shannon entropy (bits) of each row's squares.
@@ -469,7 +459,6 @@ def square_sums(coeffs: np.ndarray) -> SquareSums:
     _fold_coordinates(total, coords[:, m:])
     return SquareSums(
         n,
-        parts.reshape(rows, -1),
         _pair_sums(total),
         _pair_sums(_by_row(plogp, offsets)),
         _pair_sums(_by_row(level_mass, offsets)),

@@ -13,7 +13,6 @@ from cubefourier.reduction import (
     layout_for,
 )
 from cubefourier.spectral import measure_weights
-from conftest import peak_bytes
 
 
 def test_layout_geometry():
@@ -260,17 +259,6 @@ def test_block_projection_matches_the_per_block_formula(case):
     proj = block_projection(layout, masks)
     assert proj.dtype == np.int64
     assert proj.tolist() == _per_block(layout, masks, lambda v: v != 0).tolist()
-
-
-def test_a_few_masks_map_without_the_whole_table():
-    layout = ReductionLayout(12, t=1, m=2)  # 2^24 reduced masks
-    y = np.array([5, 0b10_01_11 << 18, (1 << 24) - 1])
-    peak = peak_bytes(lambda: (layout.original_masks(y), block_projection(layout, y)))
-    assert peak < 1 << 16
-    assert layout.original_masks(y).tolist() == _per_block(
-        layout, y, lambda v: v >= layout.threshold).tolist()
-    assert block_projection(layout, y).tolist() == _per_block(
-        layout, y, lambda v: v != 0).tolist()
 
 
 @pytest.mark.parametrize("bad", [-1, 1 << 6, [0, 5, -3], [63, 64]])
