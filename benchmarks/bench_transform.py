@@ -7,7 +7,7 @@ bitwise identical output, so only speed is at stake.  A second table times
 the batched form that sweeps use: one (4096, 2**n) buffer of small tables
 in one call, against a loop over its rows.
 
-Usage: python benchmarks/bench_transform.py [--max-n 24] [--threads 4]
+Usage: python benchmarks/bench_transform.py [--max-n 24]
 """
 
 import argparse
@@ -43,14 +43,13 @@ def bench(run, shape, repeats=3):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-n", type=int, default=24)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
     p = 0.3
     c = (p * (1.0 - p)) ** 0.5
     weights = (1.0 - p, p, c, -c)
 
-    def driver(stage, threads=args.threads):
-        return lambda v: _run_stages(v, stage, weights, threads)
+    def driver(stage):
+        return lambda v: _run_stages(v, stage, weights)
 
     print(f"{'n':>4} {'numpy':>12} {'compiled':>12} {'speedup':>9}  identical")
     for n in range(12, args.max_n + 1, 2):
@@ -66,12 +65,12 @@ def main():
 
     rows = 4096
     stage = (_compiled or _kernels_py).stage_f64
-    batch, one_row = driver(stage), driver(stage, threads=1)
+    run = driver(stage)
     print(f"\n{rows} rows, {'compiled' if _compiled else 'numpy'} stages")
     print(f"{'n':>4} {'batch':>12} {'row loop':>12}  identical")
     for n in range(3, 7):
-        t_batch, v_batch = bench(batch, (rows, 1 << n))
-        t_loop, v_loop = bench(lambda v: [one_row(row) for row in v], (rows, 1 << n))
+        t_batch, v_batch = bench(run, (rows, 1 << n))
+        t_loop, v_loop = bench(lambda v: [run(row) for row in v], (rows, 1 << n))
         same = np.array_equal(v_batch, v_loop)
         print(f"{n:>4} {t_batch * 1e3:>10.2f}ms {t_loop * 1e3:>10.2f}ms  {same}")
 

@@ -15,11 +15,12 @@ import numpy as np
 
 # Pairs per piece.  A piece (512 KiB of float64) and its scratch (as much
 # again) stay in a 2 MiB L2 across the piece's six ufunc passes.  Smaller
-# pieces cost more in per-call overhead, and with threads in handing the
-# interpreter lock back and forth between ufunc calls.
+# pieces cost more in per-call overhead, and, while sweep workers run
+# stages at once, in handing the interpreter lock back and forth.
 _CHUNK = 1 << 15
 
-# Scratch buffers, one set per thread: pool workers never share them.
+# Scratch buffers, one set per thread: sweep workers run stages at once and
+# never share them.
 _local = threading.local()
 
 

@@ -2,10 +2,10 @@
  *
  * One stage mixes the two halves of every block of 2*h entries, from block
  * block_lo up to block_hi, with a fixed 2x2 weight matrix.  Pairs are
- * independent, so callers may split the block range across threads; the
- * result is bitwise identical for any split.  Each output is two multiplies
- * then one add, as in the numpy fallback: build with -ffp-contract=off so
- * that none of them is fused.  The caller checks dtype, layout and bounds.
+ * independent, so the result is bitwise identical however the caller cuts
+ * the block range into runs.  Each output is two multiplies then one add,
+ * as in the numpy fallback: build with -ffp-contract=off so that none of
+ * them is fused.  The caller checks dtype, layout and bounds.
  */
 #include <stddef.h>
 #include <stdint.h>

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -201,21 +200,10 @@ class Bias:
     def is_exact(self) -> bool:
         return self.t is not None
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_exact:
-            raise InputError(
-                "this operation needs an exact dyadic bias t/2^m; approximate "
-                f"p={self.p} by a nearby t/2^m first (e.g. Bias.exact(t, m))"
-            )
-        return Fraction(self.t, 1 << self.m)
-
     def __str__(self) -> str:
         if self.is_exact:
             return f"{self.t}/2^{self.m}"
         return repr(self.p)
-
-
-HALF = Bias.exact(1, 1)
 
 
 def as_bias(p) -> Bias:
@@ -242,10 +230,6 @@ class GraphPropertySpec:
     @property
     def n_edges(self) -> int:
         return self.n_vertices * (self.n_vertices - 1) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        nv = self.n_vertices
-        return [(u, v) for u in range(nv) for v in range(u + 1, nv)]
 
     def edge_index(self, u: int, v: int) -> int:
         if u > v:

@@ -2,9 +2,11 @@
 
 The variable-count cap bounds every 2**n allocation (2**26 doubles is about
 0.5 GiB, which keeps desk-scale guarantees).  Override with
-``CUBEFOURIER_MAX_N`` / :func:`set_max_n`; worker-pool width with
-``CUBEFOURIER_THREADS`` / :func:`set_threads`.  Both variables go through
-the setters at import, so a bad value raises :class:`InputError` naming it.
+``CUBEFOURIER_MAX_N`` / :func:`set_max_n`.  The thread count, set with
+``CUBEFOURIER_THREADS`` / :func:`set_threads`, is the width of the pool an
+exhaustive or sampled sweep maps its chunks on; the transforms always run
+in the calling thread.  Both variables go through the setters at import, so
+a bad value raises :class:`InputError` naming it.
 """
 
 import numbers

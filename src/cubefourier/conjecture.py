@@ -21,13 +21,12 @@ from .boolfn import (
     as_bias,
     clique_indicator,
     critical_p0,
-    mask_array,
     rows_to_hex,
     sign_array,
 )
 from .config import check_table_size, get_threads
 from .errors import InputError
-from .kernels import biased_forward_inplace, get_pool
+from .kernels import biased_forward_inplace
 from .spectral import (
     coordinate_influences,
     degree as spectral_degree,
@@ -234,34 +233,19 @@ class SweepResult:
         idx = int(np.nanargmax(self.ratio))
         return float(self.ratio[idx]), self.function_hex([idx])[0]
 
-    def max_claim_constant(self) -> float | None:
-        """Largest observed Ent / (p(1-p) log2(n) I) over the sweep.
-
-        This is the constant the biased form of the conjecture would need;
-        it is measured, never asserted, and undefined at n = 1 or for
-        sweeps where no function has positive influence.
-        """
-        if self.n < 2:
-            return None
-        scale = self.p * (1.0 - self.p) * math.log2(self.n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(self.influence > 0, self.entropy / (scale * self.influence), np.nan)
-        if not np.any(np.isfinite(c)):
-            return None
-        return float(np.nanmax(c))
-
     def function_hex(self, indices) -> list[str]:
         """Hex ids (the truth-table text format) of the functions at ``indices``."""
         return rows_to_hex(_id_bits(self.n, self.function_ids[indices]))
 
 
 def _id_bits(n: int, ids: np.ndarray) -> np.ndarray:
-    """(len(ids), 2**n) truth tables of the function ids, one uint8 row each."""
-    return ((ids[:, None] >> mask_array(n)) & 1).astype(np.uint8)
+    """(len(ids), 2**n) truth tables of the function ids, one uint8 row each.
 
-
-def _table_from_id(n: int, fid: int) -> TruthTable:
-    return TruthTable(n, _id_bits(n, np.array([fid], dtype=np.int64))[0])
+    Bit j of an id is byte j // 8, bit j % 8 of its little-endian bytes, so
+    the rows unpack straight from those bytes on any host.
+    """
+    octets = np.ascontiguousarray(ids, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=1 << n, bitorder="little")
 
 
 def _sweep_chunk(n: int, p: float, ids: np.ndarray) -> dict:
@@ -271,7 +255,7 @@ def _sweep_chunk(n: int, p: float, ids: np.ndarray) -> dict:
     :func:`analyze`, so results do not depend on batching.
     """
     coeffs = sign_array(_id_bits(n, ids), np.float64)
-    biased_forward_inplace(coeffs, p, threads=1)
+    biased_forward_inplace(coeffs, p)
     sums = square_sums(coeffs)
     ent = sums.entropy()
     infl = sums.influence(p)
@@ -338,7 +322,11 @@ def exhaustive_sweep(
     ]
     nthreads = get_threads()
     if nthreads > 1 and len(chunks) > 1:
-        parts = list(get_pool(nthreads).map(partial(_sweep_chunk, n, p), chunks))
+        # here: importing concurrent.futures costs every command about 8 ms
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+            parts = list(pool.map(partial(_sweep_chunk, n, p), chunks))
     else:
         parts = [_sweep_chunk(n, p, ids) for ids in chunks]
 

@@ -19,19 +19,17 @@ small tables costs a few long stage calls, not one per row.  Phase two runs
 the remaining stages over the whole buffer.  Every element still goes
 through the same stages in the same order, each produced by one fixed
 arithmetic expression, so the output is bitwise identical to the plain
-stage-after-stage loop, for every thread count.
+stage-after-stage loop.
 
-Threading splits phase one's runs, and each phase-two stage's butterfly
-blocks, into contiguous ranges on a module thread pool.  The C stages run
-without the interpreter lock (ctypes releases it for each call), so the
-workers run in parallel.
+The transforms run in the calling thread: handing part of one transform
+to a second thread was measured no faster on a 2-vCPU machine.  Callers
+may transform separate arrays at once, each in its own thread, as the
+sweep's chunk workers do; the C stages then run in parallel, since ctypes
+releases the interpreter lock for each call.
 """
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from functools import partial
 
 import numpy as np
 
@@ -57,43 +55,12 @@ else:
 # which stays in a 2 MiB L2 across the run's stages.
 _BLOCK_LOG2 = 16
 
-# Below this table size, thread dispatch costs more than it saves.
-_PARALLEL_MIN_SIZE = 1 << 16
-
-_pool = None
-_pool_size = 0
-_pool_lock = threading.Lock()
-
 
 def backend_name() -> str:
     return BACKEND
 
 
-def get_pool(threads):
-    """The module worker pool, created on first use and grown to `threads`."""
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool_size < threads:
-            # A replaced pool's idle workers exit once it is collected.
-            _pool = ThreadPoolExecutor(max_workers=threads, thread_name_prefix="cubefourier")
-            _pool_size = threads
-        return _pool
-
-
-def _split(pool, fn, count, threads):
-    """Run fn(lo, hi) over [0, count) as contiguous ranges, one per worker."""
-    parts = min(threads, count)
-    if pool is None or parts < 2:
-        fn(0, count)
-        return
-    cuts = [(count * t) // parts for t in range(parts + 1)]
-    futures = [pool.submit(fn, cuts[t], cuts[t + 1]) for t in range(parts)]
-    wait(futures)
-    for fut in futures:
-        fut.result()
-
-
-def _run_stages(v, stage, weights, threads):
+def _run_stages(v, stage, weights):
     # The C stages write through a raw pointer, so check what they trust
     # first.  The float64 stage takes four weights, the int64 stage none.
     dtype = np.dtype(np.float64 if weights else np.int64)
@@ -111,34 +78,28 @@ def _run_stages(v, stage, weights, threads):
     size = flat.size
     n = v.shape[-1].bit_length() - 1
     low = min(n, _BLOCK_LOG2)
-    use_pool = threads > 1 and size >= _PARALLEL_MIN_SIZE
-    pool = get_pool(threads) if use_pool else None
-
-    def low_stages(run_lo, run_hi):
-        for r in range(run_lo, run_hi):
-            # a short last run of a batch still ends on a row boundary
-            start, end = r << _BLOCK_LOG2, min((r + 1) << _BLOCK_LOG2, size)
-            for i in range(low):
-                stage(flat, *weights, 1 << i, start >> (i + 1), end >> (i + 1))
-
-    _split(pool, low_stages, -(-size >> _BLOCK_LOG2), threads)
+    for start in range(0, size, 1 << _BLOCK_LOG2):
+        # a short last run of a batch still ends on a row boundary
+        end = min(start + (1 << _BLOCK_LOG2), size)
+        for i in range(low):
+            stage(flat, *weights, 1 << i, start >> (i + 1), end >> (i + 1))
     for i in range(low, n):
-        _split(pool, partial(stage, flat, *weights, 1 << i), size >> (i + 1), threads)
+        stage(flat, *weights, 1 << i, 0, size >> (i + 1))
 
 
-def biased_forward_inplace(v, p: float, threads: int = 1) -> None:
+def biased_forward_inplace(v, p: float) -> None:
     """Apply the n-stage forward butterfly for bias p to each float64 row."""
     c = math.sqrt(p * (1.0 - p))
-    _run_stages(v, _impl.stage_f64, (1.0 - p, p, c, -c), threads)
+    _run_stages(v, _impl.stage_f64, (1.0 - p, p, c, -c))
 
 
-def biased_inverse_inplace(v, p: float, threads: int = 1) -> None:
+def biased_inverse_inplace(v, p: float) -> None:
     """Apply the inverse butterfly (coefficients back to point values)."""
     r = math.sqrt(p / (1.0 - p))
     s = math.sqrt((1.0 - p) / p)
-    _run_stages(v, _impl.stage_f64, (1.0, r, 1.0, -s), threads)
+    _run_stages(v, _impl.stage_f64, (1.0, r, 1.0, -s))
 
 
-def wht_inplace(v, threads: int = 1) -> None:
+def wht_inplace(v) -> None:
     """Unnormalised integer Walsh-Hadamard transform of each int64 row."""
-    _run_stages(v, _impl.stage_i64, (), threads)
+    _run_stages(v, _impl.stage_i64, ())

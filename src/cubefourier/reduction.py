@@ -15,7 +15,6 @@ when p <= 1/2, and spectral entropy never decreases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -59,22 +58,9 @@ class ReductionLayout:
         return self.n_original * self.m
 
     @property
-    def p(self) -> Fraction:
-        return Fraction(self.t, 1 << self.m)
-
-    @property
     def threshold(self) -> int:
         """Block values >= threshold make the original coordinate read 1."""
         return (1 << self.m) - self.t
-
-    def block_value(self, y: int, i: int) -> int:
-        """Integer value of block i (for original coordinate i) inside mask y."""
-        return (y >> ((i - 1) * self.m)) & ((1 << self.m) - 1)
-
-    def original_masks(self, y: np.ndarray) -> np.ndarray:
-        """Original input mask selected by each reduced input mask."""
-        y = _check_masks(self, y)
-        return _original_table(self)[y].astype(np.int64)
 
 
 def _block_table(layout: ReductionLayout, lut: np.ndarray) -> np.ndarray:
@@ -99,15 +85,6 @@ def _original_table(layout: ReductionLayout) -> np.ndarray:
 def _projection_table(layout: ReductionLayout) -> np.ndarray:
     """Block projection of every reduced subset mask."""
     return _block_table(layout, np.arange(1 << layout.m) != 0)
-
-
-def _check_masks(layout: ReductionLayout, masks) -> np.ndarray:
-    masks = np.asarray(masks, dtype=np.int64)
-    if masks.size and (masks.min() < 0 or masks.max() >= 1 << layout.n_reduced):
-        raise InputError(
-            f"reduced masks must lie in [0, 2^{layout.n_reduced}) for this layout"
-        )
-    return masks
 
 
 def _exact_bias(p: Bias) -> tuple[int, int]:
@@ -139,7 +116,11 @@ def block_projection(layout: ReductionLayout, masks: np.ndarray) -> np.ndarray:
     A reduced subset S projects to the original subset containing exactly
     the coordinates whose block in S is nonempty.
     """
-    masks = _check_masks(layout, masks)
+    masks = np.asarray(masks, dtype=np.int64)
+    if masks.size and (masks.min() < 0 or masks.max() >= 1 << layout.n_reduced):
+        raise InputError(
+            f"reduced masks must lie in [0, 2^{layout.n_reduced}) for this layout"
+        )
     return _projection_table(layout)[masks].astype(np.int64)
 
 

@@ -4,7 +4,7 @@ Under the product measure where each stored bit is 1 with probability p,
 the orthonormal characters are indexed by subset masks S and the transform
 is computed in place by n butterfly stages, one per coordinate, in O(n 2^n)
 time.  Stage order is fixed (coordinate 1 first) so results are bitwise
-reproducible across backends and thread counts.
+reproducible across backends.
 
 The coefficient at subset mask S lives at index S of the coefficient array;
 coordinate i corresponds to mask bit i-1.
@@ -33,7 +33,7 @@ from .boolfn import (
     mask_array,
     sign_array,
 )
-from .config import check_table_size, get_threads
+from .config import check_table_size
 from .errors import InputError
 
 __all__ = [
@@ -240,14 +240,14 @@ def transform(f: TruthTable | RealTable, p=0.5) -> Spectrum:
     """Coefficients of f in the orthonormal basis of the p-biased measure."""
     bias = as_bias(p)
     v = f.sign_values()  # fresh, writable copy
-    kernels.biased_forward_inplace(v, bias.p, threads=get_threads())
+    kernels.biased_forward_inplace(v, bias.p)
     return Spectrum(f.n, bias.p, v)
 
 
 def inverse_transform(spec: Spectrum) -> RealTable:
     """Rebuild the function table from its coefficients."""
     v = spec.coeffs.copy()
-    kernels.biased_inverse_inplace(v, spec.p, threads=get_threads())
+    kernels.biased_inverse_inplace(v, spec.p)
     return RealTable(spec.n, v)
 
 
@@ -274,14 +274,14 @@ def exact_transform(f: TruthTable | RealTable) -> DyadicSpectrum:
         v = rounded.astype(np.int64)
     if f.n < 1:
         raise InputError("exact transform needs at least one variable")
-    kernels.wht_inplace(v, threads=get_threads())
+    kernels.wht_inplace(v)
     return DyadicSpectrum(f.n, v)
 
 
 def reconstruct_exact(dspec: DyadicSpectrum):
     """Invert an exact spectrum; returns a TruthTable when the values are +-1."""
     v = dspec.numerators.copy()
-    kernels.wht_inplace(v, threads=get_threads())
+    kernels.wht_inplace(v)
     size = 1 << dspec.n
     if np.any(v % size):
         raise InputError("numerators are not a valid exact spectrum")

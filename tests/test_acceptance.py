@@ -338,19 +338,24 @@ def test_criterion_10_transform_performance(capsys):
     for every thread count."""
     v20 = cf.random_function(20, seed=1).sign_values()
     t0 = time.perf_counter()
-    kernels.biased_forward_inplace(v20, 0.3, threads=1)
+    kernels.biased_forward_inplace(v20, 0.3)
     t_20 = time.perf_counter() - t0
 
     f24 = cf.random_function(24, seed=2)
     v_single = f24.sign_values()
     t0 = time.perf_counter()
-    kernels.biased_forward_inplace(v_single, 0.3, threads=1)
+    kernels.biased_forward_inplace(v_single, 0.3)
     t_single = time.perf_counter() - t0
 
     v_multi = f24.sign_values()
-    t0 = time.perf_counter()
-    kernels.biased_forward_inplace(v_multi, 0.3, threads=4)
-    t_multi = time.perf_counter() - t0
+    saved = config.get_threads()
+    try:
+        config.set_threads(4)
+        t0 = time.perf_counter()
+        kernels.biased_forward_inplace(v_multi, 0.3)
+        t_multi = time.perf_counter() - t0
+    finally:
+        config.set_threads(saved)
 
     identical = bool(np.array_equal(v_single, v_multi))
     ok = t_20 < 2.0 and (t_single < 40.0 or t_multi < 10.0) and identical

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import cubefourier as cf
-from cubefourier import config, conjecture, kernels
+from cubefourier import config, kernels
 from cubefourier.errors import InputError
 
 
@@ -58,17 +58,24 @@ def test_setters_reject_non_integers(value):
 
 
 def test_set_threads_reaches_the_kernels(monkeypatch):
-    """The configured count is what the butterfly and the sweep's pool get."""
-    stage_threads, pool_threads = [], []
+    """The configured count is the width of the sweep's pool; every
+    transform runs in the thread that calls it."""
+    import concurrent.futures
+    import threading
 
-    def spy(real, seen):
-        def wrapper(*args):
-            seen.append(args[-1])
-            return real(*args)
-        return wrapper
+    widths, stage_callers = [], []
+    real_pool, real_stages = concurrent.futures.ThreadPoolExecutor, kernels._run_stages
 
-    monkeypatch.setattr(kernels, "_run_stages", spy(kernels._run_stages, stage_threads))
-    monkeypatch.setattr(conjecture, "get_pool", spy(conjecture.get_pool, pool_threads))
+    def pool_spy(max_workers):
+        widths.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    def stage_spy(*args):
+        stage_callers.append(threading.get_ident())
+        return real_stages(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool_spy)
+    monkeypatch.setattr(kernels, "_run_stages", stage_spy)
     f = cf.random_function(6, 1)
     calls = {
         "transform": lambda: cf.transform(f, 0.3),
@@ -80,13 +87,17 @@ def test_set_threads_reaches_the_kernels(monkeypatch):
     try:
         config.set_threads(3)
         for name, call in calls.items():
-            stage_threads.clear()
+            stage_callers.clear()
             call()
-            assert stage_threads == [3], name
-        stage_threads.clear()
+            assert stage_callers == [threading.get_ident()], name
+        assert widths == []
+        stage_callers.clear()
         cf.exhaustive_sweep(4)
-        # the pool is 3 wide; each worker runs its chunk's butterfly alone
-        assert pool_threads == [3]
-        assert stage_threads and set(stage_threads) == {1}
+        # the pool is 3 wide; its workers run the chunks' butterflies
+        assert widths == [3]
+        assert stage_callers and threading.get_ident() not in stage_callers
+        config.set_threads(1)
+        cf.exhaustive_sweep(4)
+        assert widths == [3]
     finally:
         config.set_threads(saved)

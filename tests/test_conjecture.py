@@ -13,11 +13,15 @@ from cubefourier.boolfn import rows_to_hex
 from cubefourier.conjecture import (
     _id_bits,
     _sweep_chunk,
-    _table_from_id,
     exceeded_bounds,
 )
 from cubefourier.errors import InputError
 from conftest import peak_bytes
+
+
+def _table_from_id(n, fid):
+    """Oracle for the sweep's id encoding: the bit at mask j is (fid >> j) & 1."""
+    return cf.TruthTable(n, np.array([(fid >> j) & 1 for j in range(1 << n)], dtype=np.uint8))
 
 
 def test_binary_entropy_endpoints_and_symmetry():
@@ -115,8 +119,8 @@ def test_function_hex_matches_table_hex():
     cases = {
         1: (0, 1, 2, 3),
         2: (0, 1, 0x6, 0xF),
-        4: (0, 1, 0x8000, 0xBEEF),
-        5: (0, 1, 0x80000000, 0xDEADBEEF),
+        4: (0, 1, 0x8000, 0xBEEF, 0xFFFF),
+        5: (0, 1, 0x80000000, 0xDEADBEEF, 0xFFFFFFFF),
     }
     for n, fids in cases.items():
         ids = np.array(fids, dtype=np.int64)
@@ -233,15 +237,22 @@ def test_sampled_sweep_is_seeded():
 
 
 def test_biased_sweep_records_the_claim_constant():
-    # at p != 1/2 nothing is asserted; the sweep just measures the largest
-    # Ent / (p(1-p) log2(n) I) seen, which must be finite and positive
+    # at p != 1/2 nothing is asserted; the largest Ent / (p(1-p) log2(n) I)
+    # over the swept functions is measured, and must be finite and positive
     for p in (0.25, 0.125):
         res = cf.exhaustive_sweep(3, p=p)
         assert res.violations == []
-        c = res.max_claim_constant()
-        assert c is not None and 0.0 < c < 100.0
+        claims = [
+            cf.analyze(_table_from_id(3, fid), p).claim_constant
+            for fid, infl in zip(res.function_ids.tolist(), res.influence)
+            if infl > 0
+        ]
+        assert claims and None not in claims
+        assert 0.0 < max(claims) < 100.0
     # n = 1 has no log2(n) normalisation to speak of
-    assert cf.exhaustive_sweep(1, p=0.25).max_claim_constant() is None
+    res = cf.exhaustive_sweep(1, p=0.25)
+    assert all(cf.analyze(_table_from_id(1, fid), 0.25).claim_constant is None
+               for fid in res.function_ids.tolist())
 
 
 def test_sweep_csv_layout(tmp_path):

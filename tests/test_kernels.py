@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubefourier as cf
-from cubefourier import _kernels_py, _stages, kernels
+from cubefourier import _kernels_py, _stages, config, kernels
 from cubefourier.errors import InputError
 
 try:
@@ -85,23 +85,30 @@ def test_partial_block_ranges_compose():
     assert np.array_equal(v_full, v_split)
 
 
+def _under_threads(threads, fn, *args):
+    saved = config.get_threads()
+    try:
+        config.set_threads(threads)
+        return fn(*args)
+    finally:
+        config.set_threads(saved)
+
+
 @given(st.integers(1, 12), st.integers(0, 100), st.integers(1, 8))
 def test_thread_count_never_changes_results(n, seed, threads):
-    v1 = _random_vec(n, seed)
-    v2 = v1.copy()
-    kernels.biased_forward_inplace(v1, 0.3, threads=1)
-    kernels.biased_forward_inplace(v2, 0.3, threads=threads)
-    assert np.array_equal(v1, v2)
+    f = cf.RealTable(n, _random_vec(n, seed))
+    c1 = _under_threads(1, cf.transform, f, 0.3).coeffs
+    c2 = _under_threads(threads, cf.transform, f, 0.3).coeffs
+    assert np.array_equal(c1, c2)
 
 
 @given(st.integers(1, 12), st.integers(0, 100), st.integers(1, 8))
 def test_wht_thread_count_never_changes_results(n, seed, threads):
     rng = np.random.Generator(np.random.PCG64(seed))
-    v1 = rng.integers(-5, 5, size=1 << n).astype(np.int64)
-    v2 = v1.copy()
-    kernels.wht_inplace(v1, threads=1)
-    kernels.wht_inplace(v2, threads=threads)
-    assert np.array_equal(v1, v2)
+    f = cf.RealTable(n, rng.integers(-5, 5, size=1 << n).astype(np.float64))
+    d1 = _under_threads(1, cf.exact_transform, f).numerators
+    d2 = _under_threads(threads, cf.exact_transform, f).numerators
+    assert np.array_equal(d1, d2)
 
 
 def test_forward_inverse_weights_cancel():
@@ -147,12 +154,12 @@ def test_full_transform_same_under_both_backends():
     p = 0.3
     c = np.sqrt(p * (1 - p))
     w = (1 - p, p, c, -c)
-    _run_stages(v1, _compiled.stage_f64, w, threads=1)
-    _run_stages(v2, _kernels_py.stage_f64, w, threads=1)
+    _run_stages(v1, _compiled.stage_f64, w)
+    _run_stages(v2, _kernels_py.stage_f64, w)
     assert np.array_equal(v1, v2)
 
 
-# --- the two-phase schedule, the piecewise numpy stages and the worker pool ---
+# --- the two-phase schedule, the piecewise numpy stages, concurrent callers ---
 
 STAGE_BACKENDS = [_kernels_py] + ([_compiled] if _compiled is not None else [])
 
@@ -180,17 +187,16 @@ def _case_input(case, n):
 @pytest.mark.parametrize("case", sorted(_schedule_cases()))
 @pytest.mark.parametrize("n", [13, 14, 15, 16, 17, 18])
 def test_blocked_threaded_schedule_matches_plain_loop(backend, case, n):
-    """The blocked, threaded driver equals stage after stage over the whole table."""
+    """The blocked driver equals stage after stage over the whole table."""
     name, w = _schedule_cases()[case]
     stage = getattr(backend, name)
     size = 1 << n
     expected = _case_input(case, n)
     for i in range(n):
         stage(expected, *w, 1 << i, 0, size >> (i + 1))
-    for threads in (1, 2, 3):
-        v = _case_input(case, n)
-        kernels._run_stages(v, stage, w, threads)
-        assert np.array_equal(v, expected), (case, n, threads)
+    v = _case_input(case, n)
+    kernels._run_stages(v, stage, w)
+    assert np.array_equal(v, expected), (case, n)
 
 
 def _reference_stage(v, w, h, block_lo, block_hi):
@@ -224,39 +230,42 @@ def test_numpy_stage_pieces_match_whole_range_arithmetic(case):
 
 
 def test_concurrent_callers_share_the_pool_safely():
-    """Several callers with different thread counts at once, on a short switch interval."""
+    """Callers in several threads at once, with each backend, on a short switch
+    interval: as the sweep's workers run stages, sharing no scratch buffer."""
     import sys
     import threading
 
     n = 17
     inputs = [_random_vec(n, seed) for seed in range(4)]
-    expected = []
-    for x in inputs:
-        y = x.copy()
-        kernels.biased_forward_inplace(y, 0.3, threads=1)
-        expected.append(y)
-    results = [None] * len(inputs)
+    name, w = _schedule_cases()["forward_p03"]
+    for backend in STAGE_BACKENDS:
+        stage = getattr(backend, name)
+        expected = []
+        for x in inputs:
+            y = x.copy()
+            kernels._run_stages(y, stage, w)
+            expected.append(y)
+        results = [None] * len(inputs)
 
-    def work(k):
-        v = inputs[k].copy()
-        for _ in range(3):
-            w = v.copy()
-            kernels.biased_forward_inplace(w, 0.3, threads=2 + k)
-        results[k] = w
+        def work(k):
+            for _ in range(3):
+                v = inputs[k].copy()
+                kernels._run_stages(v, stage, w)
+            results[k] = v
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in workers)
-    for got, want in zip(results, expected):
-        assert got is not None and np.array_equal(got, want)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in workers)
+        for got, want in zip(results, expected):
+            assert got is not None and np.array_equal(got, want), backend.__name__
 
 
 def _child_kernels(prelude="", **env_extra):
@@ -370,15 +379,14 @@ def test_batch_of_rows_matches_each_row_alone(backend, case, n):
         distinct = rng.standard_normal((7, 1 << n))
     alone = distinct.copy()
     for row in alone:
-        kernels._run_stages(row, stage, w, 1)
+        kernels._run_stages(row, stage, w)
     for rows in _batch_rows(n):
         # 7 distinct rows repeat; two rows a power of two apart always differ
         batch = np.resize(distinct, (rows, 1 << n))
         expected = np.resize(alone, (rows, 1 << n))
-        for threads in (1, 2, 3):
-            v = batch.copy()
-            kernels._run_stages(v, stage, w, threads)
-            assert np.array_equal(v, expected), (case, n, rows, threads)
+        v = batch.copy()
+        kernels._run_stages(v, stage, w)
+        assert np.array_equal(v, expected), (case, n, rows)
 
 
 def test_public_transforms_take_batches_and_reject_strided_ones():
@@ -403,7 +411,7 @@ def test_small_rows_share_phase_one_runs():
         _kernels_py.stage_i64(v, *args)
 
     n, rows = 4, 4097  # 65552 entries: one full run of 2^16 and one short run
-    kernels._run_stages(np.zeros((rows, 1 << n), dtype=np.int64), counting, (), 1)
+    kernels._run_stages(np.zeros((rows, 1 << n), dtype=np.int64), counting, ())
     assert len(calls) == 2 * n
     assert calls[-1] == (1 << (n - 1), (1 << 16) >> n, (rows << n) >> n)
 
@@ -433,5 +441,5 @@ def test_driver_refuses_arrays_the_stages_cannot_write_in_place(backend, case):
     for label, v in refused.items():
         before = np.array(v, copy=True)
         with pytest.raises(InputError):
-            kernels._run_stages(v, stage, w, 1)
+            kernels._run_stages(v, stage, w)
         assert np.array_equal(np.asarray(v), before), label
