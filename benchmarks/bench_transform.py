@@ -22,7 +22,7 @@ try:
     _stages.load()
     _compiled = _stages
 except OSError as exc:
-    print(f"C stage kernels not loaded: {exc}")
+    print(f"C stage kernel not loaded: {exc}")
     _compiled = None
 
 

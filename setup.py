@@ -1,4 +1,4 @@
-"""Build script: ships the C stage kernels compiled with the package.
+"""Build script: ships the C stage kernel compiled with the package.
 
 At import the package compiles ``_stages.c`` into its ``__pycache__`` when no
 matching library is cached there (see ``cubefourier/_stages.py``).  Building
@@ -26,7 +26,7 @@ class BuildPyWithStages(build_py):
         try:
             stages.build(os.path.join(self.build_lib, "cubefourier"))
         except OSError as exc:
-            print(f"warning: C stage kernels not built ({exc}); using numpy fallback")
+            print(f"warning: C stage kernel not built ({exc}); using numpy fallback")
 
 
 setup(cmdclass={"build_py": BuildPyWithStages})

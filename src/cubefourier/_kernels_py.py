@@ -1,6 +1,6 @@
-"""Numpy fallback for the butterfly stage kernels.
+"""Numpy fallback for the butterfly stage kernel.
 
-Mirrors the compiled stage functions exactly: same signature, same
+Mirrors the compiled ``stage_f64`` exactly: same signature, same
 per-element arithmetic (two multiplies then one add), so both backends
 produce the same doubles.
 
@@ -19,17 +19,15 @@ import numpy as np
 # stages at once, in handing the interpreter lock back and forth.
 _CHUNK = 1 << 15
 
-# Scratch buffers, one set per thread: sweep workers run stages at once and
+# Scratch buffers, one per thread: sweep workers run stages at once and
 # never share them.
 _local = threading.local()
 
 
-def _scratch(dtype):
-    key = np.dtype(dtype).name
-    buf = getattr(_local, key, None)
+def _scratch():
+    buf = getattr(_local, "buf", None)
     if buf is None:
-        buf = np.empty((2, _CHUNK), dtype=dtype)
-        setattr(_local, key, buf)
+        buf = _local.buf = np.empty((2, _CHUNK), dtype=np.float64)
     return buf
 
 
@@ -58,7 +56,7 @@ def _pieces(v, h, block_lo, block_hi):
 
 
 def stage_f64(v, w00, w01, w10, w11, h, block_lo, block_hi):
-    s = _scratch(np.float64)
+    s = _scratch()
     for lo, hi in _pieces(v, h, block_lo, block_hi):
         t, u = s[:, : lo.size].reshape(2, *lo.shape)
         np.multiply(lo, w10, out=t)
@@ -67,12 +65,3 @@ def stage_f64(v, w00, w01, w10, w11, h, block_lo, block_hi):
         np.add(lo, u, out=lo)  # w00*lo + w01*hi
         np.multiply(hi, w11, out=hi)
         np.add(t, hi, out=hi)  # w10*lo + w11*hi
-
-
-def stage_i64(v, h, block_lo, block_hi):
-    s = _scratch(np.int64)
-    for lo, hi in _pieces(v, h, block_lo, block_hi):
-        t = s[0, : lo.size].reshape(lo.shape)
-        np.subtract(lo, hi, out=t)
-        np.add(lo, hi, out=lo)
-        np.copyto(hi, t)

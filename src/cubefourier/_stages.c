@@ -1,6 +1,6 @@
-/* Butterfly stage kernels, loaded by kernels.py through ctypes.
+/* The butterfly stage kernel, loaded by kernels.py through ctypes.
  *
- * One stage mixes the two halves of every block of 2*h entries, from block
+ * One stage mixes the two halves of every block of 2*h doubles, from block
  * block_lo up to block_hi, with a fixed 2x2 weight matrix.  Pairs are
  * independent, so the result is bitwise identical however the caller cuts
  * the block range into runs.  Each output is two multiplies then one add,
@@ -8,7 +8,6 @@
  * them is fused.  The caller checks dtype, layout and bounds.
  */
 #include <stddef.h>
-#include <stdint.h>
 
 void stage_f64(double *v, double w00, double w01, double w10, double w11,
                ptrdiff_t h, ptrdiff_t block_lo, ptrdiff_t block_hi)
@@ -18,16 +17,5 @@ void stage_f64(double *v, double w00, double w01, double w10, double w11,
             double lo = x[k], hi = x[k + h];
             x[k] = w00 * lo + w01 * hi;
             x[k + h] = w10 * lo + w11 * hi;
-        }
-}
-
-/* int64 entries, added as unsigned so that overflow wraps as numpy's does. */
-void stage_i64(uint64_t *v, ptrdiff_t h, ptrdiff_t block_lo, ptrdiff_t block_hi)
-{
-    for (uint64_t *x = v + 2 * h * block_lo; x < v + 2 * h * block_hi; x += 2 * h)
-        for (ptrdiff_t k = 0; k < h; k++) {
-            uint64_t lo = x[k], hi = x[k + h];
-            x[k] = lo + hi;
-            x[k + h] = lo - hi;
         }
 }

@@ -1,4 +1,4 @@
-"""Compiled stage kernels: ``_stages.c``, built once and called through ctypes.
+"""Compiled stage kernel: ``_stages.c``, built once and called through ctypes.
 
 The shared library is cached like a ``.pyc``, as
 ``__pycache__/_stages-<key>.so`` beside the source.  The key hashes the
@@ -12,8 +12,8 @@ partial library.  ``setup.py`` runs the same :func:`build` on the install
 tree, so read-only installs find the library ready.  This module uses only
 the standard library, so ``setup.py`` can load it on its own.
 
-The stage functions take the same arguments as the numpy fallback in
-``_kernels_py`` and trust them: the caller (``kernels._run_stages``) checks
+``stage_f64`` takes the same arguments as the numpy fallback in
+``_kernels_py`` and trusts them: the caller (``kernels._run_stages``) checks
 dtype, layout and writability first.
 """
 
@@ -81,21 +81,16 @@ _lib = None
 
 
 def load() -> None:
-    """Build the library if needed and bind its stages; raises OSError on failure."""
+    """Build the library if needed and bind its stage; raises OSError on failure."""
     global _lib
     if _lib is not None:
         return
     lib = ctypes.CDLL(build())
     size = ctypes.c_ssize_t
     lib.stage_f64.argtypes = [ctypes.c_void_p, *[ctypes.c_double] * 4, size, size, size]
-    lib.stage_i64.argtypes = [ctypes.c_void_p, size, size, size]
-    lib.stage_f64.restype = lib.stage_i64.restype = None
+    lib.stage_f64.restype = None
     _lib = lib
 
 
 def stage_f64(v, w00, w01, w10, w11, h, block_lo, block_hi):
     _lib.stage_f64(v.ctypes.data, w00, w01, w10, w11, h, block_lo, block_hi)
-
-
-def stage_i64(v, h, block_lo, block_hi):
-    _lib.stage_i64(v.ctypes.data, h, block_lo, block_hi)

@@ -147,8 +147,8 @@ def _load_source(ns, suffix="") -> TruthTable:
         return parse_family(family)
     if path is not None:
         return load_truth_table(path)
-    n = (len(bits)).bit_length() - 1
-    if (1 << n) != len(bits):
+    n = len(bits).bit_length() - 1
+    if n < 0 or (1 << n) != len(bits):
         raise InputError("--bits length must be a power of two")
     return from_bits(n, bits)
 
@@ -180,7 +180,9 @@ def _add_common(parser):
         "--format", choices=("json", "text"), default="text", help="report format"
     )
     parser.add_argument("--output", metavar="PATH", help="write the report to a file")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument(
+        "--threads", type=int, default=None, help="sweep pool width; other commands use one thread"
+    )
     parser.add_argument(
         "--max-n", type=int, default=None, help="raise or lower the table-size cap"
     )

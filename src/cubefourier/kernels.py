@@ -1,11 +1,12 @@
 """Backend selection and stage driver for the cube transforms.
 
-The C stage kernels (``_stages.c``, built on first import and loaded
-through ctypes, see ``_stages``) are preferred; the numpy fallback is
-selected automatically when they cannot be built or loaded, or explicitly
-via ``CUBEFOURIER_PURE_PYTHON=1``.  ``LOAD_ERROR`` keeps the reason the C
-kernels were not used (``None`` when they loaded).  Both backends run the
-same stage schedule, so they agree to the last double.
+Every transform runs one float64 butterfly stage with its own weights.
+The C stage (``_stages.c``, built on first import and loaded through
+ctypes, see ``_stages``) is preferred; the numpy fallback is selected
+automatically when it cannot be built or loaded, or explicitly via
+``CUBEFOURIER_PURE_PYTHON=1``.  ``LOAD_ERROR`` keeps the reason the C stage
+was not used (``None`` when it loaded).  Both backends run the same stage
+schedule, so they agree to the last double.
 
 The transforms take one table of 2^n entries or a C-contiguous (rows, 2^n)
 batch.  Stage i pairs entries k and k + 2^i inside aligned runs of 2^(i+1)
@@ -49,7 +50,7 @@ else:
     except OSError as exc:  # no compiler, a failed build, an unwritable cache, a bad library
         _impl = _kernels_py
         BACKEND = "python"
-        LOAD_ERROR = f"C stage kernels not loaded: {exc}"
+        LOAD_ERROR = f"C stage kernel not loaded: {exc}"
 
 # Phase one works on runs of 2^_BLOCK_LOG2 entries: 512 KiB of float64,
 # which stays in a 2 MiB L2 across the run's stages.
@@ -61,17 +62,15 @@ def backend_name() -> str:
 
 
 def _run_stages(v, stage, weights):
-    # The C stages write through a raw pointer, so check what they trust
-    # first.  The float64 stage takes four weights, the int64 stage none.
-    dtype = np.dtype(np.float64 if weights else np.int64)
+    # The C stage writes through a raw pointer, so check what it trusts first.
     if not (
         isinstance(v, np.ndarray)
         and v.ndim
-        and v.dtype == dtype
+        and v.dtype == np.float64
         and v.flags.c_contiguous
         and v.flags.writeable
     ):
-        raise InputError(f"the transforms work in place on writable C-contiguous {dtype} arrays")
+        raise InputError("the transforms work in place on writable C-contiguous float64 arrays")
     if v.shape[-1] & (v.shape[-1] - 1):
         raise InputError(f"a table holds 2^n entries, not {v.shape[-1]}")
     flat = v.reshape(-1)  # a view: whole rows of 2^n entries, back to back
@@ -101,5 +100,6 @@ def biased_inverse_inplace(v, p: float) -> None:
 
 
 def wht_inplace(v) -> None:
-    """Unnormalised integer Walsh-Hadamard transform of each int64 row."""
-    _run_stages(v, _impl.stage_i64, ())
+    """Unnormalised Walsh-Hadamard transform of each float64 row; on integer
+    rows it is exact while every partial sum stays below 2^53."""
+    _run_stages(v, _impl.stage_f64, (1.0, 1.0, 1.0, -1.0))

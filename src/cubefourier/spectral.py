@@ -31,7 +31,6 @@ from .boolfn import (
     as_bias,
     level_array,
     mask_array,
-    sign_array,
 )
 from .config import check_table_size
 from .errors import InputError
@@ -137,9 +136,9 @@ class Spectrum:
 class DyadicSpectrum:
     """Exact uniform-measure coefficients: coeff(S) = numerators[S] / 2**n.
 
-    Computed with 64-bit integer butterflies, so every arithmetic step is
-    exact.  For a +-1 valued function the numerators always fit: their
-    squares sum to 4**n.
+    The float64 butterfly computes them exactly (see ``exact_transform``).
+    For a +-1 valued function the numerators always fit: their squares sum
+    to 4**n.
     """
 
     n: int
@@ -255,23 +254,20 @@ _EXACT_VALUE_BOUND = 1 << 20
 
 
 def exact_transform(f: TruthTable | RealTable) -> DyadicSpectrum:
-    """Uniform-measure coefficients in exact integer arithmetic.
+    """Uniform-measure coefficients as exact integer numerators over 2**n.
 
-    Accepts any integer-valued table whose entries are small enough that the
-    2**n-term sums cannot overflow 64 bits.
+    Accepts integer-valued tables with |value| <= 2**20.  The butterfly runs
+    in doubles; every partial sum is an integer of magnitude at most
+    max|value| * 2**n <= 2**(20 + n), exact below 2**53: up to n = 33.
     """
-    if isinstance(f, TruthTable):
-        v = sign_array(f.bits, np.int64)
-    else:
-        vals = f.values
-        rounded = np.rint(vals)
-        if not np.array_equal(vals, rounded):
+    v = f.sign_values()  # fresh, writable
+    if isinstance(f, RealTable):
+        if not np.array_equal(v, np.rint(v)):
             raise InputError("exact transform needs integer-valued tables")
-        if vals.size and np.max(np.abs(vals)) > _EXACT_VALUE_BOUND:
+        if v.size and np.max(np.abs(v)) > _EXACT_VALUE_BOUND:
             raise InputError(
                 f"exact transform supports integer values up to {_EXACT_VALUE_BOUND}"
             )
-        v = rounded.astype(np.int64)
     if f.n < 1:
         raise InputError("exact transform needs at least one variable")
     kernels.wht_inplace(v)
@@ -279,16 +275,19 @@ def exact_transform(f: TruthTable | RealTable) -> DyadicSpectrum:
 
 
 def reconstruct_exact(dspec: DyadicSpectrum):
-    """Invert an exact spectrum; returns a TruthTable when the values are +-1."""
-    v = dspec.numerators.copy()
+    """Invert an exact spectrum; returns a TruthTable when the values are +-1.
+
+    Exact, as ``exact_transform`` is, for the spectrum of any table it accepts.
+    """
+    v = dspec.numerators.astype(np.float64)
     kernels.wht_inplace(v)
     size = 1 << dspec.n
     if np.any(v % size):
         raise InputError("numerators are not a valid exact spectrum")
-    vals = v // size
-    if np.all((vals == 1) | (vals == -1)):
-        return TruthTable(dspec.n, ((1 - vals) // 2).astype(np.uint8))
-    return RealTable(dspec.n, vals.astype(np.float64))
+    v /= size
+    if np.all((v == 1) | (v == -1)):
+        return TruthTable(dspec.n, ((1 - v) // 2).astype(np.uint8))
+    return RealTable(dspec.n, v)
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +754,12 @@ def spectrum_from_json(text: str) -> Spectrum:
         raise InputError(f"bad spectrum JSON: {exc}") from exc
     if not isinstance(obj, dict) or not {"n", "p", "coeffs"} <= set(obj):
         raise InputError('spectrum JSON must carry "n", "p" and "coeffs"')
-    return Spectrum(int(obj["n"]), float(obj["p"]), np.asarray(obj["coeffs"], dtype=np.float64))
+    try:
+        n, p = int(obj["n"]), float(obj["p"])
+        coeffs = np.asarray(obj["coeffs"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"bad spectrum JSON value: {exc}") from exc
+    return Spectrum(n, p, coeffs)
 
 
 def save_spectrum_json(spec: Spectrum, path) -> None:

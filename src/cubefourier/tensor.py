@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import conjecture
 from .boolfn import RealTable, TruthTable, as_bias
 from .config import check_table_size, get_max_n
 from .errors import InputError, ResourceError
@@ -150,9 +151,8 @@ class VirtualPowerStats:
 
     @property
     def ei_ratio(self) -> float | None:
-        if self.total_influence <= 0.0:
-            return None
-        return self.entropy / self.total_influence
+        """Ent/I normalised for the measure, as ``analyze`` reports it."""
+        return conjecture.ei_ratio(self.entropy, self.total_influence, self.p)
 
     def mean_level(self) -> float:
         return self.profile.mean_level()

@@ -5,6 +5,10 @@ the definition: build the full character matrix and take expectations as
 explicit double sums.  It is O(4^n) and never shares code with the fast
 butterfly path, which is the point — agreement between the two is the main
 correctness evidence.
+
+``integer_wht`` is the oracle for the exact transform: a literal int64
+butterfly, one ``(a + b, a - b)`` reshape per coordinate, that shares no
+code with the float64 stage the package runs.
 """
 
 import tracemalloc
@@ -52,6 +56,15 @@ def naive_transform(values: np.ndarray, n: int, p: float) -> np.ndarray:
             acc += naive_measure(n, p, x) * values[x] * naive_character(n, p, s, x)
         out[s] = acc
     return out
+
+
+def integer_wht(values) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of 2^n integers, in int64."""
+    v = np.array(values, dtype=np.int64)
+    for i in range(v.size.bit_length() - 1):
+        a = v.reshape(-1, 2, 1 << i)
+        v = np.stack((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1).reshape(-1)
+    return v
 
 
 @pytest.fixture

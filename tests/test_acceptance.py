@@ -333,36 +333,23 @@ def test_criterion_09_clique_experiment(capsys):
 
 
 def test_criterion_10_transform_performance(capsys):
-    """n=20 forward transform under 2s single-threaded; n=24 under 40s
-    single-threaded or 10s multi-threaded, with bitwise identical output
-    for every thread count."""
+    """Forward transform in the calling thread: n=20 under 2s, n=24 under
+    40s.  Thread-count invariance is checked by
+    test_thread_count_never_changes_results and, for the sweep, criterion 07."""
     v20 = cf.random_function(20, seed=1).sign_values()
     t0 = time.perf_counter()
     kernels.biased_forward_inplace(v20, 0.3)
     t_20 = time.perf_counter() - t0
 
-    f24 = cf.random_function(24, seed=2)
-    v_single = f24.sign_values()
+    v24 = cf.random_function(24, seed=2).sign_values()
     t0 = time.perf_counter()
-    kernels.biased_forward_inplace(v_single, 0.3)
-    t_single = time.perf_counter() - t0
+    kernels.biased_forward_inplace(v24, 0.3)
+    t_24 = time.perf_counter() - t0
 
-    v_multi = f24.sign_values()
-    saved = config.get_threads()
-    try:
-        config.set_threads(4)
-        t0 = time.perf_counter()
-        kernels.biased_forward_inplace(v_multi, 0.3)
-        t_multi = time.perf_counter() - t0
-    finally:
-        config.set_threads(saved)
-
-    identical = bool(np.array_equal(v_single, v_multi))
-    ok = t_20 < 2.0 and (t_single < 40.0 or t_multi < 10.0) and identical
+    ok = t_20 < 2.0 and t_24 < 40.0
     _report(
         capsys, 10, "transform-performance", ok,
-        f"n=20 {t_20:.3f}s < 2s, n=24 single {t_single:.2f}s, "
-        f"multi {t_multi:.2f}s, bitwise identical={identical}",
+        f"n=20 {t_20:.3f}s < 2s, n=24 {t_24:.2f}s < 40s",
     )
 
 

@@ -78,7 +78,10 @@ def test_bits_source(capsys):
 
 
 def test_bad_bits_length(capsys):
-    assert run("analyze", "--bits", "000") == 1
+    for bits in ("000", ""):
+        assert run("analyze", "--bits", bits) == 1
+        err = capsys.readouterr().err
+        assert "power of two" in err and "Traceback" not in err
 
 
 def test_file_source(tmp_path, capsys):

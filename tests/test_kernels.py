@@ -48,31 +48,6 @@ def test_stage_f64_backends_agree_bitwise(n, seed, p):
 
 
 @needs_compiled
-@given(st.integers(1, 10), st.integers(0, 1000))
-def test_stage_i64_backends_agree_exactly(n, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    v1 = rng.integers(-100, 100, size=1 << n).astype(np.int64)
-    v2 = v1.copy()
-    for i in range(n):
-        h = 1 << i
-        nblocks = (1 << n) >> (i + 1)
-        _compiled.stage_i64(v1, h, 0, nblocks)
-        _kernels_py.stage_i64(v2, h, 0, nblocks)
-    assert np.array_equal(v1, v2)
-
-
-@needs_compiled
-def test_stage_i64_backends_wrap_alike_on_overflow():
-    big = np.iinfo(np.int64).max
-    v1 = np.array([big, big, -big - 1, 7, big // 2 + 5, -3, big, -big], dtype=np.int64)
-    v2 = v1.copy()
-    for i in range(3):
-        _compiled.stage_i64(v1, 1 << i, 0, 8 >> (i + 1))
-        _kernels_py.stage_i64(v2, 1 << i, 0, 8 >> (i + 1))
-    assert np.array_equal(v1, v2)
-
-
-@needs_compiled
 def test_partial_block_ranges_compose():
     """Processing [0, k) then [k, nblocks) must equal one full pass."""
     v_full = _random_vec(8, 7)
@@ -172,14 +147,14 @@ def _schedule_cases():
         "forward_half": ("stage_f64", (0.5, 0.5, 0.5, -0.5)),
         "forward_p03": ("stage_f64", (1 - p, p, c, -c)),
         "inverse_p03": ("stage_f64", (1.0, r, 1.0, -s)),
-        "wht": ("stage_i64", ()),
+        "wht": ("stage_f64", (1.0, 1.0, 1.0, -1.0)),
     }
 
 
 def _case_input(case, n):
     rng = np.random.Generator(np.random.PCG64(n))
     if case == "wht":
-        return rng.integers(-50, 50, size=1 << n).astype(np.int64)
+        return rng.integers(-50, 50, size=1 << n).astype(np.float64)
     return rng.standard_normal(1 << n)
 
 
@@ -374,7 +349,7 @@ def test_batch_of_rows_matches_each_row_alone(backend, case, n):
     stage = getattr(backend, name)
     rng = np.random.Generator(np.random.PCG64(n))
     if case == "wht":
-        distinct = rng.integers(-50, 50, size=(7, 1 << n), dtype=np.int64)
+        distinct = rng.integers(-50, 50, size=(7, 1 << n)).astype(np.float64)
     else:
         distinct = rng.standard_normal((7, 1 << n))
     alone = distinct.copy()
@@ -408,10 +383,10 @@ def test_small_rows_share_phase_one_runs():
 
     def counting(v, *args):
         calls.append(args[-3:])
-        _kernels_py.stage_i64(v, *args)
+        _kernels_py.stage_f64(v, *args)
 
     n, rows = 4, 4097  # 65552 entries: one full run of 2^16 and one short run
-    kernels._run_stages(np.zeros((rows, 1 << n), dtype=np.int64), counting, ())
+    kernels._run_stages(np.zeros((rows, 1 << n)), counting, (1.0, 1.0, 1.0, -1.0))
     assert len(calls) == 2 * n
     assert calls[-1] == (1 << (n - 1), (1 << 16) >> n, (rows << n) >> n)
 
@@ -430,7 +405,7 @@ def test_driver_refuses_arrays_the_stages_cannot_write_in_place(backend, case):
         "bytes": np.frombuffer(good.tobytes(), dtype=good.dtype),
         "float32": good.astype(np.float32),
         "int32": good.astype(np.int32),
-        "other kind": good.astype(np.float64 if case == "wht" else np.int64),
+        "other kind": good.astype(np.int64),
         "big-endian": good.astype(good.dtype.newbyteorder(">")),
         "strided": np.repeat(good, 2)[::2],
         "strided rows": np.repeat(good.reshape(4, -1), 2, axis=1)[:, ::2],

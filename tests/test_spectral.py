@@ -14,7 +14,7 @@ from cubefourier import kernels
 from cubefourier.boolfn import level_array
 from cubefourier.errors import InputError
 from cubefourier.spectral import level_sums, measure_weights, square_sums, top_masks
-from conftest import naive_character, naive_transform, peak_bytes
+from conftest import integer_wht, naive_character, naive_transform, peak_bytes
 from test_kernels import STAGE_BACKENDS
 
 BIASES = [0.5, 0.25, 0.125, 0.3, 0.71]
@@ -156,6 +156,37 @@ def test_exact_transform_matches_float_transform(n, seed):
     fast = cf.transform(f, 0.5).coeffs
     assert np.array_equal(exact, fast)
     assert np.array_equal(np.signbit(exact), np.signbit(fast))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_exact_transform_matches_integer_butterfly_on_sign_tables(n):
+    f = cf.random_function(n, seed=n)
+    want = integer_wht(1 - 2 * f.bits.astype(np.int64))
+    assert np.array_equal(cf.exact_transform(f).numerators, want)
+
+
+def _extreme_integer_tables(n):
+    """Integer tables at the exact transform's bound 2^20, where the partial
+    sums reach 2^(20 + n): random, both constants, and a full-scale parity."""
+    bound = 1 << 20
+    rng = np.random.Generator(np.random.PCG64(n))
+    signs = 1 - 2 * (np.bitwise_count(np.arange(1 << n)).astype(np.int64) & 1)
+    return {
+        "random": rng.integers(-bound, bound, size=1 << n, endpoint=True),
+        "max": np.full(1 << n, bound),
+        "min": np.full(1 << n, -bound),
+        "parity": bound * signs,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 17, 20])
+def test_exact_transform_matches_integer_butterfly_on_integer_tables(n):
+    for label, vals in _extreme_integer_tables(n).items():
+        table = cf.RealTable(n, vals.astype(np.float64))
+        d = cf.exact_transform(table)
+        assert np.array_equal(d.numerators, integer_wht(vals)), (n, label)
+        back = cf.reconstruct_exact(d)
+        assert np.array_equal(back.values, table.values), (n, label)
 
 
 @given(st.integers(1, 8), st.integers(0, 10_000))
@@ -406,6 +437,13 @@ def test_json_rejects_missing_keys():
         cf.spectral.spectrum_from_json('{"n": 1, "coeffs": [0, 1]}')
     with pytest.raises(InputError):
         cf.spectral.spectrum_from_json("not json")
+    for bad in (
+        '{"n": 1, "p": 0.5, "coeffs": ["a", "b"]}',
+        '{"n": "x", "p": 0.5, "coeffs": [0, 1]}',
+        '{"n": 1, "p": null, "coeffs": [0, 1]}',
+    ):
+        with pytest.raises(InputError):
+            cf.spectral.spectrum_from_json(bad)
 
 
 # --- derived quantities from the spectrum vs their independent paths ----------

@@ -108,6 +108,12 @@ def test_ratio_is_invariant_under_powers(N):
     assert stats.ei_ratio == pytest.approx(4 / 3, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [0.3, 0.71])
+def test_power_ratio_is_the_analyze_ratio_at_any_bias(p):
+    for f in (cf.majority(3), cf.tribes(2, 3), cf.random_function(6, 4)):
+        assert cf.virtual_power_stats(f, 1, p).ei_ratio == cf.analyze(f, p).ratio
+
+
 @given(st.integers(1, 20), st.integers(0, 100))
 def test_mean_level_scales_linearly(N, seed):
     f = cf.random_function(3, seed)
