@@ -94,7 +94,7 @@ class TruthTable:
         arr = np.ascontiguousarray(self.bits, dtype=np.uint8)
         if arr.ndim != 1 or arr.size != 1 << self.n:
             raise InputError(
-                f"expected 2^{self.n} = {1 << self.n} output bits, got {arr.size}"
+                f"expected 2^{self.n} = {1 << self.n} output bits, got shape {arr.shape}"
             )
         if arr.size and arr.max() > 1:
             raise InputError("output bits must be 0 or 1")
@@ -146,7 +146,7 @@ class RealTable:
         arr = np.ascontiguousarray(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size != 1 << self.n:
             raise InputError(
-                f"expected 2^{self.n} = {1 << self.n} values, got {arr.size}"
+                f"expected 2^{self.n} = {1 << self.n} values, got shape {arr.shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise InputError("table values must be finite")

@@ -82,64 +82,55 @@ class CommandSpec:
 # function sources
 
 FAMILIES = {
-    "dictator": "dictator:<n>,<i>",
-    "parity": "parity:<n>,<maskhex>",
-    "majority": "majority:<n>",
-    "tribes": "tribes:<w>,<s>",
-    "and": "and:<n>",
-    "or": "or:<n>",
-    "mux3": "mux3",
-    "clique": "clique:<nv>,<r>",
-    "random": "random:<n>,<seed>[,<density>]",
+    "dictator": ("dictator:<n>,<i>", lambda n, i: dictator(int(n), int(i))),
+    "parity": ("parity:<n>,<maskhex>", lambda n, mask: parity(int(n), int(mask, 16))),
+    "majority": ("majority:<n>", lambda n: majority(int(n))),
+    "tribes": ("tribes:<w>,<s>", lambda w, s: tribes(int(w), int(s))),
+    "and": ("and:<n>", lambda n: and_fn(int(n))),
+    "or": ("or:<n>", lambda n: or_fn(int(n))),
+    "mux3": ("mux3", lambda: mux3()),
+    "clique": (
+        "clique:<nv>,<r>",
+        lambda nv, r: clique_indicator(GraphPropertySpec(int(nv), int(r))),
+    ),
+    "random": (
+        "random:<n>,<seed>[,<density>]",
+        lambda n, seed, density="0.5": random_function(int(n), int(seed), float(density)),
+    ),
 }
 
 
 def parse_family(text: str) -> TruthTable:
     name, _, argstr = text.partition(":")
-    args = [a for a in argstr.split(",") if a] if argstr else []
-    try:
-        if name == "dictator":
-            return dictator(int(args[0]), int(args[1]))
-        if name == "parity":
-            return parity(int(args[0]), int(args[1], 16))
-        if name == "majority":
-            return majority(int(args[0]))
-        if name == "tribes":
-            return tribes(int(args[0]), int(args[1]))
-        if name == "and":
-            return and_fn(int(args[0]))
-        if name == "or":
-            return or_fn(int(args[0]))
-        if name == "mux3":
-            return mux3()
-        if name == "clique":
-            return clique_indicator(GraphPropertySpec(int(args[0]), int(args[1])))
-        if name == "random":
-            density = float(args[2]) if len(args) > 2 else 0.5
-            return random_function(int(args[0]), int(args[1]), density)
-    except (IndexError, ValueError) as exc:
+    if name not in FAMILIES:
         raise InputError(
-            f"bad arguments for family {name!r}; expected {FAMILIES.get(name)}"
-        ) from exc
-    raise InputError(
-        f"unknown family {name!r}; available: " + ", ".join(sorted(FAMILIES))
-    )
+            f"unknown family {name!r}; available: " + ", ".join(sorted(FAMILIES))
+        )
+    usage, build = FAMILIES[name]
+    args = [a for a in argstr.split(",") if a]
+    try:
+        return build(*args)
+    except (TypeError, ValueError) as exc:
+        # TypeError: the builder takes a different number of arguments
+        raise InputError(f"bad arguments for family {name!r}; expected {usage}") from exc
 
 
-def _add_source(parser, suffix=""):
-    group = parser.add_mutually_exclusive_group(required=True)
+def _add_source(parser, suffix="", required=True):
+    group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument(
         f"--family{suffix}",
         metavar="SPEC",
-        help="named function, e.g. majority:5 or parity:4,b",
+        help="named function: " + "; ".join(usage for usage, _ in FAMILIES.values()),
     )
     group.add_argument(f"--file{suffix}", metavar="PATH", help="truth-table text file")
     group.add_argument(
         f"--bits{suffix}", metavar="BITS", help="inline '0'/'1' outputs in mask order"
     )
+    return group
 
 
-def _load_source(ns, suffix="") -> TruthTable:
+def _load_source(ns, suffix="") -> TruthTable | None:
+    """The function a source group names, or None when an optional group is absent."""
     family = getattr(ns, f"family{suffix}")
     path = getattr(ns, f"file{suffix}")
     bits = getattr(ns, f"bits{suffix}")
@@ -147,6 +138,8 @@ def _load_source(ns, suffix="") -> TruthTable:
         return parse_family(family)
     if path is not None:
         return load_truth_table(path)
+    if bits is None:
+        return None
     n = len(bits).bit_length() - 1
     if n < 0 or (1 << n) != len(bits):
         raise InputError("--bits length must be a power of two")
@@ -161,16 +154,14 @@ def _add_bias(parser):
     )
 
 
-def _get_bias(ns, t_attr="pt", m_attr="pm") -> Bias:
-    t = getattr(ns, t_attr, None)
-    m = getattr(ns, m_attr, None)
-    if t is not None or m is not None:
-        if t is None or m is None:
+def _get_bias(ns) -> Bias:
+    if ns.pt is not None or ns.pm is not None:
+        if ns.pt is None or ns.pm is None:
             raise InputError("exact bias needs both the numerator and the exponent")
-        if getattr(ns, "p", None) is not None:
+        if ns.p is not None:
             raise InputError("give either --p or an exact t/2^m bias, not both")
-        return Bias.exact(t, m)
-    if getattr(ns, "p", None) is not None:
+        return Bias.exact(ns.pt, ns.pm)
+    if ns.p is not None:
         return Bias.general(ns.p)
     return Bias.exact(1, 1)
 
@@ -243,11 +234,9 @@ def _cmd_analyze(ns) -> int:
 
 def _cmd_reduce(ns) -> int:
     f = _load_source(ns)
-    t = ns.t if ns.t is not None else ns.pt
-    m = ns.m if ns.m is not None else ns.pm
-    if t is None or m is None:
+    if ns.pt is None or ns.pm is None:
         raise InputError("the reduction needs an exact bias: --t T --m M")
-    bias = Bias.exact(t, m)
+    bias = Bias.exact(ns.pt, ns.pm)
     report = reduction_report(f, bias)
     if ns.format == "json":
         _emit(ns, json.dumps(report, indent=2))
@@ -276,6 +265,9 @@ def _cmd_reduce(ns) -> int:
 
 def _cmd_tensor(ns) -> int:
     f = _load_source(ns)
+    g2 = _load_source(ns, suffix="2")
+    if (ns.power is None) == (g2 is None):
+        raise InputError("tensor needs exactly one of --power N and a second factor")
     bias = _get_bias(ns)
     if ns.power is not None:
         if ns.explicit:
@@ -308,9 +300,6 @@ def _cmd_tensor(ns) -> int:
                 "level_weights": [float(w) for w in stats.profile.weights],
             }
     else:
-        if ns.family2 is None and ns.file2 is None and ns.bits2 is None:
-            raise InputError("tensor needs --power N or a second factor")
-        g2 = _load_source(ns, suffix="2")
         prod = tensor_product(f, g2)
         sp = transform(prod, bias)
         payload = {
@@ -396,7 +385,7 @@ def _cmd_clique(ns) -> int:
 def _cmd_spectrum(ns) -> int:
     if ns.top < 0:
         raise InputError("--top must be nonnegative")
-    if ns.load:
+    if ns.load is not None:
         sp = load_spectrum_binary(ns.load)
     else:
         sp = transform(_load_source(ns), _get_bias(ns))
@@ -442,18 +431,16 @@ def _conf_analyze(p):
 
 def _conf_reduce(p):
     _add_source(p)
-    p.add_argument("--t", type=int, default=None, help="bias numerator")
-    p.add_argument("--m", type=int, default=None, help="bias exponent (p = t/2^m)")
-    p.add_argument("--pt", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--pm", type=int, default=None, help=argparse.SUPPRESS)
+    p.add_argument("--t", "--pt", dest="pt", metavar="T", type=int, help="bias numerator")
+    p.add_argument(
+        "--m", "--pm", dest="pm", metavar="M", type=int, help="bias exponent (p = t/2^m)"
+    )
     _add_common(p)
 
 
 def _conf_tensor(p):
     _add_source(p)
-    p.add_argument("--family2", metavar="SPEC", help="second factor by name")
-    p.add_argument("--file2", metavar="PATH", help="second factor from a file")
-    p.add_argument("--bits2", metavar="BITS", help="second factor inline")
+    _add_source(p, suffix="2", required=False)
     p.add_argument("--power", type=int, default=None, help="tensor power exponent N")
     p.add_argument(
         "--explicit", action="store_true", help="materialise the full power table"
@@ -481,10 +468,7 @@ def _conf_clique(p):
 
 
 def _conf_spectrum(p):
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", metavar="SPEC")
-    group.add_argument("--file", metavar="PATH")
-    group.add_argument("--bits", metavar="BITS")
+    group = _add_source(p)
     group.add_argument("--load", metavar="PATH", help="read a binary spectrum file")
     _add_bias(p)
     p.add_argument("--export", metavar="PATH", help="write the binary spectrum")

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import bisect
 import functools
+import io
 import json
 import math
-import os
-import stat
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,7 +89,7 @@ class Spectrum:
         arr = np.ascontiguousarray(self.coeffs, dtype=np.float64)
         if arr.ndim != 1 or arr.size != 1 << self.n:
             raise InputError(
-                f"expected 2^{self.n} = {1 << self.n} coefficients, got {arr.size}"
+                f"expected 2^{self.n} = {1 << self.n} coefficients, got shape {arr.shape}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -151,7 +150,7 @@ class DyadicSpectrum:
         arr = np.ascontiguousarray(self.numerators, dtype=np.int64)
         if arr.ndim != 1 or arr.size != 1 << self.n:
             raise InputError(
-                f"expected 2^{self.n} = {1 << self.n} numerators, got {arr.size}"
+                f"expected 2^{self.n} = {1 << self.n} numerators, got shape {arr.shape}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "numerators", arr)
@@ -168,7 +167,12 @@ class DyadicSpectrum:
         return Fraction(num * num, 1 << (2 * self.n))
 
     def to_spectrum(self) -> Spectrum:
-        return Spectrum(self.n, 0.5, self.numerators.astype(np.float64) / (1 << self.n))
+        """The p = 1/2 float spectrum, exact for numerators below 2**53; built once."""
+        spec = self.__dict__.get("_spectrum")
+        if spec is None:
+            spec = Spectrum(self.n, 0.5, self.numerators.astype(np.float64) / (1 << self.n))
+            object.__setattr__(self, "_spectrum", spec)
+        return spec
 
     def __eq__(self, other) -> bool:
         return (
@@ -568,22 +572,21 @@ def level_profile(spec: Spectrum | DyadicSpectrum) -> LevelProfile:
 def exact_level_profile(dspec: DyadicSpectrum) -> LevelProfile:
     """Squared mass per level as Fractions over the common denominator 4**n.
 
-    The squared numerators are summed per level in int64 when every square
-    and every level sum provably fits (squares below 2**62, and a float
-    estimate of their total below 2**62), and in Python integers otherwise.
+    The float level sums of ``to_spectrum()``, scaled by 4**n, are sums of
+    squared integer numerators.  When their computed total is at most 2**52
+    the true total is below 2**53, so every square and every partial sum
+    was an integer that doubles hold exactly.  Otherwise the squares are
+    summed in Python integers.
     """
     n = dspec.n
-    levels = level_array(n)
-    nums = dspec.numerators
-    peak = int(np.max(np.abs(nums)))
-    if peak < 1 << 31 and float(np.sum(np.square(nums, dtype=np.float64))) < 2.0**62:
-        sums = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(sums, levels, nums * nums)
-        sums = sums.tolist()
+    sums = np.ldexp(dspec.to_spectrum().level_sums().levels[0], 2 * n)
+    if np.sum(sums) <= 2.0**52:
+        sums = [int(x) for x in sums.tolist()]
     else:
+        nums = dspec.numerators
         live = np.flatnonzero(nums)
         sums = [0] * (n + 1)
-        for lvl, num in zip(levels[live].tolist(), nums[live].tolist()):
+        for lvl, num in zip(level_array(n)[live].tolist(), nums[live].tolist()):
             sums[lvl] += num * num
     return LevelProfile.from_numerators(n, sums, 1 << (2 * n))
 
@@ -591,8 +594,8 @@ def exact_level_profile(dspec: DyadicSpectrum) -> LevelProfile:
 def degree(spec: Spectrum | DyadicSpectrum, tol: float = 1e-9) -> int:
     """Largest |S| carrying a coefficient; exact spectra ignore ``tol``."""
     if isinstance(spec, DyadicSpectrum):
-        return int(np.max(level_array(spec.n), where=spec.numerators != 0, initial=0))
-    return int(spec.level_sums().degree(tol)[0])
+        tol = 0.0
+    return int(_as_spectrum(spec).level_sums().degree(tol)[0])
 
 
 def top_masks(values: np.ndarray, k: int, key=None) -> np.ndarray:
@@ -682,8 +685,7 @@ def min_support(spec: Spectrum | DyadicSpectrum, epsilon: float):
     by ascending mask, so the answer is deterministic.  Returns the mask
     array and the weight it captures.
     """
-    if isinstance(spec, DyadicSpectrum):
-        spec = spec.to_spectrum()
+    spec = _as_spectrum(spec)
     keep, captured = support_size(spec, epsilon)
     return top_masks(spec.coeffs, keep, key=np.square), captured
 
@@ -705,7 +707,7 @@ def dyadic_check(dspec: DyadicSpectrum, k: int) -> bool:
         return not bool(np.any(dspec.numerators))
     if k >= dspec.n:
         return True
-    if bool(np.any(dspec.numerators[level_array(dspec.n) > k])):
+    if degree(dspec) > k:
         return False
     step = np.int64(1) << (dspec.n - k)
     return not bool(np.any(dspec.numerators % step))
@@ -754,8 +756,14 @@ def spectrum_from_json(text: str) -> Spectrum:
         raise InputError(f"bad spectrum JSON: {exc}") from exc
     if not isinstance(obj, dict) or not {"n", "p", "coeffs"} <= set(obj):
         raise InputError('spectrum JSON must carry "n", "p" and "coeffs"')
+    n, p = obj["n"], obj["p"]
+    # bool is an int subclass: true would load as n = 1
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f'spectrum JSON "n" must be an integer, got {n!r}')
+    if not isinstance(p, (int, float)) or isinstance(p, bool):
+        raise InputError(f'spectrum JSON "p" must be a number, got {p!r}')
     try:
-        n, p = int(obj["n"]), float(obj["p"])
+        p = float(p)
         coeffs = np.asarray(obj["coeffs"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad spectrum JSON value: {exc}") from exc
@@ -788,24 +796,33 @@ def spectrum_to_bytes(spec: Spectrum) -> bytes:
 _HEAD = len(_MAGIC) + 4 + 8
 
 
-def _read_header(head: bytes, length: int) -> tuple[int, float]:
-    """n and p from the first _HEAD bytes of a binary spectrum of ``length`` bytes."""
+def _read_binary(fh) -> Spectrum:
+    """Read one binary spectrum from ``fh``, a file or a pipe, to its end.
+
+    The header is read and checked, including the table-size cap, before
+    the body is allocated; the body is read straight into the coefficient
+    array, and any byte after it is an error.
+    """
+    head = fh.read(_HEAD)
     if len(head) < _HEAD or head[: len(_MAGIC)] != _MAGIC:
         raise InputError("not a spectrum file (bad magic)")
     (n,) = struct.unpack_from("<I", head, len(_MAGIC))
     (p,) = struct.unpack_from("<d", head, len(_MAGIC) + 4)
     if n < 1 or n > 48:
         raise InputError(f"corrupt spectrum file: n={n}")
-    expected = _HEAD + (1 << n) * 8
-    if length != expected:
-        raise InputError(f"corrupt spectrum file: expected {expected} bytes, got {length}")
-    return int(n), float(p)
+    check_table_size(n, "spectrum")
+    coeffs = np.empty(1 << n, dtype="<f8")
+    expected = _HEAD + coeffs.nbytes
+    got = _HEAD + fh.readinto(coeffs)
+    if got < expected:
+        raise InputError(f"corrupt spectrum file: expected {expected} bytes, got {got}")
+    if fh.read(1):
+        raise InputError(f"corrupt spectrum file: longer than the {expected} bytes expected")
+    return Spectrum(n, p, coeffs.astype(np.float64, copy=False))
 
 
 def spectrum_from_bytes(data: bytes) -> Spectrum:
-    n, p = _read_header(data[:_HEAD], len(data))
-    coeffs = np.frombuffer(data, dtype="<f8", offset=_HEAD).astype(np.float64)
-    return Spectrum(n, p, coeffs)
+    return _read_binary(io.BytesIO(data))
 
 
 def save_spectrum_binary(spec: Spectrum, path) -> None:
@@ -818,13 +835,4 @@ def save_spectrum_binary(spec: Spectrum, path) -> None:
 def load_spectrum_binary(path) -> Spectrum:
     """Read a file of :func:`spectrum_to_bytes` straight into the coefficient array."""
     with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            # a pipe has no size to check first
-            return spectrum_from_bytes(fh.read())
-        n, p = _read_header(fh.read(_HEAD), info.st_size)
-        check_table_size(n, "spectrum")
-        coeffs = np.empty(1 << n, dtype="<f8")
-        if fh.readinto(coeffs) != coeffs.nbytes:
-            raise InputError("corrupt spectrum file: it changed while being read")
-    return Spectrum(n, p, coeffs.astype(np.float64, copy=False))
+        return _read_binary(fh)

@@ -1,11 +1,20 @@
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cubefourier as cf
-from cubefourier.cli import main, parse_family
+from cubefourier.cli import FAMILIES, main, parse_family
 from cubefourier.errors import InputError
+from test_golden import GOLDEN
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*args):
@@ -33,6 +42,16 @@ def test_unknown_family_is_an_input_error():
         parse_family("xor:3")
     with pytest.raises(InputError):
         parse_family("majority")
+    for text in ("majority:3,9", "mux3:1", "random:4", "random:4,9,0.5,1", "dictator:4,x"):
+        with pytest.raises(InputError, match="expected"):
+            parse_family(text)
+
+
+def test_family_help_lists_the_registry(capsys):
+    with pytest.raises(SystemExit):
+        run("analyze", "--help")
+    out = capsys.readouterr().out
+    assert all(usage in out for usage, _ in FAMILIES.values())
 
 
 def test_analyze_text_output(capsys):
@@ -110,6 +129,18 @@ def test_reduce_accepts_pt_pm_aliases(capsys):
     assert payload["t"] == 1 and payload["m"] == 2
 
 
+def test_reduce_mixes_the_two_spellings_of_one_option(capsys):
+    assert run("reduce", "--family", "dictator:1,1", "--t", "1", "--pm", "2",
+               "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["t"] == 1 and payload["m"] == 2
+    # both spellings set one value, and the last one given wins
+    assert run("reduce", "--family", "dictator:1,1", "--t", "1", "--m", "2",
+               "--pt", "3", "--pm", "3", "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["t"] == 3 and payload["m"] == 3
+
+
 def test_reduce_needs_exact_bias(capsys):
     assert run("reduce", "--family", "dictator:1,1") == 1
     assert "exact bias" in capsys.readouterr().err
@@ -135,6 +166,15 @@ def test_tensor_product_of_two_sources(capsys):
 
 def test_tensor_without_second_operand_errors(capsys):
     assert run("tensor", "--family", "majority:3") == 1
+
+
+@pytest.mark.parametrize("extra", [
+    ["--family2", "dictator:1,1", "--bits2", "01"],
+    ["--power", "2", "--family2", "dictator:1,1"],
+])
+def test_tensor_takes_one_second_operand(capsys, extra):
+    assert run("tensor", "--family", "majority:3", *extra) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_sweep_writes_csv_and_summary(tmp_path, capsys):
@@ -309,3 +349,36 @@ def test_traced_cli_names_resolve():
         if not callable(getattr(importlib.import_module(mod), name, None))
     ]
     assert missing == []
+
+
+def _backend_contract_commands():
+    cases = {name: argv for name, (argv, _) in GOLDEN.items()}
+    cases["analyze_random14_p03"] = ["analyze", "--family", "random:14,3", "--p", "0.3"]
+    cases["spectrum_random12_top20"] = [
+        "spectrum", "--family", "random:12,5", "--p", "0.71", "--top", "20",
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_backend_contract_commands()))
+def test_numpy_fallback_writes_the_same_report_bytes(name, tmp_path):
+    argv = _backend_contract_commands()[name] + ["--format", "json", "--output"]
+    here, there = tmp_path / "in_process.json", tmp_path / "fallback.json"
+    assert main(argv + [str(here)]) == 0
+    env = dict(os.environ, CUBEFOURIER_PURE_PYTHON="1")
+    subprocess.run([sys.executable, "-m", "cubefourier", *argv, str(there)],
+                   env=env, capture_output=True, check=True)
+    assert there.read_bytes() == here.read_bytes()
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    shell = "\n".join(re.findall(r"```sh\n(.*?)```", text, re.S))
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in shell.splitlines() if line.startswith("cubefourier ")]
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    (python,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    exec(compile(python, str(README), "exec"), {})

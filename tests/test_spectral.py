@@ -1,6 +1,7 @@
 import bisect
 import math
 import os
+import struct
 import threading
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import cubefourier as cf
 from cubefourier import kernels
 from cubefourier.boolfn import level_array
-from cubefourier.errors import InputError
+from cubefourier.errors import InputError, ResourceError
 from cubefourier.spectral import level_sums, measure_weights, square_sums, top_masks
 from conftest import integer_wht, naive_character, naive_transform, peak_bytes
 from test_kernels import STAGE_BACKENDS
@@ -432,6 +433,33 @@ def test_binary_file_loader_reads_a_pipe(tmp_path):
             writer.join(timeout=10)
 
 
+def test_binary_pipe_header_is_checked_before_the_body(tmp_path):
+    # only a header claiming n = 30, over the default cap of 26: refused at
+    # the header, before a 2^30-entry body is allocated or waited for
+    head = cf.spectral._MAGIC + struct.pack("<I", 30) + struct.pack("<d", 0.5)
+    fifo = tmp_path / "s.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(head,), daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(ResourceError):
+            cf.load_spectrum_binary(fifo)
+    finally:
+        writer.join(timeout=10)
+
+
+def test_tables_name_the_shape_they_refuse():
+    two_by_one = np.zeros((2, 1))
+    for make in (
+        lambda: cf.Spectrum(1, 0.5, two_by_one),
+        lambda: cf.DyadicSpectrum(1, two_by_one),
+        lambda: cf.TruthTable(1, two_by_one),
+        lambda: cf.RealTable(1, two_by_one),
+    ):
+        with pytest.raises(InputError, match=r"got shape \(2, 1\)"):
+            make()
+
+
 def test_json_rejects_missing_keys():
     with pytest.raises(InputError):
         cf.spectral.spectrum_from_json('{"n": 1, "coeffs": [0, 1]}')
@@ -441,6 +469,11 @@ def test_json_rejects_missing_keys():
         '{"n": 1, "p": 0.5, "coeffs": ["a", "b"]}',
         '{"n": "x", "p": 0.5, "coeffs": [0, 1]}',
         '{"n": 1, "p": null, "coeffs": [0, 1]}',
+        '{"n": 1.7, "p": 0.5, "coeffs": [0, 1]}',
+        '{"n": true, "p": 0.5, "coeffs": [0, 1]}',
+        '{"n": 1, "p": true, "coeffs": [0, 1]}',
+        '{"n": 1, "p": "0.5", "coeffs": [0, 1]}',
+        '{"n": 1, "p": 0.5, "coeffs": [[0], [1]]}',
     ):
         with pytest.raises(InputError):
             cf.spectral.spectrum_from_json(bad)
@@ -602,6 +635,23 @@ def test_exact_level_profile_big_numerators_take_the_integer_fallback():
     prof = cf.spectral.exact_level_profile(d)
     assert prof.exact == _literal_level_fractions(d)
     assert prof.exact[0] == Fraction(int(np.sum(vals)), 1 << 12) ** 2
+
+
+def test_exact_level_profile_float_sums_stop_below_two_to_the_53():
+    # level 1 holds 2^52 + 2^52 + 1 = 2^53 + 1 (over 4^3), which doubles
+    # round to 2^53: this profile has to take the integer path
+    nums = np.zeros(8, dtype=np.int64)
+    nums[[1, 2, 4]] = [1 << 26, 1 << 26, 1]
+    d = cf.DyadicSpectrum(3, nums)
+    prof = cf.spectral.exact_level_profile(d)
+    assert prof.exact == _literal_level_fractions(d)
+    assert prof.exact[1] == Fraction((1 << 53) + 1, 1 << 6)
+
+
+def test_exact_spectrum_builds_its_float_view_once():
+    d = cf.exact_transform(cf.random_function(6, 3))
+    assert d.to_spectrum() is d.to_spectrum()
+    assert cf.degree(d) == cf.degree(d.to_spectrum(), 0.0)
 
 
 # --- the blocked pass against the whole-array formulas ------------------------
