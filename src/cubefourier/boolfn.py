@@ -52,6 +52,7 @@ __all__ = [
 
 def mask_array(n: int) -> np.ndarray:
     """All input masks 0 .. 2**n - 1 as an int64 array."""
+    check_table_size(n, "truth table")
     return np.arange(1 << n, dtype=np.int64)
 
 
@@ -66,18 +67,52 @@ def sign_array(bits: np.ndarray, dtype) -> np.ndarray:
     return v
 
 
-@functools.lru_cache(maxsize=4)
 def level_array(n: int) -> np.ndarray:
-    """|S| for every mask S of n bits: one shared, read-only uint8 array per n.
+    """|S| for every mask S of n bits: one shared, read-only uint8 array per n."""
+    check_table_size(n)
+    return _level_array(n)
 
-    Built by doubling (masks with the top bit set are the lower half plus
-    one), so no 2**n int64 mask array is allocated.
-    """
+
+@functools.lru_cache(maxsize=4)
+def _level_array(n: int) -> np.ndarray:
+    # built by doubling (masks with the top bit set are the lower half plus
+    # one), so no 2**n int64 mask array is allocated
     levels = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
         levels = np.concatenate((levels, levels + 1))
     levels.setflags(write=False)
     return levels
+
+
+def frozen_array(value, dtype, length: int, entries: str) -> np.ndarray:
+    """``value`` as a read-only, C-contiguous 1-d ``dtype`` array of ``length`` entries.
+
+    ``entries`` names what is expected, for the error message.
+    """
+    try:
+        arr = np.ascontiguousarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"expected {entries}: {exc}") from None
+    if arr.ndim != 1 or arr.size != length:
+        raise InputError(f"expected {entries}, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+def frozen_table(n: int, value, dtype, what: str, entries: str, least: int = 1) -> np.ndarray:
+    """``value`` as the frozen 2**n-entry array of a ``what`` on n >= ``least`` variables."""
+    if n < least:
+        count = "one variable" if least == 1 else f"{least} variables"
+        raise InputError(f"a {what} needs at least {count}")
+    check_table_size(n, what)
+    return frozen_array(value, dtype, 1 << n, f"2^{n} = {1 << n} {entries}")
+
+
+def same_fields(a, b, *names: str) -> bool:
+    """Whether b has a's type and equal ``names`` fields (``np.array_equal`` on each)."""
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in names
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,17 +123,9 @@ class TruthTable:
     bits: np.ndarray  # uint8 in {0,1}, length 2**n, read-only
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("a truth table needs at least one variable")
-        check_table_size(self.n, "truth table")
-        arr = np.ascontiguousarray(self.bits, dtype=np.uint8)
-        if arr.ndim != 1 or arr.size != 1 << self.n:
-            raise InputError(
-                f"expected 2^{self.n} = {1 << self.n} output bits, got shape {arr.shape}"
-            )
+        arr = frozen_table(self.n, self.bits, np.uint8, "truth table", "output bits")
         if arr.size and arr.max() > 1:
             raise InputError("output bits must be 0 or 1")
-        arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
     @property
@@ -117,11 +144,7 @@ class TruthTable:
         return 1 - 2 * int(self.bits[mask])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruthTable)
-            and self.n == other.n
-            and bool(np.array_equal(self.bits, other.bits))
-        )
+        return same_fields(self, other, "n", "bits")
 
     def __hash__(self):
         return hash((self.n, self.bits.tobytes()))
@@ -140,17 +163,9 @@ class RealTable:
     values: np.ndarray  # float64, length 2**n, read-only
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InputError("variable count must be nonnegative")
-        check_table_size(self.n, "table")
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size != 1 << self.n:
-            raise InputError(
-                f"expected 2^{self.n} = {1 << self.n} values, got shape {arr.shape}"
-            )
+        arr = frozen_table(self.n, self.values, np.float64, "table", "values", least=0)
         if not np.all(np.isfinite(arr)):
             raise InputError("table values must be finite")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -161,11 +176,7 @@ class RealTable:
         return self.values.astype(np.float64)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RealTable)
-            and self.n == other.n
-            and bool(np.array_equal(self.values, other.values))
-        )
+        return same_fields(self, other, "n", "values")
 
 
 @dataclass(frozen=True)
@@ -185,7 +196,7 @@ class Bias:
             if self.m is None or self.m < 1 or not 1 <= self.t < (1 << self.m):
                 raise InputError("exact bias needs integers 1 <= t < 2^m")
             object.__setattr__(self, "p", self.t / (1 << self.m))
-        if not (0.0 < self.p < 1.0) or not math.isfinite(self.p):
+        if not 0.0 < self.p < 1.0:
             raise InputError(f"bias must lie strictly between 0 and 1, got {self.p}")
 
     @classmethod
@@ -275,6 +286,7 @@ def constant(n: int, value: int = 1) -> TruthTable:
     if value not in (1, -1):
         raise InputError("constant value must be +1 or -1")
     bit = 0 if value == 1 else 1
+    check_table_size(n, "truth table")
     return TruthTable(n, np.full(1 << n, bit, dtype=np.uint8))
 
 
@@ -302,7 +314,6 @@ def tribes(w: int, s: int) -> TruthTable:
     if w < 1 or s < 1:
         raise InputError("tribes needs positive width and tribe count")
     n = w * s
-    check_table_size(n, "truth table")
     masks = mask_array(n)
     sat = np.zeros(masks.size, dtype=bool)
     tribe = (1 << w) - 1

@@ -35,6 +35,7 @@ from .boolfn import (
 )
 from .config import get_max_n, get_threads, set_max_n, set_threads
 from .conjecture import (
+    PROVEN_BOUND_SLACK,
     PROVEN_BOUNDS,
     analyze,
     clique_experiment,
@@ -70,12 +71,16 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class CommandSpec:
-    """One subcommand: its name, help line, flag setup, and handler."""
+    """One subcommand: its name, help line, flag setup, and handler.
+
+    The handler returns the JSON payload, the text report lines and the
+    exit code.
+    """
 
     name: str
     help: str
     configure: Callable[[argparse.ArgumentParser], None]
-    run: Callable[[argparse.Namespace], int]
+    run: Callable[[argparse.Namespace], tuple[dict, list[str], int]]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +115,9 @@ def parse_family(text: str) -> TruthTable:
     args = [a for a in argstr.split(",") if a]
     try:
         return build(*args)
+    except InputError:
+        # the builder's own reason, such as a coordinate out of range
+        raise
     except (TypeError, ValueError) as exc:
         # TypeError: the builder takes a different number of arguments
         raise InputError(f"bad arguments for family {name!r}; expected {usage}") from exc
@@ -179,159 +187,120 @@ def _add_common(parser):
     )
 
 
-def _emit(ns, text: str) -> None:
-    if ns.output:
-        with open(ns.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
-
-
 def _apply_common(ns) -> None:
-    if getattr(ns, "max_n", None) is not None:
+    if ns.max_n is not None:
         set_max_n(ns.max_n)
-    if getattr(ns, "threads", None) is not None:
+    if ns.threads is not None:
         set_threads(ns.threads)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each returns (JSON payload, text report lines, exit code); main writes
+# the report in the format asked for.
 
 
-def _cmd_analyze(ns) -> int:
-    f = _load_source(ns)
-    bias = _get_bias(ns)
-    report = analyze(f, bias, epsilon=ns.epsilon)
-    if ns.format == "json":
-        payload = {"schema": 1, "command": "analyze"}
-        payload.update(report.to_dict())
-        _emit(ns, json.dumps(payload, indent=2))
-    else:
-        lines = [
-            f"n = {report.n}   p = {report.p:.6g}   backend = {backend_name()}",
-            f"spectral entropy   {report.entropy:.10g} bits",
-            f"total influence    {report.influence:.10g}",
-            f"entropy/influence  {'n/a' if report.ratio is None else f'{report.ratio:.10g}'}",
-            f"degree             {report.degree}",
-            f"eps-support        {report.support_size} masks capture "
-            f"{report.support_captured:.6g} (eps = {report.epsilon:g})",
-            f"parseval gap       {report.parseval:.3g}",
-        ]
-        for name, value in report.bounds.items():
-            if value is not None:
-                if name not in PROVEN_BOUNDS:
-                    mark = "recorded"
-                else:
-                    mark = "VIOLATED" if name in report.violations else "ok"
-                lines.append(f"bound {name:<14} {value:.10g}  [{mark}]")
-        if report.claim_constant is not None:
-            lines.append(f"biased claim constant  {report.claim_constant:.10g}")
-        _emit(ns, "\n".join(lines))
-    return EXIT_VIOLATION if report.violations else EXIT_OK
+def _mark(holds: bool) -> str:
+    return "ok" if holds else "VIOLATED"
 
 
-def _cmd_reduce(ns) -> int:
+def _cmd_analyze(ns):
+    report = analyze(_load_source(ns), _get_bias(ns), epsilon=ns.epsilon)
+    lines = [
+        f"n = {report.n}   p = {report.p:.6g}   backend = {backend_name()}",
+        f"spectral entropy   {report.entropy:.10g} bits",
+        f"total influence    {report.influence:.10g}",
+        f"entropy/influence  {'n/a' if report.ratio is None else f'{report.ratio:.10g}'}",
+        f"degree             {report.degree}",
+        f"eps-support        {report.support_size} masks capture "
+        f"{report.support_captured:.6g} (eps = {report.epsilon:g})",
+        f"parseval gap       {report.parseval:.3g}",
+    ]
+    for name, value in report.bounds.items():
+        if value is not None:
+            mark = _mark(name not in report.violations) if name in PROVEN_BOUNDS else "recorded"
+            lines.append(f"bound {name:<14} {value:.10g}  [{mark}]")
+    if report.claim_constant is not None:
+        lines.append(f"biased claim constant  {report.claim_constant:.10g}")
+    payload = {"schema": 1, "command": "analyze", **report.to_dict()}
+    return payload, lines, EXIT_VIOLATION if report.violations else EXIT_OK
+
+
+def _cmd_reduce(ns):
     f = _load_source(ns)
     if ns.pt is None or ns.pm is None:
         raise InputError("the reduction needs an exact bias: --t T --m M")
-    bias = Bias.exact(ns.pt, ns.pm)
-    report = reduction_report(f, bias)
-    if ns.format == "json":
-        _emit(ns, json.dumps(report, indent=2))
-    else:
-        fk = report["red_fk"]
-        ent = report["entropy"]
-        _emit(
-            ns,
-            "\n".join(
-                [
-                    f"p = {report['p']:.6g} = {report['t']}/2^{report['m']}"
-                    f"   reduced variables = {f.n * report['m']}",
-                    f"squared-coefficient gap  {report['red0_max_gap']:.3g}",
-                    f"influence bound          {fk['lhs']:.10g} <= {fk['rhs']:.10g}"
-                    f"  [{'ok' if fk['holds'] else 'VIOLATED'}]",
-                    f"entropy monotone         {ent['reduced']:.10g} >= "
-                    f"{ent['original']:.10g}  [{'ok' if ent['holds'] else 'VIOLATED'}]",
-                ]
-            ),
-        )
-    proven_failed = not report["entropy"]["holds"] or report["red0_max_gap"] > 1e-6
-    if report["p"] <= 0.5 and not report["red_fk"]["holds"]:
-        proven_failed = True
-    return EXIT_VIOLATION if proven_failed else EXIT_OK
+    report = reduction_report(f, Bias.exact(ns.pt, ns.pm))
+    fk, ent = report["red_fk"], report["entropy"]
+    # the influence bound is proven only for p <= 1/2; above it is recorded
+    fk_proven = report["p"] <= 0.5
+    lines = [
+        f"p = {report['p']:.6g} = {report['t']}/2^{report['m']}"
+        f"   reduced variables = {f.n * report['m']}",
+        f"squared-coefficient gap  {report['red0_max_gap']:.3g}",
+        f"influence bound          {fk['lhs']:.10g} <= {fk['rhs']:.10g}"
+        f"  [{_mark(fk['holds']) if fk_proven else 'recorded'}]",
+        f"entropy monotone         {ent['reduced']:.10g} >= "
+        f"{ent['original']:.10g}  [{_mark(ent['holds'])}]",
+    ]
+    proven_failed = (
+        not ent["holds"]
+        or report["red0_max_gap"] > PROVEN_BOUND_SLACK
+        or (fk_proven and not fk["holds"])
+    )
+    return report, lines, EXIT_VIOLATION if proven_failed else EXIT_OK
 
 
-def _cmd_tensor(ns) -> int:
+def _cmd_tensor(ns):
     f = _load_source(ns)
     g2 = _load_source(ns, suffix="2")
     if (ns.power is None) == (g2 is None):
         raise InputError("tensor needs exactly one of --power N and a second factor")
     bias = _get_bias(ns)
-    if ns.power is not None:
-        if ns.explicit:
-            g = tensor_power(f, ns.power)
-            sp = transform(g, bias)
-            payload = {
-                "schema": 1,
-                "command": "tensor",
-                "mode": "explicit",
-                "N": ns.power,
-                "n": g.n,
-                "p": bias.p,
-                "entropy": spectral_entropy(sp),
-                "influence": total_influence_spectral(sp),
-            }
-        else:
-            stats = virtual_power_stats(f, ns.power, bias, exact=ns.exact)
-            payload = {
-                "schema": 1,
-                "command": "tensor",
-                "mode": "virtual",
-                "N": stats.N,
-                "n": stats.n,
-                "p": stats.p,
-                "entropy": stats.entropy,
-                "influence": stats.total_influence,
-                "ei_ratio": stats.ei_ratio,
-                "mean_level": stats.mean_level(),
-                "level_variance": stats.level_variance(),
-                "level_weights": [float(w) for w in stats.profile.weights],
-            }
-    else:
-        prod = tensor_product(f, g2)
-        sp = transform(prod, bias)
-        payload = {
-            "schema": 1,
-            "command": "tensor",
-            "mode": "product",
-            "n": prod.n,
-            "p": bias.p,
-            "entropy": spectral_entropy(sp),
-            "influence": total_influence_spectral(sp),
-            "function_hex": table_to_hex(prod) if prod.n <= 16 else None,
-        }
-    if ns.format == "json":
-        _emit(ns, json.dumps(payload, indent=2))
-    else:
-        _emit(
-            ns,
-            "\n".join(
-                f"{key} = {value}" for key, value in payload.items() if key != "schema"
-            ),
+    payload = {"schema": 1, "command": "tensor"}
+    if ns.power is not None and not ns.explicit:
+        stats = virtual_power_stats(f, ns.power, bias, exact=ns.exact)
+        payload.update(
+            mode="virtual",
+            N=stats.N,
+            n=stats.n,
+            p=stats.p,
+            entropy=stats.entropy,
+            influence=stats.total_influence,
+            ei_ratio=stats.ei_ratio,
+            mean_level=stats.mean_level(),
+            level_variance=stats.level_variance(),
+            level_weights=[float(w) for w in stats.profile.weights],
         )
-    return EXIT_OK
+    else:
+        if g2 is None:
+            g = tensor_power(f, ns.power)
+            payload.update(mode="explicit", N=ns.power)
+        else:
+            g = tensor_product(f, g2)
+            payload.update(mode="product")
+        sp = transform(g, bias)
+        payload.update(
+            n=g.n,
+            p=bias.p,
+            entropy=spectral_entropy(sp),
+            influence=total_influence_spectral(sp),
+        )
+        if g2 is not None:
+            payload["function_hex"] = table_to_hex(g) if g.n <= 16 else None
+    lines = [f"{key} = {value}" for key, value in payload.items() if key != "schema"]
+    return payload, lines, EXIT_OK
 
 
-def _cmd_sweep(ns) -> int:
+def _cmd_sweep(ns):
     result = exhaustive_sweep(
         ns.n, p=ns.p if ns.p is not None else 0.5, sample=ns.sample, seed=ns.seed
     )
     best, best_hex = result.max_ratio()
     if ns.csv:
         write_sweep_csv(result, ns.csv)
-    summary = {
+    payload = {
         "schema": 1,
         "command": "sweep",
         "n": result.n,
@@ -342,47 +311,33 @@ def _cmd_sweep(ns) -> int:
         "max_ratio_function_hex": best_hex,
         "violations": result.violations,
     }
-    if ns.format == "json":
-        _emit(ns, json.dumps(summary, indent=2))
-    else:
-        lines = [
-            f"swept {result.count} functions on n = {result.n} at p = {result.p:.6g}",
-            f"max entropy/influence ratio = {best:.10g} at hex {best_hex}",
-            f"proven-bound violations: {len(result.violations)}",
-        ]
-        if ns.csv:
-            lines.append(f"per-function table written to {ns.csv}")
-        _emit(ns, "\n".join(lines))
-    return EXIT_VIOLATION if result.violations else EXIT_OK
+    lines = [
+        f"swept {result.count} functions on n = {result.n} at p = {result.p:.6g}",
+        f"max entropy/influence ratio = {best:.10g} at hex {best_hex}",
+        f"proven-bound violations: {len(result.violations)}",
+    ]
+    if ns.csv:
+        lines.append(f"per-function table written to {ns.csv}")
+    return payload, lines, EXIT_VIOLATION if result.violations else EXIT_OK
 
 
-def _cmd_clique(ns) -> int:
+def _cmd_clique(ns):
     report = clique_experiment(ns.nv, ns.r)
-    if ns.format == "json":
-        payload = {"schema": 1, "command": "clique"}
-        payload.update(report.to_dict())
-        _emit(ns, json.dumps(payload, indent=2))
-    else:
-        _emit(
-            ns,
-            "\n".join(
-                [
-                    f"K_{report.r} on {report.n_vertices} vertices; "
-                    f"{report.n_edges} edge variables",
-                    f"critical bias p0 = {report.p0:.12g} "
-                    f"(equation residual {report.equation_residual:.3g})",
-                    f"entropy   {report.entropy:.10g}",
-                    f"influence {report.influence:.10g} <= {report.union_bound:.10g}"
-                    f"  [{'ok' if report.union_bound_holds else 'VIOLATED'}]",
-                    f"clique coefficients agree to {report.coefficient_spread:.3g}",
-                    f"normalised ratio {report.ratio:.10g}",
-                ]
-            ),
-        )
-    return EXIT_OK if report.union_bound_holds else EXIT_VIOLATION
+    lines = [
+        f"K_{report.r} on {report.n_vertices} vertices; {report.n_edges} edge variables",
+        f"critical bias p0 = {report.p0:.12g} "
+        f"(equation residual {report.equation_residual:.3g})",
+        f"entropy   {report.entropy:.10g}",
+        f"influence {report.influence:.10g} <= {report.union_bound:.10g}"
+        f"  [{_mark(report.union_bound_holds)}]",
+        f"clique coefficients agree to {report.coefficient_spread:.3g}",
+        f"normalised ratio {report.ratio:.10g}",
+    ]
+    payload = {"schema": 1, "command": "clique", **report.to_dict()}
+    return payload, lines, EXIT_OK if report.union_bound_holds else EXIT_VIOLATION
 
 
-def _cmd_spectrum(ns) -> int:
+def _cmd_spectrum(ns):
     if ns.top < 0:
         raise InputError("--top must be nonnegative")
     if ns.load is not None:
@@ -403,23 +358,16 @@ def _cmd_spectrum(ns) -> int:
         lines.append(f"binary spectrum written to {ns.export}")
     if ns.export_json:
         lines.append(f"JSON spectrum written to {ns.export_json}")
-    if ns.format == "json":
-        payload = {
-            "schema": 1,
-            "command": "spectrum",
-            "n": sp.n,
-            "p": sp.p,
-            "entropy": ent,
-            "influence": infl,
-            "top": [
-                {"mask": int(msk), "coefficient": float(sp.coeffs[msk])}
-                for msk in order
-            ],
-        }
-        _emit(ns, json.dumps(payload, indent=2))
-    else:
-        _emit(ns, "\n".join(lines))
-    return EXIT_OK
+    payload = {
+        "schema": 1,
+        "command": "spectrum",
+        "n": sp.n,
+        "p": sp.p,
+        "entropy": ent,
+        "influence": infl,
+        "top": [{"mask": int(msk), "coefficient": float(sp.coeffs[msk])} for msk in order],
+    }
+    return payload, lines, EXIT_OK
 
 
 def _conf_analyze(p):
@@ -515,7 +463,14 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         _apply_common(ns)
-        return ns.func(ns)
+        payload, lines, code = ns.func(ns)
+        text = json.dumps(payload, indent=2) if ns.format == "json" else "\n".join(lines)
+        if ns.output:
+            with open(ns.output, "w", encoding="utf-8") as fh:
+                print(text, file=fh)
+        else:
+            print(text)
+        return code
     except (InputError, ResourceError, OSError) as exc:
         print(f"cubefourier: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -294,8 +294,7 @@ def exhaustive_sweep(
     """
     if n < 1:
         raise InputError("sweep needs at least one variable")
-    if not 0.0 < p < 1.0:
-        raise InputError("bias must lie strictly between 0 and 1")
+    p = as_bias(p).p
     if sample is None:
         if n > 4:
             raise InputError(

@@ -49,8 +49,7 @@ class ReductionLayout:
     def __post_init__(self):
         if self.n_original < 1:
             raise InputError("need at least one original variable")
-        if self.m < 1 or not 1 <= self.t < (1 << self.m):
-            raise InputError("reduction needs integers 1 <= t < 2^m")
+        Bias.exact(self.t, self.m)
         check_table_size(self.n_reduced, "reduced table")
 
     @property

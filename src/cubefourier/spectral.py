@@ -27,9 +27,13 @@ from . import kernels
 from .boolfn import (
     RealTable,
     TruthTable,
+    _check_coordinate,
     as_bias,
+    frozen_array,
+    frozen_table,
     level_array,
     mask_array,
+    same_fields,
 )
 from .config import check_table_size
 from .errors import InputError
@@ -81,17 +85,8 @@ class Spectrum:
     coeffs: np.ndarray  # float64, index = subset mask, read-only
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("a spectrum needs at least one variable")
-        if not 0.0 < self.p < 1.0:
-            raise InputError(f"bias must lie strictly between 0 and 1, got {self.p}")
-        check_table_size(self.n, "spectrum")
-        arr = np.ascontiguousarray(self.coeffs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size != 1 << self.n:
-            raise InputError(
-                f"expected 2^{self.n} = {1 << self.n} coefficients, got shape {arr.shape}"
-            )
-        arr.setflags(write=False)
+        arr = frozen_table(self.n, self.coeffs, np.float64, "spectrum", "coefficients")
+        object.__setattr__(self, "p", as_bias(self.p).p)
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -123,12 +118,7 @@ class Spectrum:
         return float(self.coeffs[mask])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Spectrum)
-            and self.n == other.n
-            and self.p == other.p
-            and bool(np.array_equal(self.coeffs, other.coeffs))
-        )
+        return same_fields(self, other, "n", "p", "coeffs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,15 +134,11 @@ class DyadicSpectrum:
     numerators: np.ndarray  # int64, index = subset mask, read-only
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("a spectrum needs at least one variable")
-        check_table_size(self.n, "spectrum")
-        arr = np.ascontiguousarray(self.numerators, dtype=np.int64)
-        if arr.ndim != 1 or arr.size != 1 << self.n:
-            raise InputError(
-                f"expected 2^{self.n} = {1 << self.n} numerators, got shape {arr.shape}"
-            )
-        arr.setflags(write=False)
+        # a fraction, NaN or value past int64 casts to another integer: refused below
+        with np.errstate(invalid="ignore"):
+            arr = frozen_table(self.n, self.numerators, np.int64, "spectrum", "numerators")
+        if not np.array_equal(arr, self.numerators):
+            raise InputError("exact spectrum numerators must be integers within int64")
         object.__setattr__(self, "numerators", arr)
 
     @property
@@ -175,11 +161,7 @@ class DyadicSpectrum:
         return spec
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DyadicSpectrum)
-            and self.n == other.n
-            and bool(np.array_equal(self.numerators, other.numerators))
-        )
+        return same_fields(self, other, "n", "numerators")
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,10 +177,7 @@ class LevelProfile:
     exact: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if arr.ndim != 1 or arr.size != self.n + 1:
-            raise InputError(f"expected {self.n + 1} level weights, got {arr.size}")
-        arr.setflags(write=False)
+        arr = frozen_array(self.weights, np.float64, self.n + 1, f"{self.n + 1} level weights")
         object.__setattr__(self, "weights", arr)
         if self.exact is not None and len(self.exact) != self.n + 1:
             raise InputError("exact profile length mismatch")
@@ -228,11 +207,7 @@ class LevelProfile:
         return float(np.sum(self.weights[max(k + 1, 0) :]))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LevelProfile)
-            and self.n == other.n
-            and bool(np.array_equal(self.weights, other.weights))
-        )
+        return same_fields(self, other, "n", "weights")
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +515,7 @@ def measure_weights(n: int, p: float) -> np.ndarray:
 def influence_combinatorial(f: TruthTable, i: int, p=0.5) -> float:
     """Probability that flipping coordinate i changes the output."""
     bias = as_bias(p)
-    if not 1 <= i <= f.n:
-        raise InputError(f"coordinate {i} out of range 1..{f.n}")
+    _check_coordinate(f.n, i)
     masks = mask_array(f.n)
     flipped = f.bits[masks ^ (1 << (i - 1))]
     diff = f.bits != flipped

@@ -11,6 +11,7 @@ from cubefourier import (
     TruthTable,
     and_fn,
     clique_indicator,
+    constant,
     critical_p0,
     dictator,
     discrete_derivative,
@@ -26,7 +27,7 @@ from cubefourier import (
     tribes,
 )
 from cubefourier.boolfn import RealTable, load_truth_table, save_truth_table
-from cubefourier.errors import InputError
+from cubefourier.errors import InputError, ResourceError
 
 
 def test_dictator_copies_its_coordinate():
@@ -301,6 +302,23 @@ def test_file_load_reads_what_the_text_parser_reads(tmp_path, text):
         assert str(got.value) == str(exc)
     else:
         assert load_truth_table(path) == want
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: majority(61),
+        lambda: dictator(60, 1),
+        lambda: parity(60, 1),
+        lambda: and_fn(60),
+        lambda: or_fn(60),
+        lambda: constant(60),
+    ],
+    ids=["majority", "dictator", "parity", "and", "or", "constant"],
+)
+def test_builders_check_the_cap_before_they_allocate(build):
+    with pytest.raises(ResourceError, match="over the cap"):
+        build()
 
 
 def test_real_table_validates_shape():

@@ -47,6 +47,24 @@ def test_unknown_family_is_an_input_error():
             parse_family(text)
 
 
+@pytest.mark.parametrize("spec, reason", [
+    ("dictator:4,5", "coordinate 5 out of range 1..4"),
+    ("majority:4", "majority needs an odd variable count"),
+    ("clique:3,9", "need 2 <= r <= n_vertices"),
+    ("random:4,9,2", "density must lie in [0, 1]"),
+])
+def test_family_builder_reason_reaches_the_user(capsys, spec, reason):
+    assert run("analyze", "--family", spec) == 1
+    err = capsys.readouterr().err
+    assert err == f"cubefourier: error: {reason}\n"
+
+
+def test_family_over_the_cap_is_refused_before_allocating(capsys):
+    assert run("analyze", "--family", "majority:61") == 1
+    err = capsys.readouterr().err
+    assert "over the cap" in err and "Traceback" not in err
+
+
 def test_family_help_lists_the_registry(capsys):
     with pytest.raises(SystemExit):
         run("analyze", "--help")
@@ -139,6 +157,16 @@ def test_reduce_mixes_the_two_spellings_of_one_option(capsys):
                "--pt", "3", "--pm", "3", "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["t"] == 3 and payload["m"] == 3
+
+
+def test_reduce_records_the_influence_bound_above_one_half(capsys):
+    argv = ["reduce", "--family", "majority:3", "--t", "3", "--m", "2"]
+    assert run(*argv) == 0
+    out = capsys.readouterr().out
+    assert "influence bound          1.125 <= 0  [recorded]" in out
+    assert "VIOLATED" not in out
+    assert run(*argv, "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["red_fk"]["holds"] is False
 
 
 def test_reduce_needs_exact_bias(capsys):
@@ -349,6 +377,29 @@ def test_traced_cli_names_resolve():
         if not callable(getattr(importlib.import_module(mod), name, None))
     ]
     assert missing == []
+
+
+EMITTER_COMMANDS = {
+    "analyze": ["analyze", "--family", "mux3", "--p", "0.3"],
+    "reduce": ["reduce", "--family", "dictator:2,1", "--t", "1", "--m", "2"],
+    "tensor": ["tensor", "--family", "majority:3", "--power", "3"],
+    "sweep": ["sweep", "--n", "2"],
+    "clique": ["clique", "--nv", "4", "--r", "3"],
+    "spectrum": ["spectrum", "--family", "majority:3", "--top", "3"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(EMITTER_COMMANDS))
+def test_output_file_holds_the_bytes_of_stdout(tmp_path, capsysbinary, name, fmt):
+    argv = EMITTER_COMMANDS[name] + ["--format", fmt]
+    assert main(argv) == 0
+    shown = capsysbinary.readouterr().out
+    out = tmp_path / "report"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == shown
+    assert shown.endswith(b"\n") and not shown.endswith(b"\n\n")
 
 
 def _backend_contract_commands():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import cubefourier as cf
 from cubefourier import kernels
 from cubefourier.boolfn import level_array
+from cubefourier.config import get_max_n, set_max_n
 from cubefourier.errors import InputError, ResourceError
 from cubefourier.spectral import level_sums, measure_weights, square_sums, top_masks
 from conftest import integer_wht, naive_character, naive_transform, peak_bytes
@@ -455,9 +456,26 @@ def test_tables_name_the_shape_they_refuse():
         lambda: cf.DyadicSpectrum(1, two_by_one),
         lambda: cf.TruthTable(1, two_by_one),
         lambda: cf.RealTable(1, two_by_one),
+        lambda: cf.LevelProfile(1, two_by_one),
     ):
         with pytest.raises(InputError, match=r"got shape \(2, 1\)"):
             make()
+
+
+@pytest.mark.parametrize("numerators", [[0.5, 1.5], [0.0, 2.0**63], [0, 2**70], [0.0, np.nan]])
+def test_exact_spectrum_refuses_numerators_that_are_not_int64_integers(numerators):
+    with pytest.raises(InputError):
+        cf.DyadicSpectrum(1, numerators)
+
+
+def test_measure_weights_checks_the_cap():
+    saved = get_max_n()
+    set_max_n(4)
+    try:
+        with pytest.raises(ResourceError):
+            measure_weights(5, 0.5)
+    finally:
+        set_max_n(saved)
 
 
 def test_json_rejects_missing_keys():
