@@ -123,8 +123,10 @@ class TruthTable:
     bits: np.ndarray  # uint8 in {0,1}, length 2**n, read-only
 
     def __post_init__(self):
-        arr = frozen_table(self.n, self.bits, np.uint8, "truth table", "output bits")
-        if arr.size and arr.max() > 1:
+        # a fraction, NaN or value past 255 casts to some byte: refused below
+        with np.errstate(invalid="ignore"):
+            arr = frozen_table(self.n, self.bits, np.uint8, "truth table", "output bits")
+        if arr.max() > 1 or (arr is not self.bits and not np.array_equal(arr, self.bits)):
             raise InputError("output bits must be 0 or 1")
         object.__setattr__(self, "bits", arr)
 
@@ -201,7 +203,11 @@ class Bias:
 
     @classmethod
     def general(cls, p: float) -> "Bias":
-        return cls(p=float(p))
+        try:
+            p = float(p)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bias must be a number, got {p!r}") from exc
+        return cls(p=p)
 
     @classmethod
     def exact(cls, t: int, m: int) -> "Bias":
@@ -220,7 +226,7 @@ class Bias:
 def as_bias(p) -> Bias:
     if isinstance(p, Bias):
         return p
-    return Bias.general(float(p))
+    return Bias.general(p)
 
 
 @dataclass(frozen=True)
@@ -298,9 +304,10 @@ def dictator(n: int, i: int) -> TruthTable:
 
 def parity(n: int, s: int) -> TruthTable:
     """+-1 value at x is (-1)**|s & x|; equals the character u_s at p=1/2."""
-    if not 0 <= s < (1 << n):
+    masks = mask_array(n)
+    if not 0 <= s < masks.size:
         raise InputError(f"subset mask {s} out of range for n={n}")
-    return TruthTable(n, (popcounts(mask_array(n) & s) & 1).astype(np.uint8))
+    return TruthTable(n, (popcounts(masks & s) & 1).astype(np.uint8))
 
 
 def majority(n: int) -> TruthTable:

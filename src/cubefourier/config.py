@@ -60,7 +60,9 @@ _apply_env("CUBEFOURIER_THREADS", set_threads)
 
 
 def check_table_size(n: int, what: str = "table") -> None:
-    """Refuse allocations of 2**n entries beyond the configured cap."""
+    """Refuse a negative n, and allocations of 2**n entries beyond the configured cap."""
+    if n < 0:
+        raise InputError(f"a {what} needs a variable count of at least 0, got {n}")
     if n > _max_n:
         raise ResourceError(
             f"{what} on {n} variables needs 2^{n} entries, over the cap of "

@@ -121,47 +121,43 @@ class Spectrum:
         return same_fields(self, other, "n", "p", "coeffs")
 
 
-@dataclass(frozen=True, eq=False)
-class DyadicSpectrum:
-    """Exact uniform-measure coefficients: coeff(S) = numerators[S] / 2**n.
+_NUMERATOR_LIMIT = 2.0**53
+
+
+class DyadicSpectrum(Spectrum):
+    """Exact uniform-measure coefficients: the p = 1/2 spectrum with
+    coeff(S) = numerators[S] / 2**n for integer numerators.
 
     The float64 butterfly computes them exactly (see ``exact_transform``).
     For a +-1 valued function the numerators always fit: their squares sum
-    to 4**n.
+    to 4**n.  Numerators must be integers of magnitude below 2**53, where
+    doubles hold every integer and every quotient by 2**n exactly; 2**53
+    itself is refused, as the integer 2**53 + 1 rounds onto it.
     """
 
-    n: int
-    numerators: np.ndarray  # int64, index = subset mask, read-only
-
-    def __post_init__(self):
-        # a fraction, NaN or value past int64 casts to another integer: refused below
-        with np.errstate(invalid="ignore"):
-            arr = frozen_table(self.n, self.numerators, np.int64, "spectrum", "numerators")
-        if not np.array_equal(arr, self.numerators):
-            raise InputError("exact spectrum numerators must be integers within int64")
-        object.__setattr__(self, "numerators", arr)
+    def __init__(self, n: int, numerators):
+        nums = frozen_table(n, numerators, np.float64, "spectrum", "numerators")
+        coeffs = np.rint(nums)
+        if not (
+            np.array_equal(coeffs, nums)
+            and -_NUMERATOR_LIMIT < coeffs.min()
+            and coeffs.max() < _NUMERATOR_LIMIT
+        ):
+            raise InputError("exact spectrum numerators must be integers of magnitude below 2^53")
+        super().__init__(n, 0.5, np.ldexp(coeffs, -n, out=coeffs))
 
     @property
-    def size(self) -> int:
-        return 1 << self.n
+    def numerators(self) -> np.ndarray:
+        """coeffs * 2**n: integer-valued float64, as a fresh read-only table."""
+        nums = np.ldexp(self.coeffs, self.n)
+        nums.setflags(write=False)
+        return nums
 
     def coefficient(self, mask: int) -> Fraction:
-        return Fraction(int(self.numerators[mask]), 1 << self.n)
+        return Fraction(float(self.coeffs[mask]))
 
     def square(self, mask: int) -> Fraction:
-        num = int(self.numerators[mask])
-        return Fraction(num * num, 1 << (2 * self.n))
-
-    def to_spectrum(self) -> Spectrum:
-        """The p = 1/2 float spectrum, exact for numerators below 2**53; built once."""
-        spec = self.__dict__.get("_spectrum")
-        if spec is None:
-            spec = Spectrum(self.n, 0.5, self.numerators.astype(np.float64) / (1 << self.n))
-            object.__setattr__(self, "_spectrum", spec)
-        return spec
-
-    def __eq__(self, other) -> bool:
-        return same_fields(self, other, "n", "numerators")
+        return self.coefficient(mask) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +233,8 @@ def exact_transform(f: TruthTable | RealTable) -> DyadicSpectrum:
 
     Accepts integer-valued tables with |value| <= 2**20.  The butterfly runs
     in doubles; every partial sum is an integer of magnitude at most
-    max|value| * 2**n <= 2**(20 + n), exact below 2**53: up to n = 33.
+    max|value| * 2**n <= 2**(20 + n), exact and below the 2**53 limit of
+    ``DyadicSpectrum`` up to n = 32.
     """
     v = f.sign_values()  # fresh, writable
     if isinstance(f, RealTable):
@@ -256,14 +253,14 @@ def exact_transform(f: TruthTable | RealTable) -> DyadicSpectrum:
 def reconstruct_exact(dspec: DyadicSpectrum):
     """Invert an exact spectrum; returns a TruthTable when the values are +-1.
 
-    Exact, as ``exact_transform`` is, for the spectrum of any table it accepts.
+    The butterfly of the coefficients gives the values: it is the one of
+    the numerators scaled by 2**-n, so it is exact, as ``exact_transform``
+    is, for the spectrum of any table that transform accepts.
     """
-    v = dspec.numerators.astype(np.float64)
+    v = dspec.coeffs.copy()
     kernels.wht_inplace(v)
-    size = 1 << dspec.n
-    if np.any(v % size):
+    if np.any(v % 1):
         raise InputError("numerators are not a valid exact spectrum")
-    v /= size
     if np.all((v == 1) | (v == -1)):
         return TruthTable(dspec.n, ((1 - v) // 2).astype(np.uint8))
     return RealTable(dspec.n, v)
@@ -480,24 +477,18 @@ def level_sums(coeffs: np.ndarray) -> LevelSums:
     return LevelSums(n, levels, peaks)
 
 
-def _as_spectrum(spec: Spectrum | DyadicSpectrum) -> Spectrum:
-    return spec.to_spectrum() if isinstance(spec, DyadicSpectrum) else spec
-
-
-def spectral_entropy(spec: Spectrum | DyadicSpectrum) -> float:
+def spectral_entropy(spec: Spectrum) -> float:
     """Shannon entropy (bits) of the squared-coefficient distribution."""
-    return float(_as_spectrum(spec).sums().entropy()[0])
+    return float(spec.sums().entropy()[0])
 
 
-def total_influence_spectral(spec: Spectrum | DyadicSpectrum) -> float:
+def total_influence_spectral(spec: Spectrum) -> float:
     """Sum of |S| times squared coefficient, scaled by 1/(4p(1-p))."""
-    spec = _as_spectrum(spec)
     return float(spec.sums().influence(spec.p)[0])
 
 
-def coordinate_influences(spec: Spectrum | DyadicSpectrum) -> np.ndarray:
+def coordinate_influences(spec: Spectrum) -> np.ndarray:
     """All n coordinate influences from the spectrum."""
-    spec = _as_spectrum(spec)
     return spec.sums().coordinate_influences(spec.p)[0]
 
 
@@ -537,7 +528,7 @@ def total_influence_combinatorial(f: TruthTable, p=0.5) -> float:
     return float(np.sum(influence_vector(f, p)))
 
 
-def level_profile(spec: Spectrum | DyadicSpectrum) -> LevelProfile:
+def level_profile(spec: Spectrum) -> LevelProfile:
     if isinstance(spec, DyadicSpectrum):
         return exact_level_profile(spec)
     return LevelProfile(spec.n, spec.level_sums().levels[0])
@@ -546,30 +537,30 @@ def level_profile(spec: Spectrum | DyadicSpectrum) -> LevelProfile:
 def exact_level_profile(dspec: DyadicSpectrum) -> LevelProfile:
     """Squared mass per level as Fractions over the common denominator 4**n.
 
-    The float level sums of ``to_spectrum()``, scaled by 4**n, are sums of
+    The float level sums of the coefficients, scaled by 4**n, are sums of
     squared integer numerators.  When their computed total is at most 2**52
     the true total is below 2**53, so every square and every partial sum
-    was an integer that doubles hold exactly.  Otherwise the squares are
-    summed in Python integers.
+    was an integer that doubles hold exactly.  Otherwise the numerators of
+    the nonzero coefficients are squared and summed as Python integers.
     """
     n = dspec.n
-    sums = np.ldexp(dspec.to_spectrum().level_sums().levels[0], 2 * n)
+    sums = np.ldexp(dspec.level_sums().levels[0], 2 * n)
     if np.sum(sums) <= 2.0**52:
         sums = [int(x) for x in sums.tolist()]
     else:
-        nums = dspec.numerators
-        live = np.flatnonzero(nums)
+        live = np.flatnonzero(dspec.coeffs)
+        nums = np.ldexp(dspec.coeffs[live], n).tolist()
         sums = [0] * (n + 1)
-        for lvl, num in zip(level_array(n)[live].tolist(), nums[live].tolist()):
-            sums[lvl] += num * num
+        for lvl, num in zip(level_array(n)[live].tolist(), nums):
+            sums[lvl] += int(num) ** 2
     return LevelProfile.from_numerators(n, sums, 1 << (2 * n))
 
 
-def degree(spec: Spectrum | DyadicSpectrum, tol: float = 1e-9) -> int:
+def degree(spec: Spectrum, tol: float = 1e-9) -> int:
     """Largest |S| carrying a coefficient; exact spectra ignore ``tol``."""
     if isinstance(spec, DyadicSpectrum):
         tol = 0.0
-    return int(_as_spectrum(spec).level_sums().degree(tol)[0])
+    return int(spec.level_sums().degree(tol)[0])
 
 
 def top_masks(values: np.ndarray, k: int, key=None) -> np.ndarray:
@@ -615,7 +606,7 @@ def top_masks(values: np.ndarray, k: int, key=None) -> np.ndarray:
     return masks[np.argsort(negs, kind="stable")[:k]]
 
 
-def support_size(spec: Spectrum | DyadicSpectrum, epsilon: float) -> tuple[int, float]:
+def support_size(spec: Spectrum, epsilon: float) -> tuple[int, float]:
     """Size and captured weight of the epsilon-support of :func:`min_support`.
 
     Taking squares in decreasing order gives the same partial sums whatever
@@ -627,7 +618,6 @@ def support_size(spec: Spectrum | DyadicSpectrum, epsilon: float) -> tuple[int, 
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise InputError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    spec = _as_spectrum(spec)
     c = spec.coeffs
     total = float(spec.sums().total[0])
     if not math.isfinite(total):
@@ -652,14 +642,13 @@ def support_size(spec: Spectrum | DyadicSpectrum, epsilon: float) -> tuple[int, 
     return cut + 1, float(captured[cut])
 
 
-def min_support(spec: Spectrum | DyadicSpectrum, epsilon: float):
+def min_support(spec: Spectrum, epsilon: float):
     """Smallest set of subset masks whose complement weight is <= epsilon.
 
     Masks are taken in order of decreasing squared coefficient, ties broken
     by ascending mask, so the answer is deterministic.  Returns the mask
     array and the weight it captures.
     """
-    spec = _as_spectrum(spec)
     keep, captured = support_size(spec, epsilon)
     return top_masks(spec.coeffs, keep, key=np.square), captured
 
@@ -667,7 +656,7 @@ def min_support(spec: Spectrum | DyadicSpectrum, epsilon: float):
 def dyadic_check(dspec: DyadicSpectrum, k: int) -> bool:
     """Exact structural test for "behaves like a degree-k function".
 
-    Two conditions, both checked on the integer numerators:
+    Two conditions on the integer numerators, both read off the coefficients:
 
     * no weight strictly above level k (the degree really is at most k), and
     * every numerator is divisible by 2**(n - k).
@@ -678,13 +667,13 @@ def dyadic_check(dspec: DyadicSpectrum, k: int) -> bool:
     degree 3.  The level condition rules those out.
     """
     if k < 0:
-        return not bool(np.any(dspec.numerators))
+        return not bool(np.any(dspec.coeffs))
     if k >= dspec.n:
         return True
     if degree(dspec) > k:
         return False
-    step = np.int64(1) << (dspec.n - k)
-    return not bool(np.any(dspec.numerators % step))
+    # 2**(n - k) divides a numerator exactly when coeff * 2**k is an integer
+    return not bool(np.any(np.ldexp(dspec.coeffs, k) % 1))
 
 
 def parseval_gap(spec: Spectrum, f: TruthTable | RealTable) -> float:

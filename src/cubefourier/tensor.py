@@ -20,9 +20,7 @@ from .boolfn import RealTable, TruthTable, as_bias
 from .config import check_table_size, get_max_n
 from .errors import InputError, ResourceError
 from .spectral import (
-    DyadicSpectrum,
     LevelProfile,
-    Spectrum,
     exact_level_profile,
     exact_transform,
     level_profile,
@@ -180,9 +178,8 @@ def virtual_power_stats(
     if exact:
         if bias.p != 0.5:
             raise InputError("exact virtual powers are supported at p = 1/2 only")
-        dspec = exact_transform(f)
-        base_profile = exact_level_profile(dspec)
-        spec: Spectrum | DyadicSpectrum = dspec
+        spec = exact_transform(f)
+        base_profile = exact_level_profile(spec)
     else:
         spec = transform(f, bias)
         base_profile = level_profile(spec)

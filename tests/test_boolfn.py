@@ -26,7 +26,14 @@ from cubefourier import (
     table_to_hex,
     tribes,
 )
-from cubefourier.boolfn import RealTable, load_truth_table, save_truth_table
+from cubefourier.boolfn import (
+    RealTable,
+    level_array,
+    load_truth_table,
+    mask_array,
+    save_truth_table,
+)
+from cubefourier.spectral import Spectrum, transform
 from cubefourier.errors import InputError, ResourceError
 
 
@@ -92,6 +99,14 @@ def test_tables_are_immutable():
         f.bits[0] = 1
 
 
+@pytest.mark.parametrize("bits", [
+    [0.5, 1.9], np.array([256, 1]), np.array([1.0, np.nan]), np.array([300.0, 0.0]),
+])
+def test_truth_table_refuses_values_the_byte_cast_changes(bits):
+    with pytest.raises(InputError, match="output bits must be 0 or 1"):
+        TruthTable(1, bits)
+
+
 def test_bad_bits_rejected():
     with pytest.raises(InputError):
         from_bits(2, [0, 1, 2, 0])
@@ -116,6 +131,16 @@ def test_bias_rejects_endpoints():
         Bias.general(1.0)
     with pytest.raises(InputError):
         Bias.exact(4, 2)
+
+
+def test_bias_that_is_not_a_number_is_an_input_error():
+    for make in (
+        lambda: Bias.general(None),
+        lambda: Spectrum(1, "abc", [1, 0]),
+        lambda: transform(majority(3), "abc"),
+    ):
+        with pytest.raises(InputError, match="bias must be a number"):
+            make()
 
 
 # --- derivative ----------------------------------------------------------
@@ -318,6 +343,23 @@ def test_file_load_reads_what_the_text_parser_reads(tmp_path, text):
 )
 def test_builders_check_the_cap_before_they_allocate(build):
     with pytest.raises(ResourceError, match="over the cap"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: constant(-1),
+        lambda: mask_array(-1),
+        lambda: level_array(-1),
+        lambda: random_function(-1, 0),
+        lambda: parity(-1, 0),
+        lambda: and_fn(-1),
+    ],
+    ids=["constant", "mask_array", "level_array", "random", "parity", "and"],
+)
+def test_negative_variable_count_is_an_input_error(build):
+    with pytest.raises(InputError, match="variable count of at least 0, got -1"):
         build()
 
 

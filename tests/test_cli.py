@@ -52,6 +52,7 @@ def test_unknown_family_is_an_input_error():
     ("majority:4", "majority needs an odd variable count"),
     ("clique:3,9", "need 2 <= r <= n_vertices"),
     ("random:4,9,2", "density must lie in [0, 1]"),
+    ("and:-1", "a truth table needs a variable count of at least 0, got -1"),
 ])
 def test_family_builder_reason_reaches_the_user(capsys, spec, reason):
     assert run("analyze", "--family", spec) == 1

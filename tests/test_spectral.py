@@ -154,7 +154,7 @@ def test_exact_transform_matches_float_transform(n, seed):
     # every weight at p = 1/2 is +-1/2, so the float butterfly is exact; the
     # reduction checks rely on this to transform reduced tables in floats
     f = cf.random_function(n, seed)
-    exact = cf.exact_transform(f).to_spectrum().coeffs
+    exact = cf.exact_transform(f).coeffs
     fast = cf.transform(f, 0.5).coeffs
     assert np.array_equal(exact, fast)
     assert np.array_equal(np.signbit(exact), np.signbit(fast))
@@ -468,6 +468,12 @@ def test_exact_spectrum_refuses_numerators_that_are_not_int64_integers(numerator
         cf.DyadicSpectrum(1, numerators)
 
 
+@pytest.mark.parametrize("numerators", [[0, 2**53 + 2], [0, 2**53 + 1]])
+def test_exact_spectrum_refuses_numerators_at_or_above_2_to_the_53(numerators):
+    with pytest.raises(InputError):
+        cf.DyadicSpectrum(1, numerators)
+
+
 def test_measure_weights_checks_the_cap():
     saved = get_max_n()
     set_max_n(4)
@@ -666,10 +672,12 @@ def test_exact_level_profile_float_sums_stop_below_two_to_the_53():
     assert prof.exact[1] == Fraction((1 << 53) + 1, 1 << 6)
 
 
-def test_exact_spectrum_builds_its_float_view_once():
+def test_exact_spectrum_is_a_half_bias_spectrum():
     d = cf.exact_transform(cf.random_function(6, 3))
-    assert d.to_spectrum() is d.to_spectrum()
-    assert cf.degree(d) == cf.degree(d.to_spectrum(), 0.0)
+    assert isinstance(d, cf.Spectrum) and d.p == 0.5
+    assert cf.degree(d) == cf.degree(cf.Spectrum(d.n, 0.5, d.coeffs), 0.0)
+    assert np.array_equal(d.numerators, np.ldexp(d.coeffs, d.n))
+    assert cf.DyadicSpectrum(d.n, d.numerators) == d
 
 
 # --- the blocked pass against the whole-array formulas ------------------------
