@@ -2,7 +2,8 @@
 
 Mirrors the compiled ``stage_f64`` exactly: same signature, same
 per-element arithmetic (two multiplies then one add), so both backends
-produce the same doubles.
+produce the same doubles.  The Walsh-Hadamard weights (1, 1, 1, -1) take
+an add and a subtract instead, which give those same doubles.
 
 A stage works through its pairs in pieces of at most ``_CHUNK`` pairs and
 writes every result through ufunc ``out=`` into the table or into a small
@@ -14,7 +15,7 @@ import threading
 import numpy as np
 
 # Pairs per piece.  A piece (512 KiB of float64) and its scratch (as much
-# again) stay in a 2 MiB L2 across the piece's six ufunc passes.  Smaller
+# again) stay in a 2 MiB L2 across the piece's ufunc passes.  Smaller
 # pieces cost more in per-call overhead, and, while sweep workers run
 # stages at once, in handing the interpreter lock back and forth.
 _CHUNK = 1 << 15
@@ -57,6 +58,15 @@ def _pieces(v, h, block_lo, block_hi):
 
 def stage_f64(v, w00, w01, w10, w11, h, block_lo, block_hi):
     s = _scratch()
+    if (w00, w01, w10, w11) == (1.0, 1.0, 1.0, -1.0):
+        # The Walsh-Hadamard weights: 1.0*x is exact and lo + (-hi) is
+        # lo - hi, so an add and a subtract give the same doubles.
+        for lo, hi in _pieces(v, h, block_lo, block_hi):
+            t = s[0, : lo.size].reshape(lo.shape)
+            np.add(lo, hi, out=t)
+            np.subtract(lo, hi, out=hi)
+            np.copyto(lo, t)
+        return
     for lo, hi in _pieces(v, h, block_lo, block_hi):
         t, u = s[:, : lo.size].reshape(2, *lo.shape)
         np.multiply(lo, w10, out=t)

@@ -9,11 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
+# The package makes no BLAS call, but numpy's OpenBLAS starts a worker per
+# CPU at load that busy-waits for about 0.1 s of CPU time.  Ask for one
+# thread when this import is what loads numpy, keeping a value the user set
+# and leaving a host that loaded numpy alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .boolfn import (

@@ -19,7 +19,6 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -154,6 +153,8 @@ class DyadicSpectrum(Spectrum):
         return nums
 
     def coefficient(self, mask: int) -> Fraction:
+        from fractions import Fraction  # only the exact paths pay for importing it
+
         return Fraction(float(self.coeffs[mask]))
 
     def square(self, mask: int) -> Fraction:
@@ -181,6 +182,8 @@ class LevelProfile:
     @classmethod
     def from_numerators(cls, n: int, numerators, denom: int) -> "LevelProfile":
         """Exact profile with weights numerators[k] / denom, floats rounded from them."""
+        from fractions import Fraction
+
         exact = tuple(Fraction(num, denom) for num in numerators)
         return cls(n, np.array([float(x) for x in exact], dtype=np.float64), exact=exact)
 

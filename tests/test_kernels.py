@@ -33,18 +33,34 @@ def _random_vec(n, seed):
     return rng.standard_normal(1 << n)
 
 
-@needs_compiled
-@given(st.integers(1, 10), st.integers(0, 1000), st.sampled_from([0.5, 0.25, 0.3, 0.71]))
-def test_stage_f64_backends_agree_bitwise(n, seed, p):
-    v1 = _random_vec(n, seed)
-    v2 = v1.copy()
+def _biased_weights(p):
     c = np.sqrt(p * (1 - p))
+    return 1 - p, p, c, -c
+
+
+@needs_compiled
+@given(
+    st.integers(1, 10),
+    st.integers(0, 1000),
+    st.sampled_from(
+        [_biased_weights(p) for p in (0.5, 0.25, 0.3, 0.71)] + [(1.0, 1.0, 1.0, -1.0)]
+    ),
+    st.booleans(),
+)
+def test_stage_f64_backends_agree_bitwise(n, seed, weights, integral):
+    v1 = _random_vec(n, seed)
+    if integral:
+        # Walsh-Hadamard inputs: small integers, with zeros of both signs
+        v1 = np.rint(2 * v1)
+        v1[::3] = np.copysign(0.0, v1[::3])
+    v2 = v1.copy()
     for i in range(n):
         h = 1 << i
         nblocks = (1 << n) >> (i + 1)
-        _compiled.stage_f64(v1, 1 - p, p, c, -c, h, 0, nblocks)
-        _kernels_py.stage_f64(v2, 1 - p, p, c, -c, h, 0, nblocks)
+        _compiled.stage_f64(v1, *weights, h, 0, nblocks)
+        _kernels_py.stage_f64(v2, *weights, h, 0, nblocks)
     assert np.array_equal(v1, v2)
+    assert np.array_equal(np.signbit(v1), np.signbit(v2))
 
 
 @needs_compiled
