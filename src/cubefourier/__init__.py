@@ -11,6 +11,9 @@ numpy) on first use.  The command line (``cubefourier.cli``) loads numpy
 with one OpenBLAS thread unless ``OPENBLAS_NUM_THREADS`` is set: the
 package makes no BLAS call, and otherwise OpenBLAS starts a worker per CPU
 at load that busy-waits for about 0.1 s of CPU time in every command.
+
+``_SOURCES`` below is the one list of public names: the star-import list and
+the lazy lookup derive from it.  ``pyproject.toml`` reads ``__version__``.
 """
 
 import importlib
@@ -19,7 +22,7 @@ from . import config
 
 __version__ = "0.1.0"
 
-# The submodule behind each public name, imported on first use of a name.
+# The public names of each submodule, which is imported on first use of one.
 _SOURCES = {
     "boolfn": (
         "Bias", "GraphPropertySpec", "RealTable", "TruthTable", "and_fn",
@@ -52,6 +55,7 @@ _SOURCES = {
     ),
 }
 _HOME = {name: module for module, names in _SOURCES.items() for name in names}
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name):
@@ -66,84 +70,5 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__) | set(_SOURCES))
+    return sorted(set(globals()) | set(_HOME) | set(_SOURCES))
 
-
-__all__ = [
-    "__version__",
-    "backend_name",
-    # function construction
-    "TruthTable",
-    "RealTable",
-    "Bias",
-    "GraphPropertySpec",
-    "from_bits",
-    "constant",
-    "dictator",
-    "parity",
-    "majority",
-    "tribes",
-    "and_fn",
-    "or_fn",
-    "mux3",
-    "clique_indicator",
-    "critical_p0",
-    "random_function",
-    "discrete_derivative",
-    "parse_truth_table",
-    "format_truth_table",
-    "load_truth_table",
-    "save_truth_table",
-    "table_to_hex",
-    # spectra
-    "Spectrum",
-    "DyadicSpectrum",
-    "LevelProfile",
-    "transform",
-    "inverse_transform",
-    "exact_transform",
-    "reconstruct_exact",
-    "spectral_entropy",
-    "total_influence_spectral",
-    "total_influence_combinatorial",
-    "influence_combinatorial",
-    "influence_vector",
-    "coordinate_influences",
-    "level_profile",
-    "degree",
-    "support_size",
-    "min_support",
-    "dyadic_check",
-    "parseval_gap",
-    "save_spectrum_json",
-    "load_spectrum_json",
-    "save_spectrum_binary",
-    "load_spectrum_binary",
-    # reduction
-    "ReductionLayout",
-    "reduce_table",
-    "reduction_report",
-    "verify_red0",
-    "verify_red_fk",
-    "verify_entropy_monotone",
-    # tensor
-    "tensor_product",
-    "tensor_power",
-    "profile_convolve",
-    "profile_power",
-    "tail_decay",
-    "VirtualPowerStats",
-    "virtual_power_stats",
-    # conjecture checks
-    "AnalysisReport",
-    "SweepResult",
-    "CliqueReport",
-    "analyze",
-    "binary_entropy",
-    "ei_ratio",
-    "entropy_upper_bounds",
-    "exhaustive_sweep",
-    "write_sweep_csv",
-    "clique_experiment",
-    "min_support_check",
-]

@@ -80,14 +80,21 @@ def _level_array(n: int) -> np.ndarray:
     levels = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
         levels = np.concatenate((levels, levels + 1))
-    levels.setflags(write=False)
-    return levels
+    return readonly(levels)
+
+
+def readonly(arr: np.ndarray) -> np.ndarray:
+    """Mark ``arr`` read-only and return it; a table keeps such an array without a copy."""
+    arr.setflags(write=False)
+    return arr
 
 
 def frozen_array(value, dtype, length: int, entries: str) -> np.ndarray:
     """``value`` as a read-only, C-contiguous 1-d ``dtype`` array of ``length`` entries.
 
-    ``entries`` names what is expected, for the error message.
+    A writable array that the caller still holds (``value`` itself, or a view
+    of memory the caller owns) is copied, so later writes to it leave the
+    table alone.  ``entries`` names what is expected, for the error message.
     """
     try:
         arr = np.ascontiguousarray(value, dtype=dtype)
@@ -95,8 +102,9 @@ def frozen_array(value, dtype, length: int, entries: str) -> np.ndarray:
         raise InputError(f"expected {entries}: {exc}") from None
     if arr.ndim != 1 or arr.size != length:
         raise InputError(f"expected {entries}, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+    if arr.flags.writeable and (arr is value or arr.base is not None):
+        arr = arr.copy()
+    return readonly(arr)
 
 
 def frozen_table(n: int, value, dtype, what: str, entries: str, least: int = 1) -> np.ndarray:
@@ -359,7 +367,7 @@ def clique_indicator(spec: GraphPropertySpec) -> TruthTable:
     for j in range(n):
         pairs = sat.reshape(-1, 2, 1 << j)
         pairs[:, 1, :] |= pairs[:, 0, :]
-    return TruthTable(n, sat)
+    return TruthTable(n, readonly(sat))
 
 
 def critical_p0(spec: GraphPropertySpec) -> Bias:
@@ -398,7 +406,7 @@ def discrete_derivative(f: TruthTable | RealTable, i: int) -> RealTable:
     h = 1 << (i - 1)
     pairs = vals.reshape(-1, 2, h)
     out = (pairs[:, 0, :] - pairs[:, 1, :]) / 2.0
-    return RealTable(f.n - 1, out.reshape(-1))
+    return RealTable(f.n - 1, readonly(out.reshape(-1)))
 
 
 def _check_coordinate(n: int, i: int) -> None:
@@ -464,14 +472,14 @@ def parse_truth_table(text: str) -> TruthTable:
             # fromhex skips whitespace between digit pairs
             raise InputError("hex body contains non-hex characters")
         bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
-        return TruthTable(n, bits[bits.size - size :])
+        return TruthTable(n, readonly(bits[bits.size - size :]))
     if len(body) != size:
         raise InputError(f"expected 2^{n} = {size} characters of '0'/'1', got {len(body)}")
     # one byte per character ('?' for non-ASCII); every byte but '0' and '1' wraps past 1
     bits = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8) - np.uint8(ord("0"))
     if bits.max() > 1:
         raise InputError("table body may contain only '0' and '1'")
-    return TruthTable(n, bits)
+    return TruthTable(n, readonly(bits))
 
 
 def load_truth_table(path) -> TruthTable:

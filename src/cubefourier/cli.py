@@ -226,9 +226,8 @@ def _cmd_analyze(ns):
         f"parseval gap       {report.parseval:.3g}",
     ]
     for name, value in report.bounds.items():
-        if value is not None:
-            mark = _mark(name not in report.violations) if name in PROVEN_BOUNDS else "recorded"
-            lines.append(f"bound {name:<14} {value:.10g}  [{mark}]")
+        mark = _mark(name not in report.violations) if name in PROVEN_BOUNDS else "recorded"
+        lines.append(f"bound {name:<14} {value:.10g}  [{mark}]")
     if report.claim_constant is not None:
         lines.append(f"biased claim constant  {report.claim_constant:.10g}")
     payload = {"schema": 1, "command": "analyze", **report.to_dict()}

@@ -81,30 +81,28 @@ def ei_ratio(entropy: float, influence: float, p: float = 0.5) -> float | None:
     return entropy / (p * math.log2(1.0 / p) * influence)
 
 
-def entropy_upper_bounds(n: int, influence, infl_vec=None) -> dict:
+def entropy_upper_bounds(n: int, influence, infl_vec) -> dict:
     """The proven upper bounds for spectral entropy at the uniform measure.
 
-    Returns h_bound (sum of binary entropies of coordinate influences,
-    present when ``infl_vec`` is given), proof_form 2I(1 + log2 n - log2 I),
-    its weaker displayed variant 2I(log2 n - log2 I) which is recorded but
-    never asserted, and the additive bound (log2 n + 1) I + 1.  Works
-    elementwise: ``influence`` may be an array, with ``infl_vec`` carrying
-    the coordinates along its last axis; scalars give floats.
+    Returns h_bound (sum of binary entropies of the coordinate influences
+    ``infl_vec``), proof_form 2I(1 + log2 n - log2 I), its weaker displayed
+    variant 2I(log2 n - log2 I) which is recorded but never asserted, and
+    the additive bound (log2 n + 1) I + 1.  Works elementwise: ``influence``
+    may be an array, with ``infl_vec`` carrying the coordinates along its
+    last axis; scalars give floats.
     """
     infl = np.asarray(influence, dtype=np.float64)
-    out: dict = {"h_bound": None}
-    if infl_vec is not None:
-        # spectral influences are probabilities that rounding can carry
-        # an ulp past 1 away from p = 1/2
-        ivec = np.clip(np.asarray(infl_vec, dtype=np.float64), 0.0, 1.0)
-        out["h_bound"] = np.sum(binary_entropy(ivec), axis=-1)
+    # spectral influences are probabilities that rounding can carry an ulp
+    # past 1 away from p = 1/2
+    ivec = np.clip(np.asarray(infl_vec, dtype=np.float64), 0.0, 1.0)
+    out = {"h_bound": np.sum(binary_entropy(ivec), axis=-1)}
     with np.errstate(divide="ignore", invalid="ignore"):
         log_term = math.log2(n) - np.log2(infl)
         out["proof_form"] = np.where(infl > 0.0, 2.0 * infl * (1.0 + log_term), 0.0)
         out["displayed_form"] = np.where(infl > 0.0, 2.0 * infl * log_term, 0.0)
     out["logn_bound"] = (math.log2(n) + 1.0) * infl + 1.0
     if infl.ndim == 0:
-        out = {k: None if v is None else float(v) for k, v in out.items()}
+        out = {k: float(v) for k, v in out.items()}
     return out
 
 
@@ -112,12 +110,8 @@ PROVEN_BOUNDS = ("h_bound", "proof_form", "logn_bound")
 
 
 def exceeded_bounds(entropy, bounds: dict) -> dict:
-    """For each proven bound present, whether the entropy exceeds it (elementwise)."""
-    return {
-        name: entropy > bounds[name] + PROVEN_BOUND_SLACK
-        for name in PROVEN_BOUNDS
-        if bounds[name] is not None
-    }
+    """For each proven bound, whether the entropy exceeds it (elementwise)."""
+    return {name: entropy > bounds[name] + PROVEN_BOUND_SLACK for name in PROVEN_BOUNDS}
 
 
 @dataclass(frozen=True)
@@ -307,12 +301,10 @@ def exhaustive_sweep(
         if sample < 1:
             raise InputError("sample size must be positive")
         check_table_size(n, "sweep table")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        size = 1 << n
-        if size <= 62:
-            all_ids = rng.integers(0, 1 << size, size=sample, dtype=np.int64)
-        else:
+        if n > 5:  # an id holds 2**n bits, and n = 6 overflows int64
             raise InputError("sampled sweeps support n <= 5")
+        rng = np.random.Generator(np.random.PCG64(seed))
+        all_ids = rng.integers(0, 1 << (1 << n), size=sample, dtype=np.int64)
         exhaustive = False
 
     chunks = [

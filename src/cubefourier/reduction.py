@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .boolfn import Bias, RealTable, TruthTable
+from .boolfn import Bias, RealTable, TruthTable, readonly
 from .config import check_table_size
 from .conjecture import PROVEN_BOUND_SLACK
 from .errors import InputError
@@ -105,8 +105,8 @@ def reduce_table(f: TruthTable | RealTable, p: Bias):
     layout = layout_for(f.n, p)
     x = _original_table(layout)
     if isinstance(f, TruthTable):
-        return TruthTable(layout.n_reduced, f.bits[x])
-    return RealTable(layout.n_reduced, f.values[x])
+        return TruthTable(layout.n_reduced, readonly(f.bits[x]))
+    return RealTable(layout.n_reduced, readonly(f.values[x]))
 
 
 def block_projection(layout: ReductionLayout, masks: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from .boolfn import (
     frozen_table,
     level_array,
     mask_array,
+    readonly,
     same_fields,
 )
 from .config import check_table_size
@@ -109,9 +110,7 @@ class Spectrum:
 
     def squares(self) -> np.ndarray:
         """Squared coefficients, as a fresh read-only table on every call."""
-        w = self.coeffs * self.coeffs
-        w.setflags(write=False)
-        return w
+        return readonly(self.coeffs * self.coeffs)
 
     def coefficient(self, mask: int) -> float:
         return float(self.coeffs[mask])
@@ -143,14 +142,12 @@ class DyadicSpectrum(Spectrum):
             and coeffs.max() < _NUMERATOR_LIMIT
         ):
             raise InputError("exact spectrum numerators must be integers of magnitude below 2^53")
-        super().__init__(n, 0.5, np.ldexp(coeffs, -n, out=coeffs))
+        super().__init__(n, 0.5, readonly(np.ldexp(coeffs, -n, out=coeffs)))
 
     @property
     def numerators(self) -> np.ndarray:
         """coeffs * 2**n: integer-valued float64, as a fresh read-only table."""
-        nums = np.ldexp(self.coeffs, self.n)
-        nums.setflags(write=False)
-        return nums
+        return readonly(np.ldexp(self.coeffs, self.n))
 
     def coefficient(self, mask: int) -> Fraction:
         from fractions import Fraction  # only the exact paths pay for importing it
@@ -218,14 +215,14 @@ def transform(f: TruthTable | RealTable, p=0.5) -> Spectrum:
     bias = as_bias(p)
     v = f.sign_values()  # fresh, writable copy
     kernels.biased_forward_inplace(v, bias.p)
-    return Spectrum(f.n, bias.p, v)
+    return Spectrum(f.n, bias.p, readonly(v))
 
 
 def inverse_transform(spec: Spectrum) -> RealTable:
     """Rebuild the function table from its coefficients."""
     v = spec.coeffs.copy()
     kernels.biased_inverse_inplace(v, spec.p)
-    return RealTable(spec.n, v)
+    return RealTable(spec.n, readonly(v))
 
 
 _EXACT_VALUE_BOUND = 1 << 20
@@ -250,7 +247,7 @@ def exact_transform(f: TruthTable | RealTable) -> DyadicSpectrum:
     if f.n < 1:
         raise InputError("exact transform needs at least one variable")
     kernels.wht_inplace(v)
-    return DyadicSpectrum(f.n, v)
+    return DyadicSpectrum(f.n, readonly(v))
 
 
 def reconstruct_exact(dspec: DyadicSpectrum):
@@ -266,7 +263,7 @@ def reconstruct_exact(dspec: DyadicSpectrum):
         raise InputError("numerators are not a valid exact spectrum")
     if np.all((v == 1) | (v == -1)):
         return TruthTable(dspec.n, ((1 - v) // 2).astype(np.uint8))
-    return RealTable(dspec.n, v)
+    return RealTable(dspec.n, readonly(v))
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +730,7 @@ def spectrum_from_json(text: str) -> Spectrum:
         coeffs = np.asarray(obj["coeffs"], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad spectrum JSON value: {exc}") from exc
-    return Spectrum(n, p, coeffs)
+    return Spectrum(n, p, readonly(coeffs))
 
 
 def save_spectrum_json(spec: Spectrum, path) -> None:
@@ -784,7 +781,7 @@ def _read_binary(fh) -> Spectrum:
         raise InputError(f"corrupt spectrum file: expected {expected} bytes, got {got}")
     if fh.read(1):
         raise InputError(f"corrupt spectrum file: longer than the {expected} bytes expected")
-    return Spectrum(n, p, coeffs.astype(np.float64, copy=False))
+    return Spectrum(n, p, readonly(coeffs.astype(np.float64, copy=False)))
 
 
 def spectrum_from_bytes(data: bytes) -> Spectrum:

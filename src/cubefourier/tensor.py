@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conjecture
-from .boolfn import RealTable, TruthTable, as_bias
+from .boolfn import RealTable, TruthTable, as_bias, readonly
 from .config import check_table_size, get_max_n
 from .errors import InputError, ResourceError
 from .spectral import (
@@ -46,7 +46,7 @@ def tensor_product(f: TruthTable, g: TruthTable) -> TruthTable:
     check_table_size(n, "tensor product")
     low = np.tile(f.bits, 1 << g.n)
     high = np.repeat(g.bits, 1 << f.n)
-    return TruthTable(n, low ^ high)
+    return TruthTable(n, readonly(low ^ high))
 
 
 def tensor_power(f: TruthTable, N: int) -> TruthTable:

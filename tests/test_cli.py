@@ -226,6 +226,11 @@ def test_sweep_sampled_mode(capsys):
     assert payload["exhaustive"] is False
 
 
+def test_sweep_refuses_a_sample_past_n_5(capsys):
+    assert run("sweep", "--n", "6", "--sample", "10") == 1
+    assert "sampled sweeps support n <= 5" in capsys.readouterr().err
+
+
 def test_clique_json(capsys):
     assert run("clique", "--nv", "5", "--r", "3", "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)

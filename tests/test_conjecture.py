@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubefourier as cf
-from cubefourier import config
+from cubefourier import config, conjecture
 from cubefourier.boolfn import rows_to_hex
+from cubefourier.cli import EXIT_VIOLATION, main
 from cubefourier.conjecture import (
     _id_bits,
     _sweep_chunk,
@@ -94,6 +95,28 @@ def test_violation_detector_fires_on_fabricated_numbers():
     bounds = cf.entropy_upper_bounds(3, 1.0, [0.5, 0.5, 0.5])
     bad = [name for name, over in exceeded_bounds(50.0, bounds).items() if over]
     assert set(bad) == {"h_bound", "proof_form", "logn_bound"}
+
+
+def test_a_tightened_bound_is_caught_by_the_sweep_analyze_and_the_cli(monkeypatch):
+    """No function breaks a proven bound, so the additive one is lowered by
+    0.95 to make the violation paths run on real spectra."""
+    real = conjecture.entropy_upper_bounds
+
+    def tightened(n, influence, infl_vec):
+        bounds = real(n, influence, infl_vec)
+        bounds["logn_bound"] = bounds["logn_bound"] - 0.95
+        return bounds
+
+    monkeypatch.setattr(conjecture, "entropy_upper_bounds", tightened)
+    assert cf.exhaustive_sweep(2).violations == []
+    found = cf.exhaustive_sweep(3).violations
+    assert len(found) == 16
+    assert [v["function_hex"] for v in found[:2]] == ["80", "40"]
+    for v in found:
+        report = cf.analyze(cf.parse_truth_table(f"n=3\nhex:{v['function_hex']}"))
+        assert report.violations == ("logn_bound",)
+        assert (report.entropy, report.influence) == (v["entropy"], v["influence"])
+    assert main(["sweep", "--n", "3"]) == EXIT_VIOLATION
 
 
 def test_analyze_reports_biased_claim_constant():

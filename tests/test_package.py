@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from setuptools.config.pyprojecttoml import read_configuration
 
 import cubefourier
 
@@ -33,11 +34,21 @@ def test_star_import_binds_every_public_name():
     assert set(cubefourier.__all__) <= namespace.keys()
 
 
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
 def test_the_lazy_table_covers_exactly_the_public_names():
-    assert set(cubefourier._HOME) | {"__version__"} == set(cubefourier.__all__)
+    """``__all__`` derives from ``_SOURCES``, so each entry must name its home."""
+    misplaced = [
+        f"{mod}.{name}"
+        for mod, names in cubefourier._SOURCES.items()
+        for name in names
+        if getattr(cubefourier, name).__module__ != f"cubefourier.{mod}"
+    ]
+    assert misplaced == []
     assert set(cubefourier.__all__) <= set(dir(cubefourier))
     with pytest.raises(AttributeError):
         cubefourier.no_such_name
+    config = read_configuration(Path(__file__).parents[1] / "pyproject.toml")
+    assert config["project"]["version"] == cubefourier.__version__
 
 
 def _run(code, **env_changes):

@@ -598,6 +598,13 @@ def test_blocked_top_masks_equal_a_full_stable_argsort(k):
             assert top_masks(c, k, key=key).tolist() == expect.tolist()
 
 
+def test_top_masks_cuts_at_nan_when_a_block_has_fewer_than_k_finite_keys():
+    v = np.full(1 << 17, np.nan)
+    v[[3, 70000, 9, 131071, 65536]] = [-2.0, 5.0, 2.0, -0.5, 0.0]
+    expect = np.argsort(-np.abs(v), kind="stable")[:8]
+    assert top_masks(v, 8, key=np.abs).tolist() == expect.tolist()
+
+
 def test_top_masks_holds_no_table_sized_array():
     sp = cf.transform(cf.random_function(20, 4), 0.3)
     top_masks(sp.coeffs, 8, key=np.abs)  # first-call allocations stay out
@@ -632,6 +639,42 @@ def test_squares_are_fresh_read_only_tables():
     a = sp.squares()
     assert not np.shares_memory(a, sp.squares()) and not a.flags.writeable
     assert np.array_equal(a, sp.coeffs * sp.coeffs)
+
+
+@pytest.mark.parametrize(
+    "build, field, dtype",
+    [
+        (lambda a: cf.TruthTable(2, a), "bits", np.uint8),
+        (lambda a: cf.RealTable(2, a), "values", np.float64),
+        (lambda a: cf.Spectrum(2, 0.3, a), "coeffs", np.float64),
+        (lambda a: cf.DyadicSpectrum(2, a), "numerators", np.float64),
+    ],
+    ids=["TruthTable", "RealTable", "Spectrum", "DyadicSpectrum"],
+)
+def test_a_table_copies_an_array_the_caller_can_still_write(build, field, dtype):
+    whole = np.array([0, 1, 1, 0, 1], dtype=dtype)
+    for a in (whole[:4].copy(), whole[1:]):  # an array, and a view of another
+        table = build(a)
+        kept = getattr(table, field).copy()
+        a[0] = 1 - a[0]  # raised "assignment destination is read-only" when a was frozen
+        assert np.array_equal(getattr(table, field), kept)
+
+
+@pytest.mark.parametrize(
+    "name, tables",
+    [("transform", 1.02), ("inverse_transform", 1.13), ("exact_transform", 2.13),
+     ("load_spectrum_binary", 1.01)],
+)
+def test_the_float_producers_hand_over_their_buffer_uncopied(tmp_path, name, tables):
+    """Peaks in tables of 2^20 doubles: a copy on construction would add one."""
+    f = cf.random_function(20, 4)
+    path = tmp_path / "s.spec"
+    cf.save_spectrum_binary(cf.transform(f), path)
+    args = {"transform": (f, 0.3), "inverse_transform": (cf.transform(f),),
+            "exact_transform": (f,), "load_spectrum_binary": (path,)}[name]
+    produce = getattr(cf, name)
+    produce(*args)  # first-call allocations stay out
+    assert peak_bytes(lambda: produce(*args)) <= tables * 8 * (1 << 20)
 
 
 def _literal_level_fractions(dspec):
