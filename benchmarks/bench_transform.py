@@ -4,8 +4,8 @@
 Runs the full forward transform at several sizes with each backend driving
 the same stage schedule, then reports times and the speedup.  Both produce
 bitwise identical output, so only speed is at stake.  A second table times
-the batched form that sweeps use: one (4096, 2**n) buffer of small tables
-in one call, against a loop over its rows.
+the batched form that sweeps use: one mask-major (2**n, 4096) buffer of
+small tables in one call, against a loop over the tables one at a time.
 
 Usage: python benchmarks/bench_transform.py [--max-n 24]
 """
@@ -68,9 +68,16 @@ def main():
     run = driver(stage)
     print(f"\n{rows} rows, {'compiled' if _compiled else 'numpy'} stages")
     print(f"{'n':>4} {'batch':>12} {'row loop':>12}  identical")
+    def loop(v):
+        # the same tables, each copied out to a contiguous row and back
+        tables = np.ascontiguousarray(v.T)
+        for row in tables:
+            run(row)
+        v[...] = tables.T
+
     for n in range(3, 7):
-        t_batch, v_batch = bench(run, (rows, 1 << n))
-        t_loop, v_loop = bench(lambda v: [run(row) for row in v], (rows, 1 << n))
+        t_batch, v_batch = bench(run, (1 << n, rows))
+        t_loop, v_loop = bench(loop, (1 << n, rows))
         same = np.array_equal(v_batch, v_loop)
         print(f"{n:>4} {t_batch * 1e3:>10.2f}ms {t_loop * 1e3:>10.2f}ms  {same}")
 

@@ -53,7 +53,9 @@ def _pieces(v, h, block_lo, block_hi):
         for b in range(block_lo, block_hi):
             base = 2 * h * b
             for k in range(base, base + h, _CHUNK):
-                yield v[k : k + _CHUNK], v[k + h : k + h + _CHUNK]
+                # a batch's h need not be a multiple of _CHUNK
+                end = min(k + _CHUNK, base + h)
+                yield v[k:end], v[k + h : end + h]
 
 
 def stage_f64(v, w00, w01, w10, w11, h, block_lo, block_hi):

@@ -89,31 +89,64 @@ def readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def frozen_array(value, dtype, length: int, entries: str) -> np.ndarray:
-    """``value`` as a read-only, C-contiguous 1-d ``dtype`` array of ``length`` entries.
-
-    A writable array that the caller still holds (``value`` itself, or a view
-    of memory the caller owns) is copied, so later writes to it leave the
-    table alone.  ``entries`` names what is expected, for the error message.
-    """
+def _entries(value, dtype, length: int, entries: str) -> np.ndarray:
+    """``value`` as a C-contiguous 1-d ``dtype`` array of ``length`` entries,
+    converted only if it is not one already.  ``entries`` names what is
+    expected, for the error message."""
     try:
         arr = np.ascontiguousarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"expected {entries}: {exc}") from None
     if arr.ndim != 1 or arr.size != length:
         raise InputError(f"expected {entries}, got shape {arr.shape}")
-    if arr.flags.writeable and (arr is value or arr.base is not None):
+    return arr
+
+
+def _writable_memory(arr: np.ndarray) -> bool:
+    """Whether ``arr`` or any array it is a view of can still be written."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return True
+        arr = arr.base
+    return False
+
+
+def _frozen(arr: np.ndarray, value) -> np.ndarray:
+    """``arr``, converted from ``value``, read-only and owned by the table.
+
+    An array that shares memory the caller can still write (``value``
+    itself, a view of it, or a read-only view of a writable array) is
+    copied, so later writes to it leave the table alone; a fresh conversion
+    is kept as is.
+    """
+    if (arr is value or arr.base is not None) and _writable_memory(arr):
         arr = arr.copy()
     return readonly(arr)
 
 
-def frozen_table(n: int, value, dtype, what: str, entries: str, least: int = 1) -> np.ndarray:
-    """``value`` as the frozen 2**n-entry array of a ``what`` on n >= ``least`` variables."""
+def frozen_array(value, dtype, length: int, entries: str) -> np.ndarray:
+    """``value`` as a read-only, C-contiguous 1-d ``dtype`` array of ``length`` entries.
+
+    See :func:`_frozen` for when it is copied; ``entries`` names what is
+    expected, for the error message.
+    """
+    return _frozen(_entries(value, dtype, length, entries), value)
+
+
+def table_entries(n: int, value, dtype, what: str, entries: str, least: int = 1) -> np.ndarray:
+    """``value`` checked as the 2**n entries of a ``what`` on n >= ``least``
+    variables, and converted only if it must be: a caller that reads it once
+    into a buffer of its own needs no frozen copy."""
     if n < least:
         count = "one variable" if least == 1 else f"{least} variables"
         raise InputError(f"a {what} needs at least {count}")
     check_table_size(n, what)
-    return frozen_array(value, dtype, 1 << n, f"2^{n} = {1 << n} {entries}")
+    return _entries(value, dtype, 1 << n, f"2^{n} = {1 << n} {entries}")
+
+
+def frozen_table(n: int, value, dtype, what: str, entries: str, least: int = 1) -> np.ndarray:
+    """``value`` as the frozen 2**n-entry array of a ``what`` on n >= ``least`` variables."""
+    return _frozen(table_entries(n, value, dtype, what, entries, least), value)
 
 
 def same_fields(a, b, *names: str) -> bool:
@@ -405,8 +438,8 @@ def discrete_derivative(f: TruthTable | RealTable, i: int) -> RealTable:
     vals = f.sign_values()
     h = 1 << (i - 1)
     pairs = vals.reshape(-1, 2, h)
-    out = (pairs[:, 0, :] - pairs[:, 1, :]) / 2.0
-    return RealTable(f.n - 1, readonly(out.reshape(-1)))
+    out = readonly((pairs[:, 0, :] - pairs[:, 1, :]) / 2.0)  # before the view is taken
+    return RealTable(f.n - 1, out.reshape(-1))
 
 
 def _check_coordinate(n: int, i: int) -> None:
@@ -471,8 +504,8 @@ def parse_truth_table(text: str) -> TruthTable:
         if 2 * len(packed) != len(padded):
             # fromhex skips whitespace between digit pairs
             raise InputError("hex body contains non-hex characters")
-        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
-        return TruthTable(n, readonly(bits[bits.size - size :]))
+        bits = readonly(np.unpackbits(np.frombuffer(packed, dtype=np.uint8)))
+        return TruthTable(n, bits[bits.size - size :])
     if len(body) != size:
         raise InputError(f"expected 2^{n} = {size} characters of '0'/'1', got {len(body)}")
     # one byte per character ('?' for non-ASCII); every byte but '0' and '1' wraps past 1

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,9 +47,9 @@ from .conjecture import (
     PROVEN_BOUND_SLACK,
     PROVEN_BOUNDS,
     analyze,
+    _summarise_sweep,
+    _sweep_stream,
     clique_experiment,
-    exhaustive_sweep,
-    write_sweep_csv,
 )
 from .errors import InputError, ResourceError
 from .kernels import backend_name
@@ -300,32 +301,60 @@ def _cmd_tensor(ns):
     return payload, lines, EXIT_OK
 
 
+@contextmanager
+def _replacing(path):
+    """A text file for ``path``, written beside it and renamed onto it once
+    complete, and removed if the block fails; a symlink is followed first.
+    A pipe or a device (``/dev/stdout``) is written in place.  Yields None
+    when ``path`` is empty."""
+    if not path:
+        yield None
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            yield fh
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w", encoding="ascii", newline="")
+    except OSError as exc:
+        raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _cmd_sweep(ns):
-    result = exhaustive_sweep(
-        ns.n, p=ns.p if ns.p is not None else 0.5, sample=ns.sample, seed=ns.seed
+    p, exhaustive, count, stream = _sweep_stream(
+        ns.n, ns.p if ns.p is not None else 0.5, ns.sample, ns.seed
     )
-    best, best_hex = result.max_ratio()
-    if ns.csv:
-        write_sweep_csv(result, ns.csv)
+    # the CSV is opened before any chunk runs, so a bad path costs no sweep
+    with closing(stream), _replacing(ns.csv) as fh:
+        summary = _summarise_sweep(ns.n, stream, fh)
     payload = {
         "schema": 1,
         "command": "sweep",
-        "n": result.n,
-        "p": result.p,
-        "exhaustive": result.exhaustive,
-        "count": result.count,
-        "max_ratio": best,
-        "max_ratio_function_hex": best_hex,
-        "violations": result.violations,
+        "n": ns.n,
+        "p": p,
+        "exhaustive": exhaustive,
+        "count": summary.count,
+        "max_ratio": summary.best,
+        "max_ratio_function_hex": summary.best_hex,
+        "violations": summary.violations,
     }
     lines = [
-        f"swept {result.count} functions on n = {result.n} at p = {result.p:.6g}",
-        f"max entropy/influence ratio = {best:.10g} at hex {best_hex}",
-        f"proven-bound violations: {len(result.violations)}",
+        f"swept {summary.count} functions on n = {ns.n} at p = {p:.6g}",
+        f"max entropy/influence ratio = {summary.best:.10g} at hex {summary.best_hex}",
+        f"proven-bound violations: {len(summary.violations)}",
     ]
     if ns.csv:
         lines.append(f"per-function table written to {ns.csv}")
-    return payload, lines, EXIT_VIOLATION if result.violations else EXIT_OK
+    return payload, lines, EXIT_VIOLATION if summary.violations else EXIT_OK
 
 
 def _cmd_clique(ns):

@@ -10,8 +10,10 @@ proven bound (which would indicate a software defect, not new mathematics).
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .boolfn import (
     as_bias,
     clique_indicator,
     critical_p0,
+    readonly,
     rows_to_hex,
     sign_array,
 )
@@ -242,35 +245,215 @@ def _id_bits(n: int, ids: np.ndarray) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=1 << n, bitorder="little")
 
 
-def _sweep_chunk(n: int, p: float, ids: np.ndarray) -> dict:
-    """Statistics for one batch of function ids, one table per row.
+# Row k, column v: the +-1 value of bit k of the byte v.  A chunk's tables
+# are gathered from it eight masks (one byte of every id) at a time.
+_BYTE_SIGNS = readonly(
+    sign_array(np.ascontiguousarray(_id_bits(3, np.arange(256)).T), np.float64)
+)
 
-    The rows go through the same transform, reductions and bounds as
-    :func:`analyze`, so results do not depend on batching.
+
+def _sweep_chunk(n: int, p: float, ids: np.ndarray, work: np.ndarray | None = None) -> dict:
+    """Statistics for one batch of function ids.
+
+    The tables go through the same transform, reductions and bounds as
+    :func:`analyze`, as one mask-major (2^n, rows) batch, so results do not
+    depend on batching.  ``work`` is a (2, k) float64 workspace of at least
+    2^n * rows entries per row, reused across chunks; the batch is built in
+    its first row, squared there in place, and its second row is scratch.
     """
-    coeffs = sign_array(_id_bits(n, ids), np.float64)
+    rows = ids.size
+    size = rows << n
+    if work is None:
+        work = np.empty((2, size))
+    work = work[:, :size]
+    coeffs = work[0].reshape(1 << n, rows)
+    octets = np.ascontiguousarray(ids, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    for mask in range(0, 1 << n, 8):
+        # masks mask .. mask + 7 are the bits of byte mask // 8
+        signs = _BYTE_SIGNS[: min(8, (1 << n) - mask)]
+        np.take(signs, octets[:, mask // 8], axis=1, out=coeffs[mask : mask + 8])
     biased_forward_inplace(coeffs, p)
-    sums = square_sums(coeffs)
+    sums = square_sums(coeffs, work)  # overwrites coeffs with the squares
     ent = sums.entropy()
     infl = sums.influence(p)
-    bounds = entropy_upper_bounds(n, infl, sums.coordinate_influences(p))
+    ivec = sums.coordinate_influences(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(infl > 0.0, ent / infl, np.nan)
-    bad = np.zeros(ids.size, dtype=bool)
-    if p == 0.5:
-        for over in exceeded_bounds(ent, bounds).values():
-            bad |= over
-    return {
-        "entropy": ent,
-        "influence": infl,
-        "ratio": ratio,
-        "h_bound": bounds["h_bound"],
-        "logn_bound": bounds["logn_bound"],
-        "bad": bad,
-    }
+    pieces = []
+    for start in range(0, rows, _BOUND_ROWS):
+        part = slice(start, start + _BOUND_ROWS)
+        bounds = entropy_upper_bounds(n, infl[part], ivec[part])
+        bad = np.zeros(bounds["h_bound"].size, dtype=bool)
+        if p == 0.5:
+            for over in exceeded_bounds(ent[part], bounds).values():
+                bad |= over
+        pieces.append((bounds["h_bound"], bounds["logn_bound"], bad))
+    h_bound, logn_bound, bad = (np.concatenate(column) for column in zip(*pieces))
+    return {"entropy": ent, "influence": infl, "ratio": ratio,
+            "h_bound": h_bound, "logn_bound": logn_bound, "bad": bad}
 
 
 SWEEP_CHUNK = 4096
+# The bounds are taken for this many functions at a time, and the chunk's
+# last columns are joined after them: their (rows, n) temporaries then stay
+# below glibc's 128 KiB mmap threshold and below live results in the heap,
+# so each chunk reuses them instead of the memory being returned to the
+# system and faulted back in (about 100 page faults per 4096-row chunk).
+_BOUND_ROWS = 2048
+# Chunks a sweep keeps in flight per thread: enough to keep every worker
+# busy while the caller takes the oldest result.
+_WINDOW = 2
+_COLUMNS = ("entropy", "influence", "ratio", "h_bound", "logn_bound")
+
+
+def _sweep_stream(n: int, p, sample: int | None, seed: int):
+    """Check a sweep's arguments and set up its chunks.
+
+    Returns p as a float, whether the sweep is exhaustive, the number of
+    functions, and a generator of (ids, :func:`_sweep_chunk` statistics)
+    pairs in id order.  Exhaustive chunks are ``arange`` slices; sampled
+    ones are drawn in order from one seeded PCG64 stream, the same ids as
+    one draw of the whole sample.  Nothing runs before the first ``next``.
+    """
+    if n < 1:
+        raise InputError("sweep needs at least one variable")
+    p = as_bias(p).p
+    if sample is None:
+        if n > 4:
+            raise InputError(
+                "exhaustive sweeps are limited to n <= 4; pass a sample size"
+            )
+        count = 1 << (1 << n)
+
+        def draw(start, size):
+            return np.arange(start, start + size, dtype=np.int64)
+    else:
+        if sample < 1:
+            raise InputError("sample size must be positive")
+        check_table_size(n, "sweep table")
+        if n > 5:  # an id holds 2**n bits, and n = 6 overflows int64
+            raise InputError("sampled sweeps support n <= 5")
+        count = sample
+        rng = np.random.Generator(np.random.PCG64(seed))
+
+        def draw(start, size):
+            return rng.integers(0, 1 << (1 << n), size=size, dtype=np.int64)
+
+    chunks = (
+        draw(start, min(SWEEP_CHUNK, count - start)) for start in range(0, count, SWEEP_CHUNK)
+    )
+    return p, sample is None, count, _run_chunks(n, p, chunks, count)
+
+
+class _Ready:
+    """A result computed in the calling thread, with the two methods of a
+    future that :func:`_run_chunks` calls."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        return self.value
+
+    def cancel(self) -> bool:
+        return False
+
+
+def _run_chunks(n: int, p: float, chunks, count: int):
+    """Yield (ids, statistics) for each chunk of ids, in order.
+
+    Up to _WINDOW chunks per thread are in flight: with more than one
+    thread they run ahead in a pool, and with one the next chunk is
+    computed before the last is handed over.  Either way the heap's top
+    holds live results while a chunk's temporaries come and go, so glibc
+    reuses their memory instead of returning it and faulting it back in.
+    Each thread reuses one workspace of two (2^n, rows) float64 buffers.
+    Closing the generator cancels the chunks not started and waits for the
+    running ones.
+    """
+    rows = min(count, SWEEP_CHUNK)
+    nthreads = get_threads() if count > SWEEP_CHUNK else 1
+    local = threading.local()
+
+    def run(ids):
+        if not hasattr(local, "work"):
+            local.work = np.empty((2, rows << n))
+        return _sweep_chunk(n, p, ids, local.work)
+
+    if nthreads == 1:
+        pool, submit = nullcontext(), lambda fn, ids: _Ready(fn(ids))
+    else:
+        # here: importing concurrent.futures costs every command about 8 ms
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=nthreads)
+        submit = pool.submit
+    pending = deque()
+    with pool:
+        try:
+            for ids in chunks:
+                pending.append((ids, submit(run, ids)))
+                if len(pending) == _WINDOW * nthreads:
+                    ids, done = pending.popleft()
+                    yield ids, done.result()
+            while pending:
+                ids, done = pending.popleft()
+                yield ids, done.result()
+        finally:
+            for _, future in pending:
+                future.cancel()
+
+
+def _chunk_violations(n: int, ids: np.ndarray, stats: dict) -> list[dict]:
+    """The violation records of one chunk's flagged functions, in id order."""
+    bad = np.flatnonzero(stats["bad"])
+    if not bad.size:
+        return []
+    return [
+        {
+            "function_hex": name,
+            "entropy": float(stats["entropy"][idx]),
+            "influence": float(stats["influence"][idx]),
+        }
+        for idx, name in zip(bad, rows_to_hex(_id_bits(n, ids[bad])))
+    ]
+
+
+@dataclass
+class _SweepSummary:
+    """What a sweep report reads: the count, the first largest ratio with
+    its hex id (as :meth:`SweepResult.max_ratio` finds it), and the
+    violations in id order."""
+
+    n: int
+    count: int = 0
+    best: float = float("nan")
+    best_hex: str = ""
+    violations: list = field(default_factory=list)
+
+    def add(self, ids: np.ndarray, stats: dict) -> None:
+        self.count += ids.size
+        ratio = stats["ratio"]
+        if np.any(np.isfinite(ratio)):
+            idx = int(np.nanargmax(ratio))
+            if not ratio[idx] <= self.best:  # the first chunk, or a larger ratio
+                self.best = float(ratio[idx])
+                self.best_hex = rows_to_hex(_id_bits(self.n, ids[idx : idx + 1]))[0]
+        self.violations += _chunk_violations(self.n, ids, stats)
+
+
+def _summarise_sweep(n: int, stream, csv_file=None) -> _SweepSummary:
+    """Fold a sweep's stream into its summary, chunk by chunk, holding no
+    per-function column; with ``csv_file``, write the CSV of
+    :func:`write_sweep_csv` to it on the way."""
+    summary = _SweepSummary(n)
+    if csv_file is not None:
+        csv_file.write(_CSV_HEADER)
+    for ids, stats in stream:
+        summary.add(ids, stats)
+        if csv_file is not None:
+            csv_file.write(_csv_rows(n, ids, stats))
+    return summary
 
 
 def exhaustive_sweep(
@@ -283,58 +466,42 @@ def exhaustive_sweep(
 
     Exhaustive mode enumerates all 2**(2**n) functions and is limited to
     n <= 4.  Larger n must pass ``sample``; function ids are then drawn
-    from a seeded PCG64 stream.  Work is cut into fixed-size chunks and
-    merged in order, so the output is identical for any thread count.
+    from a seeded PCG64 stream.  Work is cut into fixed-size chunks whose
+    results are written into the columns in order, so the output is
+    identical for any thread count.
     """
-    if n < 1:
-        raise InputError("sweep needs at least one variable")
-    p = as_bias(p).p
-    if sample is None:
-        if n > 4:
-            raise InputError(
-                "exhaustive sweeps are limited to n <= 4; pass a sample size"
-            )
-        total = 1 << (1 << n)
-        all_ids = np.arange(total, dtype=np.int64)
-        exhaustive = True
-    else:
-        if sample < 1:
-            raise InputError("sample size must be positive")
-        check_table_size(n, "sweep table")
-        if n > 5:  # an id holds 2**n bits, and n = 6 overflows int64
-            raise InputError("sampled sweeps support n <= 5")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        all_ids = rng.integers(0, 1 << (1 << n), size=sample, dtype=np.int64)
-        exhaustive = False
+    p, exhaustive, count, stream = _sweep_stream(n, p, sample, seed)
+    function_ids = np.empty(count, dtype=np.int64)
+    columns = {key: np.empty(count) for key in _COLUMNS}
+    violations = []
+    start = 0
+    with closing(stream):
+        for ids, stats in stream:
+            stop = start + ids.size
+            function_ids[start:stop] = ids
+            for key, column in columns.items():
+                column[start:stop] = stats[key]
+            violations += _chunk_violations(n, ids, stats)
+            start = stop
+    return SweepResult(n=n, p=p, exhaustive=exhaustive, function_ids=function_ids,
+                       violations=violations, **columns)
 
-    chunks = [
-        all_ids[start : start + SWEEP_CHUNK]
-        for start in range(0, all_ids.size, SWEEP_CHUNK)
-    ]
-    nthreads = get_threads()
-    if nthreads > 1 and len(chunks) > 1:
-        # here: importing concurrent.futures costs every command about 8 ms
-        from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = list(pool.map(partial(_sweep_chunk, n, p), chunks))
-    else:
-        parts = [_sweep_chunk(n, p, ids) for ids in chunks]
+_CSV_HEADER = "function_hex,entropy,influence,ratio,h_bound,logn_bound\r\n"
 
-    # one column at a time, each chunk's piece dropped once it is copied,
-    # so the merge holds one column more than the results themselves
-    columns = {key: np.concatenate([part.pop(key) for part in parts]) for key in list(parts[0])}
-    bad = np.flatnonzero(columns.pop("bad"))
-    result = SweepResult(n=n, p=p, exhaustive=exhaustive, function_ids=all_ids, **columns)
-    for idx, name in zip(bad, result.function_hex(bad)):
-        result.violations.append(
-            {
-                "function_hex": name,
-                "entropy": float(result.entropy[idx]),
-                "influence": float(result.influence[idx]),
-            }
-        )
-    return result
+
+def _csv_rows(n: int, ids: np.ndarray, columns) -> str:
+    """The CSV rows of functions ``ids`` with their statistics ``columns``."""
+    ratio = ["%.12g" % r if math.isfinite(r) else "" for r in columns["ratio"].tolist()]
+    rows = zip(
+        rows_to_hex(_id_bits(n, ids)),
+        columns["entropy"].tolist(),
+        columns["influence"].tolist(),
+        ratio,
+        columns["h_bound"].tolist(),
+        columns["logn_bound"].tolist(),
+    )
+    return "".join(["%s,%.12g,%.12g,%s,%.12g,%.12g\r\n" % row for row in rows])
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
@@ -344,21 +511,11 @@ def write_sweep_csv(result: SweepResult, path) -> None:
     quoting, rows end in "\\r\\n", and an undefined ratio is an empty field.
     """
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("function_hex,entropy,influence,ratio,h_bound,logn_bound\r\n")
+        fh.write(_CSV_HEADER)
         for start in range(0, result.count, SWEEP_CHUNK):
             part = slice(start, start + SWEEP_CHUNK)
-            ratio = [
-                "%.12g" % r if math.isfinite(r) else "" for r in result.ratio[part].tolist()
-            ]
-            rows = zip(
-                result.function_hex(part),
-                result.entropy[part].tolist(),
-                result.influence[part].tolist(),
-                ratio,
-                result.h_bound[part].tolist(),
-                result.logn_bound[part].tolist(),
-            )
-            fh.write("".join(["%s,%.12g,%.12g,%s,%.12g,%.12g\r\n" % row for row in rows]))
+            columns = {key: getattr(result, key)[part] for key in _COLUMNS}
+            fh.write(_csv_rows(result.n, result.function_ids[part], columns))
 
 
 # ---------------------------------------------------------------------------

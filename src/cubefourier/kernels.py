@@ -8,18 +8,22 @@ automatically when it cannot be built or loaded, or explicitly via
 was not used (``None`` when it loaded).  Both backends run the same stage
 schedule, so they agree to the last double.
 
-The transforms take one table of 2^n entries or a C-contiguous (rows, 2^n)
-batch.  Stage i pairs entries k and k + 2^i inside aligned runs of 2^(i+1)
-entries, so in a flat buffer of whole rows no pair crosses a row: one call
-transforms every row bitwise as it would be transformed alone.
+The transforms take one table of 2^n entries or a C-contiguous mask-major
+(2^n, rows) batch: entry (S, r) is the coefficient at mask S of table r,
+so each mask's row of the batch holds that entry of every table.  Stage i
+pairs masks k and k + 2^i, which in the flat buffer are 2^i * rows entries
+apart: it is the one-table stage at distance 2^i * rows, and it transforms
+every table bitwise as it would be transformed alone.  A single table is
+the case rows = 1.
 
-The schedule has two phases.  Phase one runs the first ``_BLOCK_LOG2``
-stages on one aligned run of 2^_BLOCK_LOG2 entries while it sits in cache,
-run after run; for n <= _BLOCK_LOG2 a run holds whole rows, so a batch of
-small tables costs a few long stage calls, not one per row.  Phase two runs
-the remaining stages over the whole buffer.  Every element still goes
-through the same stages in the same order, each produced by one fixed
-arithmetic expression, so the output is bitwise identical to the plain
+The schedule has two phases.  Phase one runs the first ``low`` stages on
+one run of 2^low consecutive masks of every table, at most
+2^_BLOCK_LOG2 entries, while it sits in cache, run after run; for a single
+table that run is an aligned 2^_BLOCK_LOG2-entry block, and for a batch of
+small tables it can be the whole batch.  Phase two runs the remaining
+stages over the whole buffer.  Every element still goes through the same
+stages in the same order, each produced by one fixed arithmetic
+expression, so the output is bitwise identical to the plain
 stage-after-stage loop.
 
 The transforms run in the calling thread: handing part of one transform
@@ -52,8 +56,8 @@ else:
         BACKEND = "python"
         LOAD_ERROR = f"C stage kernel not loaded: {exc}"
 
-# Phase one works on runs of 2^_BLOCK_LOG2 entries: 512 KiB of float64,
-# which stays in a 2 MiB L2 across the run's stages.
+# Phase one works on runs of at most 2^_BLOCK_LOG2 entries: 512 KiB of
+# float64, which stays in a 2 MiB L2 across the run's stages.
 _BLOCK_LOG2 = 16
 
 
@@ -71,23 +75,29 @@ def _run_stages(v, stage, weights):
         and v.flags.writeable
     ):
         raise InputError("the transforms work in place on writable C-contiguous float64 arrays")
-    if v.shape[-1] & (v.shape[-1] - 1):
-        raise InputError(f"a table holds 2^n entries, not {v.shape[-1]}")
-    flat = v.reshape(-1)  # a view: whole rows of 2^n entries, back to back
-    size = flat.size
-    n = v.shape[-1].bit_length() - 1
-    low = min(n, _BLOCK_LOG2)
-    for start in range(0, size, 1 << _BLOCK_LOG2):
-        # a short last run of a batch still ends on a row boundary
-        end = min(start + (1 << _BLOCK_LOG2), size)
+    size = v.shape[0]
+    if size < 1 or size & (size - 1):
+        raise InputError(f"a table holds 2^n entries, not {size}")
+    flat = v.reshape(-1)  # a view: 2^n rows of one entry per table
+    n = size.bit_length() - 1
+    rows = flat.size >> n
+    if not rows:
+        return
+    # phase one covers the stages whose pairs stay inside 2^low masks of
+    # every table, at most 2^_BLOCK_LOG2 entries
+    low = min(n, max(0, _BLOCK_LOG2 - (rows - 1).bit_length()))
+    run = rows << low
+    for start in range(0, flat.size, run):
         for i in range(low):
-            stage(flat, *weights, 1 << i, start >> (i + 1), end >> (i + 1))
+            h = rows << i
+            stage(flat, *weights, h, start // (2 * h), (start + run) // (2 * h))
     for i in range(low, n):
-        stage(flat, *weights, 1 << i, 0, size >> (i + 1))
+        h = rows << i
+        stage(flat, *weights, h, 0, flat.size // (2 * h))
 
 
 def biased_forward_inplace(v, p: float) -> None:
-    """Apply the n-stage forward butterfly for bias p to each float64 row."""
+    """Apply the n-stage forward butterfly for bias p to each float64 table."""
     c = math.sqrt(p * (1.0 - p))
     _run_stages(v, _impl.stage_f64, (1.0 - p, p, c, -c))
 
@@ -100,6 +110,6 @@ def biased_inverse_inplace(v, p: float) -> None:
 
 
 def wht_inplace(v) -> None:
-    """Unnormalised Walsh-Hadamard transform of each float64 row; on integer
-    rows it is exact while every partial sum stays below 2^53."""
+    """Unnormalised Walsh-Hadamard transform of each float64 table; on integer
+    tables it is exact while every partial sum stays below 2^53."""
     _run_stages(v, _impl.stage_f64, (1.0, 1.0, 1.0, -1.0))

@@ -34,6 +34,7 @@ from .boolfn import (
     mask_array,
     readonly,
     same_fields,
+    table_entries,
 )
 from .config import check_table_size
 from .errors import InputError
@@ -104,7 +105,7 @@ class Spectrum:
     def _cached(self, key: str, compute):
         value = self.__dict__.get(key)
         if value is None:
-            value = compute(self.coeffs.reshape(1, -1))
+            value = compute(self.coeffs.reshape(-1, 1))
             object.__setattr__(self, key, value)
         return value
 
@@ -134,7 +135,8 @@ class DyadicSpectrum(Spectrum):
     """
 
     def __init__(self, n: int, numerators):
-        nums = frozen_table(n, numerators, np.float64, "spectrum", "numerators")
+        # read once into the rint buffer, so the numerators need no frozen copy
+        nums = table_entries(n, numerators, np.float64, "spectrum", "numerators")
         coeffs = np.rint(nums)
         if not (
             np.array_equal(coeffs, nums)
@@ -272,10 +274,10 @@ def reconstruct_exact(dspec: DyadicSpectrum):
 
 @dataclass(frozen=True, eq=False)
 class SquareSums:
-    """Sums over the squared coefficients w = c*c of each row of a (rows, 2^n) array.
+    """Sums over the squared coefficients w = c*c of each table of a (2^n, rows) batch.
 
     Built by :func:`square_sums`.  Every array is read-only and has one
-    entry (or one row) per table row.
+    entry (or one row) per table.
     """
 
     n: int
@@ -289,7 +291,7 @@ class SquareSums:
             arr.setflags(write=False)
 
     def entropy(self) -> np.ndarray:
-        """Shannon entropy (bits) of each row's squares.
+        """Shannon entropy (bits) of each table's squares.
 
         The squares of a +-1 valued function sum to 1, so this is the entropy
         of a probability distribution; for other tables it is the same sum
@@ -309,7 +311,7 @@ class SquareSums:
 
 @dataclass(frozen=True, eq=False)
 class LevelSums:
-    """Per-level sums of each row of a (rows, 2^n) coefficient array.
+    """Per-level sums of each table of a (2^n, rows) coefficient batch.
 
     Built by :func:`level_sums`; both arrays are read-only, (rows, n + 1).
     """
@@ -334,145 +336,176 @@ _TINY = 5e-324
 
 @functools.lru_cache(maxsize=None)
 def _level_layout(m: int):
-    """|S| of each of 2^m masks as float64, the masks sorted by level, and
-    where each level starts in that order."""
+    """|S| of each of 2^m masks as a float64 column, the masks sorted by
+    level, and where each level starts in that order."""
     levels = level_array(m)
     order = np.argsort(levels, kind="stable")
     starts = np.searchsorted(levels[order], np.arange(m + 1))
-    floats = levels.astype(np.float64)
+    floats = levels.astype(np.float64)[:, None]
     for arr in (floats, order, starts):
         arr.setflags(write=False)
     return floats, order, starts
 
 
-def _fold_coordinates(x: np.ndarray, out: np.ndarray) -> None:
-    """out[:, i] = sum of x[:, j] over the j with bit i set, for x of shape (r, 2^m).
+def _mask_sum(x: np.ndarray, out: np.ndarray, acc: np.ndarray | None = None) -> None:
+    """out[r] = np.add.reduce(x[:, r]), bit for bit, for x of shape (N, rows).
+
+    One column is that reduce itself.  Wider arrays repeat its pairwise
+    order one whole row of x at a time: runs of 8 to 128 rows go into eight
+    strided accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    and followed by the rows left over; shorter runs are added in order
+    onto 0.0; longer runs are split in two, the first part a multiple of 8
+    rows.  The partial sums live in the rows of ``acc``, which has x's
+    shape and defaults to x itself, which is then overwritten.
+    """
+    if x.shape[1] == 1:
+        np.add.reduce(x, axis=0, out=out)
+    else:
+        np.add(_pairwise(x, x if acc is None else acc), 0.0, out=out)
+
+
+def _pairwise(x: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of the rows of x, left in a row of acc (returned)."""
+    size = x.shape[0]
+    if size < 8:
+        r = acc[0]
+        np.add(x[0], 0.0, out=r)
+        for i in range(1, size):
+            np.add(r, x[i], out=r)
+        return r
+    if size <= 128:
+        r = acc[:8]
+        np.copyto(r, x[:8])
+        whole = size - size % 8
+        for i in range(8, whole, 8):
+            np.add(r, x[i : i + 8], out=r)
+        np.add(r[0::2], r[1::2], out=r[0::2])
+        np.add(r[0::4], r[2::4], out=r[0::4])
+        np.add(r[0], r[4], out=r[0])
+        for i in range(whole, size):
+            np.add(r[0], x[i], out=r[0])
+        return r[0]
+    half = size // 2 - size // 2 % 8
+    lo = _pairwise(x[:half], acc[:half])
+    return np.add(lo, _pairwise(x[half:], acc[half:]), out=lo)
+
+
+def _fold_coordinates(x: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """out[:, i] = sum of x[j] over the masks j with bit i set, for x of shape (2^m, rows).
 
     Folds from the top bit: the upper half sums to that bit's value, and
     the upper half added onto the lower half leaves the same problem on
-    the bits below.  The temporaries are at most half of x.
+    the bits below.  The folded halves go into ``scratch``, of x's shape;
+    x and scratch are overwritten.
     """
-    for i in reversed(range(x.shape[-1].bit_length() - 1)):
+    for i in reversed(range(x.shape[0].bit_length() - 1)):
         h = 1 << i
-        np.add.reduce(x[:, h:], axis=-1, out=out[:, i])
+        upper = x[h : 2 * h]
         if i:
-            x = x[:, :h] + x[:, h:]
+            np.add(x[:h], upper, out=scratch[:h])
+        _mask_sum(upper, out[:, i])
+        x = scratch[:h]
 
 
 def _pair_sums(a: np.ndarray) -> np.ndarray:
-    """Sum along axis 1 in adjacent pairs, as np.sum halves a power-of-two length."""
-    while a.shape[1] > 1:
-        a = a[:, 0::2] + a[:, 1::2]
-    return a[:, 0]
+    """Sum along axis 0 in adjacent pairs, as np.sum halves a power-of-two length."""
+    while a.shape[0] > 1:
+        a = a[0::2] + a[1::2]
+    return a[0]
 
 
-def _row_parts(coeffs: np.ndarray, what: str):
-    """Cut a (rows, 2^n) array into row parts of 2^m <= 2^_BLOCK_LOG2 entries.
+def _mask_blocks(coeffs: np.ndarray, what: str):
+    """Check a (2^n, rows) batch; return it as float64, n and the block size m.
 
-    Returns n, the parts as a (rows * 2^(n - m), 2^m) view, the popcount
-    of each part's place in its row (every mask in the part has that many
-    more set bits than its index inside the part), and the [lo, hi) runs
-    of parts that fill one aligned 2^_BLOCK_LOG2 block.
+    A block is 2^m = 2^min(n, _BLOCK_LOG2) consecutive masks of every table:
+    for one table, an aligned block of the butterfly's phase-one size.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 2 or coeffs.shape[1] < 1 or coeffs.shape[1] & (coeffs.shape[1] - 1):
-        raise InputError(f"{what} takes a (rows, 2^n) array, not shape {coeffs.shape}")
-    size = coeffs.shape[1]
+    size = coeffs.shape[0] if coeffs.ndim == 2 else 0
+    if size < 1 or size & (size - 1):
+        raise InputError(f"{what} takes a (2^n, rows) array, not shape {coeffs.shape}")
     n = size.bit_length() - 1
-    m = min(n, kernels._BLOCK_LOG2)
-    parts = coeffs.reshape(-1, 1 << m)
-    step = 1 << (kernels._BLOCK_LOG2 - m)
-    count = parts.shape[0]
-    blocks = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
-    return n, parts, np.bitwise_count(np.arange(size >> m)).tolist(), blocks
+    return coeffs, n, min(n, kernels._BLOCK_LOG2)
 
 
-def _by_row(a: np.ndarray, offsets: list[int]) -> np.ndarray:
-    """Per-part results, (rows * parts, ...), as (rows, parts, ...)."""
-    return a.reshape(-1, len(offsets), *a.shape[1:])
+def square_sums(coeffs: np.ndarray, work: np.ndarray | None = None) -> SquareSums:
+    """All of :class:`SquareSums` for a (2^n, rows) coefficient batch in one pass.
 
-
-def square_sums(coeffs: np.ndarray) -> SquareSums:
-    """All of :class:`SquareSums` for a (rows, 2^n) coefficient array in one pass.
-
-    The pass walks aligned blocks of 2^_BLOCK_LOG2 entries, the butterfly's
-    phase-one size, so each block stays in L2 while every sum is taken from
-    it.  For n <= _BLOCK_LOG2 a block holds whole rows (a batch of small
-    tables); otherwise each row is 2^(n - _BLOCK_LOG2) blocks, combined in
-    a fixed order:
+    The pass walks blocks of 2^min(n, _BLOCK_LOG2) masks of every table,
+    each squared into the first row of ``work``, a (2, k) float64 array of
+    at least one block per row, whose second row is scratch; without it two
+    block buffers are allocated.  That first row may be the memory of
+    ``coeffs`` itself, which is then overwritten with squares: a caller done
+    with its coefficients needs no third buffer.  Every sum over masks
+    takes numpy's pairwise order (see ``_mask_sum``), so each table gets the
+    bits it gets alone, and a single table's Σw is ``np.sum`` of its
+    squares.  For n > _BLOCK_LOG2 the block results are combined in a
+    fixed order:
 
     * total, plogp and level_mass add the block sums in adjacent pairs,
-      which reproduces ``np.sum`` of the whole row bit for bit;
+      which reproduces the pairwise sum of the whole table bit for bit;
     * the coordinates above the block take the block totals, folded as the
-      entries are inside a block.
+      masks are inside a block.
     """
-    n, parts, offsets, blocks = _row_parts(coeffs, "square_sums")
-    count, width = parts.shape
-    m = width.bit_length() - 1
+    coeffs, n, m = _mask_blocks(coeffs, "square_sums")
+    rows = coeffs.shape[1]
+    blocks = 1 << (n - m)
+    if work is None:
+        work = np.empty((2, rows << m))
     floats = _level_layout(m)[0]
-    total, plogp, level_mass = np.empty(count), np.empty(count), np.empty(count)
-    part_coords = np.empty((count, m))
-    # two block buffers, reused by every block: the squares and a scratch
-    bufs = np.empty((2, min(parts.size, 1 << kernels._BLOCK_LOG2)))
-    for lo, hi in blocks:
-        c = parts[lo:hi]
-        w, t = (b[: c.size].reshape(c.shape) for b in bufs)
+    total, plogp, level_mass = (np.empty((blocks, rows)) for _ in range(3))
+    part_coords = np.empty((blocks, rows, m))
+    for b in range(blocks):
+        c = coeffs[b << m : (b + 1) << m]
+        w, t = (buf[: c.size].reshape(c.shape) for buf in work)
         np.multiply(c, c, out=w)
-        np.add.reduce(w, axis=-1, out=total[lo:hi])
+        _mask_sum(w, total[b], acc=t)
         np.maximum(w, _TINY, out=t)
         np.log2(t, out=t)
         np.multiply(w, t, out=t)
-        np.add.reduce(t, axis=-1, out=plogp[lo:hi])
-        np.add(floats, offsets[lo % len(offsets)], out=t)
+        _mask_sum(t, plogp[b])
+        # every mask of block b has popcount(b) more set bits than its index
+        np.add(floats, b.bit_count(), out=t)
         np.multiply(t, w, out=t)
-        np.add.reduce(t, axis=-1, out=level_mass[lo:hi])
-        _fold_coordinates(w, part_coords[lo:hi])
-    total = _by_row(total, offsets)
-    rows = total.shape[0]
+        _mask_sum(t, level_mass[b])
+        _fold_coordinates(w, t, part_coords[b])
     coords = np.empty((rows, n))
-    coords[:, :m] = _pair_sums(_by_row(part_coords, offsets))
-    _fold_coordinates(total, coords[:, m:])
-    return SquareSums(
-        n,
-        _pair_sums(total),
-        _pair_sums(_by_row(plogp, offsets)),
-        _pair_sums(_by_row(level_mass, offsets)),
-        coords,
-    )
+    coords[:, :m] = _pair_sums(part_coords)
+    sums = _pair_sums(total)
+    _fold_coordinates(total, np.empty_like(total), coords[:, m:])
+    return SquareSums(n, sums, _pair_sums(plogp), _pair_sums(level_mass), coords)
 
 
 def level_sums(coeffs: np.ndarray) -> LevelSums:
-    """All of :class:`LevelSums` for a (rows, 2^n) coefficient array.
+    """All of :class:`LevelSums` for a (2^n, rows) coefficient batch.
 
     Walks the same blocks as :func:`square_sums`.  Each block is gathered
     once in level order, so the level sums and maxima are one ``reduceat``
-    each; a block's levels then move up by the popcount of its place in
-    the row.  Only the quantities that read the level profile pay for the
-    gather.
+    along the masks each, which adds every table's entries as it adds them
+    alone; a block's levels then move up by the popcount of its index.
+    Only the quantities that read the level profile pay for the gather.
     """
-    n, parts, offsets, blocks = _row_parts(coeffs, "level_sums")
-    count, width = parts.shape
-    m = width.bit_length() - 1
+    coeffs, n, m = _mask_blocks(coeffs, "level_sums")
+    rows = coeffs.shape[1]
+    blocks = 1 << (n - m)
     _, order, starts = _level_layout(m)
-    part_levels = np.empty((count, m + 1))
-    part_peaks = np.empty((count, m + 1))
-    buf = np.empty(min(parts.size, 1 << kernels._BLOCK_LOG2))  # reused by every block
-    for lo, hi in blocks:
-        c = parts[lo:hi]
+    part_levels = np.empty((blocks, m + 1, rows))
+    part_peaks = np.empty((blocks, m + 1, rows))
+    buf = np.empty((1 << m, rows))  # reused by every block
+    for b in range(blocks):
+        c = coeffs[b << m : (b + 1) << m]
         # |c| in level order ("wrap" never acts on these indices; it skips a
         # buffered copy), and |c| * |c| is c * c to the bit
-        g = buf[: c.size].reshape(c.shape)
-        np.abs(np.take(c, order, axis=-1, out=g, mode="wrap"), out=g)
-        np.fmax.reduceat(g, starts, axis=-1, out=part_peaks[lo:hi])
-        np.add.reduceat(np.multiply(g, g, out=g), starts, axis=-1, out=part_levels[lo:hi])
-    part_levels, part_peaks = _by_row(part_levels, offsets), _by_row(part_peaks, offsets)
-    rows = part_levels.shape[0]
+        np.abs(np.take(c, order, axis=0, out=buf, mode="wrap"), out=buf)
+        np.fmax.reduceat(buf, starts, axis=0, out=part_peaks[b])
+        np.add.reduceat(np.multiply(buf, buf, out=buf), starts, axis=0, out=part_levels[b])
+    offsets = np.bitwise_count(np.arange(blocks))
     levels = np.zeros((rows, n + 1))
     peaks = np.zeros((rows, n + 1))
     for k in range(n - m + 1):
-        sel = [b for b, offset in enumerate(offsets) if offset == k]
-        levels[:, k : k + m + 1] += np.sum(part_levels[:, sel], axis=1)
-        np.fmax(peaks[:, k : k + m + 1], np.fmax.reduce(part_peaks[:, sel], axis=1),
+        sel = offsets == k
+        levels[:, k : k + m + 1] += np.sum(part_levels[sel], axis=0).T
+        np.fmax(peaks[:, k : k + m + 1], np.fmax.reduce(part_peaks[sel], axis=0).T,
                 out=peaks[:, k : k + m + 1])
     return LevelSums(n, levels, peaks)
 

@@ -1,6 +1,9 @@
 import csv
+import json
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -335,6 +338,152 @@ def test_sweep_csv_bytes_match_csv_writer(tmp_path, case):
     fast = tmp_path / "fast.csv"
     cf.write_sweep_csv(res, fast)
     assert fast.read_bytes() == _csv_writer_bytes(res, tmp_path / "reference.csv")
+
+
+# --- the command-line sweep: one stream of chunks ---------------------------------
+
+
+def _library_report(n, p, sample, seed, threads):
+    """The sweep report and CSV as built from exhaustive_sweep's columns."""
+    saved = config.get_threads()
+    try:
+        config.set_threads(threads)
+        res = cf.exhaustive_sweep(n, p=p, sample=sample, seed=seed)
+    finally:
+        config.set_threads(saved)
+    best, best_hex = res.max_ratio()
+    payload = {
+        "schema": 1, "command": "sweep", "n": res.n, "p": res.p,
+        "exhaustive": res.exhaustive, "count": res.count, "max_ratio": best,
+        "max_ratio_function_hex": best_hex, "violations": res.violations,
+    }
+    return res, json.dumps(payload, indent=2) + "\n"
+
+
+def _cli_report(tmp_path, *args):
+    out, table = tmp_path / "cli.json", tmp_path / "cli.csv"
+    code = main(["sweep", *args, "--format", "json", "--output", str(out), "--csv", str(table)])
+    return code, out.read_text(), table.read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("p", [0.5, 0.3])
+@pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None), (4, None), (5, 20000)])
+def test_the_cli_stream_reports_the_bytes_of_the_library_sweep(tmp_path, n, sample, p, threads):
+    """20000 samples cross a pool window at 2 threads and end in a short chunk."""
+    res, want_json = _library_report(n, p, sample, 9, threads)
+    cf.write_sweep_csv(res, tmp_path / "library.csv")
+    args = ["--n", str(n), "--p", str(p), "--seed", "9", "--threads", str(threads)]
+    if sample:
+        args += ["--sample", str(sample)]
+    code, got_json, got_csv = _cli_report(tmp_path, *args)
+    assert code == 0
+    assert got_json == want_json
+    assert got_csv == (tmp_path / "library.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_cli_stream_reports_violations_in_id_order(monkeypatch, tmp_path, threads):
+    real = conjecture.entropy_upper_bounds
+
+    def tightened(n, influence, infl_vec):  # as in the tightened-bound test above
+        bounds = real(n, influence, infl_vec)
+        bounds["logn_bound"] = bounds["logn_bound"] - 0.95
+        return bounds
+
+    monkeypatch.setattr(conjecture, "entropy_upper_bounds", tightened)
+    res, want_json = _library_report(4, 0.5, None, 0, threads)
+    assert len(res.violations) == 32  # AND- and OR-like functions, spread over many chunks
+    code, got_json, _ = _cli_report(tmp_path, "--n", "4", "--threads", str(threads))
+    assert code == EXIT_VIOLATION
+    assert json.loads(got_json)["violations"] == res.violations
+    assert got_json == want_json
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 4096])
+@pytest.mark.parametrize("seed", [0, 1, 5, 123456789])
+def test_the_chunks_draw_the_ids_of_one_whole_sample(monkeypatch, chunk, seed):
+    monkeypatch.setattr(conjecture, "SWEEP_CHUNK", chunk)
+    monkeypatch.setattr(conjecture, "_sweep_chunk", lambda n, p, ids, work=None: {})
+    for n in range(1, 6):
+        sample = 3 * chunk + 2
+        _, _, count, stream = conjecture._sweep_stream(n, 0.5, sample, seed)
+        drawn = np.concatenate([ids for ids, _ in stream])
+        rng = np.random.Generator(np.random.PCG64(seed))
+        assert count == sample
+        assert np.array_equal(drawn, rng.integers(0, 1 << (1 << n), size=sample, dtype=np.int64))
+
+
+def test_a_bad_csv_path_is_refused_before_any_chunk_runs(monkeypatch, tmp_path, capsys):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(conjecture, "_sweep_chunk", no_chunk)
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["sweep", "--n", "2", "--csv", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and str(target) in err
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failed_csv_write_stops_the_stream_and_leaves_no_file(monkeypatch, tmp_path, threads):
+    started, writes = [], []
+    real_chunk, real_rows = conjecture._sweep_chunk, conjecture._csv_rows
+
+    def counted_chunk(*args):
+        started.append(1)
+        return real_chunk(*args)
+
+    def failing_rows(*args):
+        writes.append(1)
+        if len(writes) == 2:
+            raise OSError(28, "No space left on device")
+        return real_rows(*args)
+
+    monkeypatch.setattr(conjecture, "_sweep_chunk", counted_chunk)
+    monkeypatch.setattr(conjecture, "_csv_rows", failing_rows)
+    target = tmp_path / "sweep.csv"
+    before = threading.active_count()
+    code = main(["sweep", "--n", "5", "--sample", str(20 * conjecture.SWEEP_CHUNK),
+                 "--threads", str(threads), "--csv", str(target)])
+    assert code == 1
+    assert len(started) <= conjecture._WINDOW * threads + threads
+    assert threading.active_count() == before
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_csv_goes_through_a_symlink_and_into_a_pipe(tmp_path):
+    want = tmp_path / "want.csv"
+    assert main(["sweep", "--n", "2", "--csv", str(want)]) == 0
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old")
+    link.symlink_to(real)
+    assert main(["sweep", "--n", "2", "--csv", str(link)]) == 0
+    assert link.is_symlink() and real.read_bytes() == want.read_bytes()
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["sweep", "--n", "2", "--csv", str(pipe)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [want.read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "pipe", "real.csv", "want.csv"]
+
+
+def test_a_command_line_sweep_holds_no_per_function_column():
+    """Peaks of sweeps of 60k and 600k functions at 2 threads, first-call
+    allocations out; each the smallest of three, as the two workers' peaks
+    coincide or not with the thread schedule."""
+    def peak(sample):
+        argv = ["sweep", "--n", "5", "--p", "0.3", "--threads", "2", "--sample", str(sample),
+                "--seed", "4", "--output", os.devnull]
+        return min(peak_bytes(lambda: main(argv)) for _ in range(3))
+
+    peak(5000)
+    small, large = peak(60_000), peak(600_000)
+    assert max(small, large) < 10 << 20
+    assert abs(large - small) < 1 << 20
 
 
 # --- clique experiment ----------------------------------------------------------

@@ -349,8 +349,10 @@ def test_cache_key_follows_source_compiler_and_flags(monkeypatch):
 
 
 def _batch_rows(n):
-    # 4097 rows make a short last phase-one run at small n; above n = 10 the
-    # same happens with one row past a whole run, at a size that fits memory
+    # with 4097 rows the stage distances 4097 * 2^i exceed the numpy stage's
+    # 2^15-pair piece from stage 3 on without being a multiple of it; above
+    # n = 10, one row past a whole run makes phase one cover fewer stages
+    # than n, at a size that fits memory
     rows = {1, 3}
     rows.add(4097 if n <= 10 else (1 << max(0, kernels._BLOCK_LOG2 - n)) + 1)
     return sorted(rows)
@@ -360,7 +362,7 @@ def _batch_rows(n):
 @pytest.mark.parametrize("case", ["forward_p03", "inverse_p03", "wht"])
 @pytest.mark.parametrize("n", range(1, 18))
 def test_batch_of_rows_matches_each_row_alone(backend, case, n):
-    """One call on a (rows, 2^n) buffer equals transforming every row by itself."""
+    """One call on a mask-major (2^n, rows) batch equals transforming every table by itself."""
     name, w = _schedule_cases()[case]
     stage = getattr(backend, name)
     rng = np.random.Generator(np.random.PCG64(n))
@@ -372,39 +374,40 @@ def test_batch_of_rows_matches_each_row_alone(backend, case, n):
     for row in alone:
         kernels._run_stages(row, stage, w)
     for rows in _batch_rows(n):
-        # 7 distinct rows repeat; two rows a power of two apart always differ
-        batch = np.resize(distinct, (rows, 1 << n))
-        expected = np.resize(alone, (rows, 1 << n))
-        v = batch.copy()
+        # 7 distinct tables repeat; two tables a power of two apart always differ
+        batch = np.resize(distinct, (rows, 1 << n)).T
+        expected = np.resize(alone, (rows, 1 << n)).T
+        v = np.ascontiguousarray(batch)
         kernels._run_stages(v, stage, w)
         assert np.array_equal(v, expected), (case, n, rows)
 
 
 def test_public_transforms_take_batches_and_reject_strided_ones():
     rng = np.random.Generator(np.random.PCG64(7))
-    batch = rng.standard_normal((6, 1 << 5))
+    batch = rng.standard_normal((1 << 5, 6))
     got = batch.copy()
     kernels.biased_forward_inplace(got, 0.3)
-    for k, row in enumerate(batch):
-        want = row.copy()
+    for k in range(batch.shape[1]):
+        want = batch[:, k].copy()
         kernels.biased_forward_inplace(want, 0.3)
-        assert np.array_equal(got[k], want)
+        assert np.array_equal(got[:, k], want)
     with pytest.raises(InputError):
-        kernels.biased_forward_inplace(np.zeros((4, 64))[:, ::2], 0.3)
+        kernels.biased_forward_inplace(np.zeros((64, 8))[:, ::2], 0.3)
 
 
 def test_small_rows_share_phase_one_runs():
-    """Phase one takes whole runs of rows, not one call per row and stage."""
+    """Phase one takes runs of every table at once, not one call per table and stage."""
     calls = []
 
     def counting(v, *args):
         calls.append(args[-3:])
         _kernels_py.stage_f64(v, *args)
 
-    n, rows = 4, 4097  # 65552 entries: one full run of 2^16 and one short run
-    kernels._run_stages(np.zeros((rows, 1 << n)), counting, (1.0, 1.0, 1.0, -1.0))
-    assert len(calls) == 2 * n
-    assert calls[-1] == (1 << (n - 1), (1 << 16) >> n, (rows << n) >> n)
+    n, rows = 5, 4096  # 2^17 entries: stages 0-3 in two runs of 2^16, stage 4 after
+    kernels._run_stages(np.zeros((1 << n, rows)), counting, (1.0, 1.0, 1.0, -1.0))
+    runs = [(rows << i, start // (rows << i + 1), (start + (1 << 16)) // (rows << i + 1))
+            for start in (0, 1 << 16) for i in range(4)]
+    assert calls == [*runs, (rows << 4, 0, 1)]
 
 
 @pytest.mark.parametrize("backend", STAGE_BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[1])
@@ -427,7 +430,7 @@ def test_driver_refuses_arrays_the_stages_cannot_write_in_place(backend, case):
         "strided rows": np.repeat(good.reshape(4, -1), 2, axis=1)[:, ::2],
         "list": good.tolist(),
         "0-d": good[:1].reshape(()).copy(),
-        "rows of 3": good[:12].reshape(4, 3).copy(),
+        "3 masks": good[:12].reshape(3, 4).copy(),
     }
     for label, v in refused.items():
         before = np.array(v, copy=True)

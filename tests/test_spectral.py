@@ -661,6 +661,46 @@ def test_a_table_copies_an_array_the_caller_can_still_write(build, field, dtype)
 
 
 @pytest.mark.parametrize(
+    "build, field, dtype",
+    [
+        (lambda a: cf.TruthTable(2, a), "bits", np.uint8),
+        (lambda a: cf.RealTable(2, a), "values", np.float64),
+        (lambda a: cf.Spectrum(2, 0.3, a), "coeffs", np.float64),
+        (lambda a: cf.DyadicSpectrum(2, a), "numerators", np.float64),
+    ],
+    ids=["TruthTable", "RealTable", "Spectrum", "DyadicSpectrum"],
+)
+def test_a_table_copies_a_read_only_view_of_memory_the_caller_can_write(build, field, dtype):
+    whole = np.array([0, 1, 1, 0, 1], dtype=dtype)
+    for view in (whole[:4].view(), whole[1:], whole[1:][::-1][::-1]):  # views of views too
+        view.setflags(write=False)
+        table = build(view)
+        kept = getattr(table, field).copy()
+        whole[:] = 1 - whole  # the caller still writes through ``whole``
+        assert np.array_equal(getattr(table, field), kept)
+
+
+def test_the_producers_of_views_hand_them_over_uncopied():
+    """Their root buffer is read-only before the view is taken, so the table keeps the view."""
+    hexed = cf.parse_truth_table("n=4\nhex:beef\n")
+    derived = cf.discrete_derivative(cf.random_function(5, 1), 2)
+    for arr in (hexed.bits, derived.values):
+        assert not arr.flags.owndata and not arr.flags.writeable
+
+
+def test_an_exact_spectrum_reads_writable_numerators_without_a_frozen_copy():
+    """Peaks in tables of 2^20 doubles: the coefficients and an eighth for the integer check."""
+    numerators = np.array(cf.exact_transform(cf.random_function(20, 3)).numerators)
+    frozen = numerators.copy()
+    frozen.setflags(write=False)
+    cf.DyadicSpectrum(20, numerators)  # first-call allocations stay out
+    table = 8 * (1 << 20)
+    writable_peak = peak_bytes(lambda: cf.DyadicSpectrum(20, numerators))
+    assert writable_peak <= 1.13 * table
+    assert writable_peak <= peak_bytes(lambda: cf.DyadicSpectrum(20, frozen)) + 4096
+
+
+@pytest.mark.parametrize(
     "name, tables",
     [("transform", 1.02), ("inverse_transform", 1.13), ("exact_transform", 2.13),
      ("load_spectrum_binary", 1.01)],
@@ -770,8 +810,55 @@ def test_blocked_pass_matches_whole_array_formulas(monkeypatch, backend, p, n):
         assert np.max(np.abs(cf.level_profile(sp).weights - want["levels"])) <= 1e-14
 
 
+def _same_doubles(a, b):
+    """Bitwise equal, with any NaN matching any NaN: a NaN's sign and payload
+    follow the order of an addition's operands, which C compilers may swap."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.int64), b[~nan].view(np.int64)
+    )
+
+
+def _mask_sum_lengths(rows):
+    """Every run length numpy's pairwise sum treats apart, up to 2^16 masks."""
+    near = {(1 << k) + d for k in range(3, 17) for d in (-9, -1, 0, 1, 7)}
+    top = 1 << 16 if rows <= 3 else 1 << 10  # 2^10 masks of 4096 rows: 32 MiB
+    return [size for size in sorted({*range(1, 300), *near}) if 1 <= size <= top]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4096])
+def test_the_mask_sum_is_np_add_reduce_of_each_column(rows):
+    from cubefourier.spectral import _mask_sum
+
+    rng = np.random.Generator(np.random.PCG64(rows))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 1e300, -1e300])
+    lengths = _mask_sum_lengths(rows)
+    if rows == 4096:
+        lengths = lengths[::11] + [128, 129]  # each column reduced alone below
+    for size in lengths:
+        x = rng.standard_normal((size, rows)) * 10.0 ** rng.uniform(-300, 300, (size, rows))
+        if size % 3 == 0:  # zeros, signed zeros, infinities, NaN and extremes
+            hit = rng.random((size, rows)) < 0.3
+            x[hit] = rng.choice(special, np.count_nonzero(hit))
+        elif size % 3 == 1:
+            x[rng.random((size, rows)) < 0.3] = -0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.array([np.add.reduce(np.ascontiguousarray(x[:, r])) for r in range(rows)])
+            kept, got, acc = x.copy(), np.empty(rows), np.empty_like(x)
+            _mask_sum(x, got, acc)
+            assert np.array_equal(x, kept, equal_nan=True)  # acc took the partial sums
+            assert _same_doubles(got, want), size
+            _mask_sum(x, got)  # in x itself
+            assert _same_doubles(got, want), size
+    got = np.empty(rows)
+    for size in (1, 7, 8, 9, 200):  # all -0.0: the reduce starts from 0.0
+        _mask_sum(np.full((size, rows), -0.0), got)
+        assert _same_doubles(got, np.full(rows, np.add.reduce(np.full(size, -0.0))))
+        assert not np.signbit(got).any()
+
+
 def _row(coeffs, r):
-    """Every array of square_sums and level_sums of ``coeffs`` at row r."""
+    """Every array of square_sums and level_sums of the (2^n, rows) ``coeffs`` at table r."""
     sums, by_level = square_sums(coeffs), level_sums(coeffs)
     names = ("total", "plogp", "level_mass", "coords")
     return [getattr(sums, k)[r] for k in names] + [by_level.levels[r], by_level.peaks[r]]
@@ -779,21 +866,22 @@ def _row(coeffs, r):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_batch_rows_match_each_row_alone(n):
-    """A (rows, 2^n) batch gives every row the sums it gets by itself."""
+    """A mask-major (2^n, rows) batch gives every table the sums it gets by itself."""
     rng = np.random.Generator(np.random.PCG64(n))
     distinct = rng.standard_normal((7, 1 << n))
-    distinct[1] = 0.0  # an all-zero row: no log2 of zero, degree 0
+    distinct[1] = 0.0  # an all-zero table: no log2 of zero, degree 0
     distinct[2, ::3] = 0.0
-    alone = [_row(row.reshape(1, -1), 0) for row in distinct]
-    # a short last block, and with it blocks that end mid-batch
+    alone = [_row(row.reshape(-1, 1), 0) for row in distinct]
+    # as many tables as a 2^16-entry block holds, and 5 more
     rows = (1 << max(0, 16 - n)) + 5
-    for k, got in enumerate(_row(np.resize(distinct, (rows, 1 << n)), slice(None))):
+    batch = np.ascontiguousarray(np.resize(distinct, (rows, 1 << n)).T)
+    for k, got in enumerate(_row(batch, slice(None))):
         want = np.resize(np.stack([a[k] for a in alone]), got.shape)
         assert np.array_equal(got, want), (n, k)
 
 
 def test_square_sums_rejects_arrays_that_are_not_rows_of_tables():
-    for bad in (np.zeros(8), np.zeros((2, 0)), np.zeros((2, 6)), np.zeros((2, 2, 4))):
+    for bad in (np.zeros(8), np.zeros((0, 2)), np.zeros((6, 2)), np.zeros((2, 2, 4))):
         with pytest.raises(InputError):
             square_sums(bad)
         with pytest.raises(InputError):
