@@ -330,8 +330,9 @@ def _replacing(path):
 
 
 def _cmd_sweep(ns):
+    # without a CSV no bound column is read: a biased sweep skips them
     p, exhaustive, count, stream = _sweep_stream(
-        ns.n, ns.p if ns.p is not None else 0.5, ns.sample, ns.seed
+        ns.n, ns.p if ns.p is not None else 0.5, ns.sample, ns.seed, bounds=bool(ns.csv)
     )
     # the CSV is opened before any chunk runs, so a bad path costs no sweep
     with closing(stream), _replacing(ns.csv) as fh:

@@ -10,6 +10,7 @@ proven bound (which would indicate a software defect, not new mathematics).
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import deque
 from contextlib import closing, nullcontext
@@ -252,7 +253,9 @@ _BYTE_SIGNS = readonly(
 )
 
 
-def _sweep_chunk(n: int, p: float, ids: np.ndarray, work: np.ndarray | None = None) -> dict:
+def _sweep_chunk(
+    n: int, p: float, ids: np.ndarray, work: np.ndarray | None = None, bounds: bool = True
+) -> dict:
     """Statistics for one batch of function ids.
 
     The tables go through the same transform, reductions and bounds as
@@ -260,6 +263,9 @@ def _sweep_chunk(n: int, p: float, ids: np.ndarray, work: np.ndarray | None = No
     depend on batching.  ``work`` is a (2, k) float64 workspace of at least
     2^n * rows entries per row, reused across chunks; the batch is built in
     its first row, squared there in place, and its second row is scratch.
+    With ``bounds`` false the caller reads no bound column, so away from
+    p = 1/2, where no bound is checked, the coordinate influences and the
+    bounds are skipped and the result holds no ``h_bound`` or ``logn_bound``.
     """
     rows = ids.size
     size = rows << n
@@ -273,24 +279,30 @@ def _sweep_chunk(n: int, p: float, ids: np.ndarray, work: np.ndarray | None = No
         signs = _BYTE_SIGNS[: min(8, (1 << n) - mask)]
         np.take(signs, octets[:, mask // 8], axis=1, out=coeffs[mask : mask + 8])
     biased_forward_inplace(coeffs, p)
-    sums = square_sums(coeffs, work)  # overwrites coeffs with the squares
+    full = bounds or p == 0.5  # the violations at p = 1/2 need the bounds
+    sums = square_sums(coeffs, work, coords=full)  # overwrites coeffs with the squares
     ent = sums.entropy()
     infl = sums.influence(p)
-    ivec = sums.coordinate_influences(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(infl > 0.0, ent / infl, np.nan)
+    stats = {"entropy": ent, "influence": infl, "ratio": ratio}
+    if not full:
+        stats["bad"] = np.zeros(rows, dtype=bool)
+        return stats
+    ivec = sums.coordinate_influences(p)
     pieces = []
     for start in range(0, rows, _BOUND_ROWS):
         part = slice(start, start + _BOUND_ROWS)
-        bounds = entropy_upper_bounds(n, infl[part], ivec[part])
-        bad = np.zeros(bounds["h_bound"].size, dtype=bool)
+        bound = entropy_upper_bounds(n, infl[part], ivec[part])
+        bad = np.zeros(bound["h_bound"].size, dtype=bool)
         if p == 0.5:
-            for over in exceeded_bounds(ent[part], bounds).values():
+            for over in exceeded_bounds(ent[part], bound).values():
                 bad |= over
-        pieces.append((bounds["h_bound"], bounds["logn_bound"], bad))
-    h_bound, logn_bound, bad = (np.concatenate(column) for column in zip(*pieces))
-    return {"entropy": ent, "influence": infl, "ratio": ratio,
-            "h_bound": h_bound, "logn_bound": logn_bound, "bad": bad}
+        pieces.append((bound["h_bound"], bound["logn_bound"], bad))
+    stats["h_bound"], stats["logn_bound"], stats["bad"] = (
+        np.concatenate(column) for column in zip(*pieces)
+    )
+    return stats
 
 
 SWEEP_CHUNK = 4096
@@ -306,14 +318,15 @@ _WINDOW = 2
 _COLUMNS = ("entropy", "influence", "ratio", "h_bound", "logn_bound")
 
 
-def _sweep_stream(n: int, p, sample: int | None, seed: int):
+def _sweep_stream(n: int, p, sample: int | None, seed: int, bounds: bool = True):
     """Check a sweep's arguments and set up its chunks.
 
     Returns p as a float, whether the sweep is exhaustive, the number of
     functions, and a generator of (ids, :func:`_sweep_chunk` statistics)
-    pairs in id order.  Exhaustive chunks are ``arange`` slices; sampled
-    ones are drawn in order from one seeded PCG64 stream, the same ids as
-    one draw of the whole sample.  Nothing runs before the first ``next``.
+    pairs in id order; ``bounds`` is passed on to every chunk.  Exhaustive
+    chunks are ``arange`` slices; sampled ones are drawn in order from one
+    seeded PCG64 stream, the same ids as one draw of the whole sample.
+    Nothing runs before the first ``next``.
     """
     if n < 1:
         raise InputError("sweep needs at least one variable")
@@ -330,6 +343,8 @@ def _sweep_stream(n: int, p, sample: int | None, seed: int):
     else:
         if sample < 1:
             raise InputError("sample size must be positive")
+        if seed < 0:
+            raise InputError(f"seed must be nonnegative, got {seed}")
         check_table_size(n, "sweep table")
         if n > 5:  # an id holds 2**n bits, and n = 6 overflows int64
             raise InputError("sampled sweeps support n <= 5")
@@ -342,7 +357,7 @@ def _sweep_stream(n: int, p, sample: int | None, seed: int):
     chunks = (
         draw(start, min(SWEEP_CHUNK, count - start)) for start in range(0, count, SWEEP_CHUNK)
     )
-    return p, sample is None, count, _run_chunks(n, p, chunks, count)
+    return p, sample is None, count, _run_chunks(n, p, chunks, count, bounds)
 
 
 class _Ready:
@@ -359,7 +374,7 @@ class _Ready:
         return False
 
 
-def _run_chunks(n: int, p: float, chunks, count: int):
+def _run_chunks(n: int, p: float, chunks, count: int, bounds: bool):
     """Yield (ids, statistics) for each chunk of ids, in order.
 
     Up to _WINDOW chunks per thread are in flight: with more than one
@@ -378,7 +393,7 @@ def _run_chunks(n: int, p: float, chunks, count: int):
     def run(ids):
         if not hasattr(local, "work"):
             local.work = np.empty((2, rows << n))
-        return _sweep_chunk(n, p, ids, local.work)
+        return _sweep_chunk(n, p, ids, local.work, bounds)
 
     if nthreads == 1:
         pool, submit = nullcontext(), lambda fn, ids: _Ready(fn(ids))
@@ -490,18 +505,45 @@ def exhaustive_sweep(
 _CSV_HEADER = "function_hex,entropy,influence,ratio,h_bound,logn_bound\r\n"
 
 
+def _csv_lines(names, columns) -> list[str]:
+    """One CSV line per entry of ``names``: the name, then that row of the
+    five float64 ``columns`` (in _COLUMNS order).  A ratio that is not
+    finite is an empty field."""
+    rows = zip(names, *(column.tolist() for column in columns))
+    lines = ["%s,%.12g,%.12g,%.12g,%.12g,%.12g\r\n" % row for row in rows]
+    for k in np.flatnonzero(~np.isfinite(columns[2])).tolist():
+        ent, infl, _, h_bound, logn_bound = (column[k] for column in columns)
+        lines[k] = "%s,%.12g,%.12g,,%.12g,%.12g\r\n" % (names[k], ent, infl, h_bound, logn_bound)
+    return lines
+
+
 def _csv_rows(n: int, ids: np.ndarray, columns) -> str:
-    """The CSV rows of functions ``ids`` with their statistics ``columns``."""
-    ratio = ["%.12g" % r if math.isfinite(r) else "" for r in columns["ratio"].tolist()]
-    rows = zip(
-        rows_to_hex(_id_bits(n, ids)),
-        columns["entropy"].tolist(),
-        columns["influence"].tolist(),
-        ratio,
-        columns["h_bound"].tolist(),
-        columns["logn_bound"].tolist(),
-    )
-    return "".join(["%s,%.12g,%.12g,%s,%.12g,%.12g\r\n" % row for row in rows])
+    """The CSV rows of functions ``ids`` with their statistics ``columns``.
+
+    Where most entropies of the chunk repeat, as at p = 1/2 (a 4096-function
+    chunk holds a few dozen distinct rows), each distinct row of statistics
+    is formatted once and joined to the hex id of every function that has
+    it.  Rows are grouped by the bit patterns of their doubles, not their
+    values, since -0.0 and 0.0 format apart.  Where most entropies are
+    distinct, as at p = 0.3, so are the rows, and each is formatted alone.
+    """
+    names = rows_to_hex(_id_bits(n, ids))
+    columns = [np.asarray(columns[key], dtype=np.float64) for key in _COLUMNS]
+    bits = [column.view(np.int64) for column in columns]
+    entropies = np.sort(bits[0])
+    if 2 * (1 + np.count_nonzero(entropies[1:] != entropies[:-1])) > len(names):
+        return "".join(_csv_lines(names, columns))
+    # sorted, equal rows are adjacent; first marks where each group starts
+    order = np.lexsort(bits)
+    first = np.zeros(order.size, dtype=bool)
+    first[0] = True
+    for column in bits:
+        ordered = column[order]
+        first[1:] |= ordered[1:] != ordered[:-1]
+    group = np.empty_like(order)  # the group of each row, in id order
+    group[order] = np.cumsum(first) - 1
+    lines = _csv_lines([""] * np.count_nonzero(first), [c[order[first]] for c in columns])
+    return "".join(map(operator.add, names, map(lines.__getitem__, group.tolist())))
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:

@@ -277,18 +277,20 @@ class SquareSums:
     """Sums over the squared coefficients w = c*c of each table of a (2^n, rows) batch.
 
     Built by :func:`square_sums`.  Every array is read-only and has one
-    entry (or one row) per table.
+    entry (or one row) per table; ``coords`` is None when the pass was told
+    to skip the coordinate fold.
     """
 
     n: int
     total: np.ndarray  # sum of w
     plogp: np.ndarray  # sum of w log2 w over w > 0
     level_mass: np.ndarray  # sum of |S| w
-    coords: np.ndarray  # (rows, n): sum of w over the sets containing i + 1
+    coords: np.ndarray | None  # (rows, n): sum of w over the sets containing i + 1
 
     def __post_init__(self):
         for arr in (self.total, self.plogp, self.level_mass, self.coords):
-            arr.setflags(write=False)
+            if arr is not None:
+                arr.setflags(write=False)
 
     def entropy(self) -> np.ndarray:
         """Shannon entropy (bits) of each table's squares.
@@ -428,7 +430,9 @@ def _mask_blocks(coeffs: np.ndarray, what: str):
     return coeffs, n, min(n, kernels._BLOCK_LOG2)
 
 
-def square_sums(coeffs: np.ndarray, work: np.ndarray | None = None) -> SquareSums:
+def square_sums(
+    coeffs: np.ndarray, work: np.ndarray | None = None, coords: bool = True
+) -> SquareSums:
     """All of :class:`SquareSums` for a (2^n, rows) coefficient batch in one pass.
 
     The pass walks blocks of 2^min(n, _BLOCK_LOG2) masks of every table,
@@ -446,6 +450,9 @@ def square_sums(coeffs: np.ndarray, work: np.ndarray | None = None) -> SquareSum
       which reproduces the pairwise sum of the whole table bit for bit;
     * the coordinates above the block take the block totals, folded as the
       masks are inside a block.
+
+    With ``coords`` false the coordinate fold is skipped and
+    ``SquareSums.coords`` is None; the other sums are the same bits.
     """
     coeffs, n, m = _mask_blocks(coeffs, "square_sums")
     rows = coeffs.shape[1]
@@ -454,7 +461,7 @@ def square_sums(coeffs: np.ndarray, work: np.ndarray | None = None) -> SquareSum
         work = np.empty((2, rows << m))
     floats = _level_layout(m)[0]
     total, plogp, level_mass = (np.empty((blocks, rows)) for _ in range(3))
-    part_coords = np.empty((blocks, rows, m))
+    part_coords = np.empty((blocks, rows, m)) if coords else None
     for b in range(blocks):
         c = coeffs[b << m : (b + 1) << m]
         w, t = (buf[: c.size].reshape(c.shape) for buf in work)
@@ -468,12 +475,15 @@ def square_sums(coeffs: np.ndarray, work: np.ndarray | None = None) -> SquareSum
         np.add(floats, b.bit_count(), out=t)
         np.multiply(t, w, out=t)
         _mask_sum(t, level_mass[b])
-        _fold_coordinates(w, t, part_coords[b])
-    coords = np.empty((rows, n))
-    coords[:, :m] = _pair_sums(part_coords)
+        if coords:
+            _fold_coordinates(w, t, part_coords[b])
     sums = _pair_sums(total)
-    _fold_coordinates(total, np.empty_like(total), coords[:, m:])
-    return SquareSums(n, sums, _pair_sums(plogp), _pair_sums(level_mass), coords)
+    folded = None
+    if coords:
+        folded = np.empty((rows, n))
+        folded[:, :m] = _pair_sums(part_coords)
+        _fold_coordinates(total, np.empty_like(total), folded[:, m:])
+    return SquareSums(n, sums, _pair_sums(plogp), _pair_sums(level_mass), folded)
 
 
 def level_sums(coeffs: np.ndarray) -> LevelSums:

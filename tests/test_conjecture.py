@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubefourier as cf
-from cubefourier import config, conjecture
+from cubefourier import config, conjecture, spectral
 from cubefourier.boolfn import rows_to_hex
 from cubefourier.cli import EXIT_VIOLATION, main
 from cubefourier.conjecture import (
@@ -340,6 +340,49 @@ def test_sweep_csv_bytes_match_csv_writer(tmp_path, case):
     assert fast.read_bytes() == _csv_writer_bytes(res, tmp_path / "reference.csv")
 
 
+# Rows of statistics for the CSV formatter: pairs that differ only in the
+# sign of a zero (equal as values, apart as text), and NaN and the
+# infinities in every column.
+_EDGE_ROWS = np.array([
+    [0.0, 1.0, 0.0, 1.0, 1.0],
+    [-0.0, 1.0, 0.0, 1.0, 1.0],
+    [0.5, -0.0, np.nan, 0.0, -0.0],
+    [0.5, 0.0, np.nan, -0.0, 0.0],
+    [np.nan, np.inf, np.inf, -np.inf, np.nan],
+    [1.5, -np.inf, -np.inf, np.inf, -0.0],
+    [1.5, 2.0, -0.0, np.nan, np.inf],
+    [1.5, 2.0, 0.0, np.nan, np.inf],
+    [123456.789012345678, 1e-300, 2.0 / 3.0, 5e-324, -1e300],
+])
+
+
+@pytest.mark.parametrize("rows, case", [
+    (1, "repeats"),
+    (2, "repeats"),
+    (1000, "repeats"),  # mostly repeats: each distinct row formatted once
+    (4096, "repeats"),  # a whole chunk, as at p = 1/2
+    (4096, "distinct"),  # every entropy distinct, as at p = 0.3: row by row
+])
+def test_the_csv_formatter_keeps_the_bytes_of_every_edge_case(monkeypatch, tmp_path, rows, case):
+    pick = np.random.Generator(np.random.PCG64(rows)).integers(0, len(_EDGE_ROWS), size=rows)
+    table = _EDGE_ROWS[pick].T.copy()
+    if case == "distinct":
+        table[0] = np.arange(rows) / 7.0
+        table[0, 1] = -0.0
+    ids = np.random.Generator(np.random.PCG64(rows)).integers(0, 1 << 16, size=rows)
+    res = cf.SweepResult(n=4, p=0.5, exhaustive=False, function_ids=ids,
+                         **dict(zip(conjecture._COLUMNS, table)))
+    formatted, real = [], conjecture._csv_lines
+    monkeypatch.setattr(conjecture, "_csv_lines",
+                        lambda names, cols: formatted.append(len(names)) or real(names, cols))
+    fast = tmp_path / "fast.csv"
+    cf.write_sweep_csv(res, fast)
+    assert fast.read_bytes() == _csv_writer_bytes(res, tmp_path / "reference.csv")
+    distinct = np.unique(table.view(np.int64), axis=1).shape[1]
+    # one row, or two with different entropies, are formatted alone
+    assert formatted == [rows if case == "distinct" or rows < 3 else distinct]
+
+
 # --- the command-line sweep: one stream of chunks ---------------------------------
 
 
@@ -383,6 +426,40 @@ def test_the_cli_stream_reports_the_bytes_of_the_library_sweep(tmp_path, n, samp
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("p", [0.3, 0.7])
+@pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None), (4, None), (5, 20000)])
+def test_a_sweep_without_csv_reports_the_bytes_of_the_library_sweep(tmp_path, n, sample, p, threads):
+    """Without --csv a biased chunk skips the bounds: the report must not move."""
+    _, want_json = _library_report(n, p, sample, 9, threads)
+    out = tmp_path / "cli.json"
+    args = ["--n", str(n), "--p", str(p), "--seed", "9", "--threads", str(threads)]
+    if sample:
+        args += ["--sample", str(sample)]
+    assert main(["sweep", *args, "--format", "json", "--output", str(out)]) == 0
+    assert out.read_text() == want_json
+
+
+def test_a_biased_sweep_without_csv_takes_no_bounds(monkeypatch, tmp_path):
+    """No bound and no coordinate influence is computed where none is read."""
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--n", "4", "--p", "0.3", "--format", "json", "--output", str(out)]
+    assert main(argv) == 0
+    want = out.read_bytes()
+
+    def unread(*args, **kwargs):
+        raise AssertionError("an unread statistic was computed")
+
+    monkeypatch.setattr(conjecture, "entropy_upper_bounds", unread)
+    monkeypatch.setattr(spectral, "_fold_coordinates", unread)
+    out.unlink()
+    assert main(argv) == 0
+    assert out.read_bytes() == want
+    for other in (["--csv", str(tmp_path / "sweep.csv")], ["--p", "0.5"]):
+        with pytest.raises(AssertionError, match="unread"):
+            main([*argv, *other])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 def test_the_cli_stream_reports_violations_in_id_order(monkeypatch, tmp_path, threads):
     real = conjecture.entropy_upper_bounds
 
@@ -404,7 +481,7 @@ def test_the_cli_stream_reports_violations_in_id_order(monkeypatch, tmp_path, th
 @pytest.mark.parametrize("seed", [0, 1, 5, 123456789])
 def test_the_chunks_draw_the_ids_of_one_whole_sample(monkeypatch, chunk, seed):
     monkeypatch.setattr(conjecture, "SWEEP_CHUNK", chunk)
-    monkeypatch.setattr(conjecture, "_sweep_chunk", lambda n, p, ids, work=None: {})
+    monkeypatch.setattr(conjecture, "_sweep_chunk", lambda n, p, ids, work=None, bounds=True: {})
     for n in range(1, 6):
         sample = 3 * chunk + 2
         _, _, count, stream = conjecture._sweep_stream(n, 0.5, sample, seed)
@@ -412,6 +489,18 @@ def test_the_chunks_draw_the_ids_of_one_whole_sample(monkeypatch, chunk, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         assert count == sample
         assert np.array_equal(drawn, rng.integers(0, 1 << (1 << n), size=sample, dtype=np.int64))
+
+
+def test_a_negative_seed_is_refused_before_any_chunk_runs(monkeypatch, capsys):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(conjecture, "_sweep_chunk", no_chunk)
+    with pytest.raises(InputError, match="seed"):
+        cf.exhaustive_sweep(2, sample=3, seed=-1)
+    assert main(["sweep", "--n", "2", "--sample", "3", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "cubefourier: error: seed must be nonnegative, got -1\n"
 
 
 def test_a_bad_csv_path_is_refused_before_any_chunk_runs(monkeypatch, tmp_path, capsys):

@@ -880,6 +880,15 @@ def test_batch_rows_match_each_row_alone(n):
         assert np.array_equal(got, want), (n, k)
 
 
+@pytest.mark.parametrize("n, rows", [(1, 3), (5, 4096), (17, 2)])
+def test_square_sums_without_the_coordinate_fold_keep_the_other_sums(n, rows):
+    coeffs = np.random.Generator(np.random.PCG64(n)).standard_normal((1 << n, rows))
+    full, bare = square_sums(coeffs), square_sums(coeffs, coords=False)
+    assert bare.coords is None
+    for name in ("total", "plogp", "level_mass"):
+        assert np.array_equal(getattr(bare, name), getattr(full, name)), name
+
+
 def test_square_sums_rejects_arrays_that_are_not_rows_of_tables():
     for bad in (np.zeros(8), np.zeros((0, 2)), np.zeros((6, 2)), np.zeros((2, 2, 4))):
         with pytest.raises(InputError):
