@@ -10,7 +10,6 @@ proven bound (which would indicate a software defect, not new mathematics).
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from collections import deque
 from contextlib import closing, nullcontext
@@ -32,12 +31,12 @@ from .config import check_table_size, get_threads
 from .errors import InputError
 from .kernels import biased_forward_inplace
 from .spectral import (
+    _square_sums,
     coordinate_influences,
     degree as spectral_degree,
     level_profile,
     parseval_gap,
     spectral_entropy,
-    square_sums,
     support_size,
     total_influence_spectral,
     transform,
@@ -280,7 +279,7 @@ def _sweep_chunk(
         np.take(signs, octets[:, mask // 8], axis=1, out=coeffs[mask : mask + 8])
     biased_forward_inplace(coeffs, p)
     full = bounds or p == 0.5  # the violations at p = 1/2 need the bounds
-    sums = square_sums(coeffs, work, coords=full)  # overwrites coeffs with the squares
+    sums = _square_sums(coeffs, work, coords=full)  # overwrites coeffs with the squares
     ent = sums.entropy()
     infl = sums.influence(p)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -517,33 +516,53 @@ def _csv_lines(names, columns) -> list[str]:
     return lines
 
 
+def _row_keys(bits) -> np.ndarray:
+    """One uint64 per row of the five uint64 ``bits`` columns, equal for
+    equal rows: the columns, the k-th rotated by 13k bits, xored together."""
+    key = bits[0].copy()
+    for k, column in enumerate(bits[1:], 1):
+        key ^= (column << np.uint64(13 * k)) | (column >> np.uint64(64 - 13 * k))
+    return key
+
+
 def _csv_rows(n: int, ids: np.ndarray, columns) -> str:
     """The CSV rows of functions ``ids`` with their statistics ``columns``.
 
-    Where most entropies of the chunk repeat, as at p = 1/2 (a 4096-function
-    chunk holds a few dozen distinct rows), each distinct row of statistics
-    is formatted once and joined to the hex id of every function that has
-    it.  Rows are grouped by the bit patterns of their doubles, not their
-    values, since -0.0 and 0.0 format apart.  Where most entropies are
-    distinct, as at p = 0.3, so are the rows, and each is formatted alone.
+    Each distinct row of statistics is formatted once and joined to the hex
+    id of every function that has it: a 4096-function chunk holds a few
+    dozen distinct rows at n = 4 and about 1,200 at n = 5, both at p = 1/2.
+    Rows are grouped on a key of the bit patterns of their doubles, not on
+    their values, since -0.0 and 0.0 format apart and NaN equals nothing.
+    A row whose bits differ from the row its key picked is formatted alone,
+    so keys that collide cost time, not bytes.  Where more than 7/8 of the
+    keys are distinct, as in a sampled sweep away from p = 1/2, grouping
+    costs more than it saves, and each row is formatted with its id.
     """
     names = rows_to_hex(_id_bits(n, ids))
     columns = [np.asarray(columns[key], dtype=np.float64) for key in _COLUMNS]
-    bits = [column.view(np.int64) for column in columns]
-    entropies = np.sort(bits[0])
-    if 2 * (1 + np.count_nonzero(entropies[1:] != entropies[:-1])) > len(names):
+    bits = [column.view(np.uint64) for column in columns]
+    key = _row_keys(bits)
+    order = np.argsort(key)
+    ordered = key[order]
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = ordered[1:] != ordered[:-1]
+    if 8 * np.count_nonzero(start) > 7 * order.size:
         return "".join(_csv_lines(names, columns))
-    # sorted, equal rows are adjacent; first marks where each group starts
-    order = np.lexsort(bits)
-    first = np.zeros(order.size, dtype=bool)
-    first[0] = True
+    # the row whose line each row takes: the first of its key in sorted order
+    pick = np.empty_like(order)
+    pick[order] = order[start][np.cumsum(start) - 1]
+    alone = np.zeros(order.size, dtype=bool)
     for column in bits:
-        ordered = column[order]
-        first[1:] |= ordered[1:] != ordered[:-1]
-    group = np.empty_like(order)  # the group of each row, in id order
-    group[order] = np.cumsum(first) - 1
-    lines = _csv_lines([""] * np.count_nonzero(first), [c[order[first]] for c in columns])
-    return "".join(map(operator.add, names, map(lines.__getitem__, group.tolist())))
+        alone |= column[pick] != column
+    pick[alone] = np.flatnonzero(alone)
+    picked = np.flatnonzero(pick == np.arange(pick.size))
+    line = np.empty_like(pick)
+    line[picked] = np.arange(picked.size)
+    lines = _csv_lines([""] * picked.size, [column[picked] for column in columns])
+    out = names * 2  # names interleaved with lines
+    out[0::2] = names
+    out[1::2] = map(lines.__getitem__, line[pick].tolist())
+    return "".join(out)
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:

@@ -277,8 +277,8 @@ class SquareSums:
     """Sums over the squared coefficients w = c*c of each table of a (2^n, rows) batch.
 
     Built by :func:`square_sums`.  Every array is read-only and has one
-    entry (or one row) per table; ``coords`` is None when the pass was told
-    to skip the coordinate fold.
+    entry (or one row) per table; ``coords`` is None only where the sweep
+    skipped the coordinate fold, which no caller of ``square_sums`` sees.
     """
 
     n: int
@@ -430,9 +430,7 @@ def _mask_blocks(coeffs: np.ndarray, what: str):
     return coeffs, n, min(n, kernels._BLOCK_LOG2)
 
 
-def square_sums(
-    coeffs: np.ndarray, work: np.ndarray | None = None, coords: bool = True
-) -> SquareSums:
+def square_sums(coeffs: np.ndarray, work: np.ndarray | None = None) -> SquareSums:
     """All of :class:`SquareSums` for a (2^n, rows) coefficient batch in one pass.
 
     The pass walks blocks of 2^min(n, _BLOCK_LOG2) masks of every table,
@@ -450,10 +448,13 @@ def square_sums(
       which reproduces the pairwise sum of the whole table bit for bit;
     * the coordinates above the block take the block totals, folded as the
       masks are inside a block.
-
-    With ``coords`` false the coordinate fold is skipped and
-    ``SquareSums.coords`` is None; the other sums are the same bits.
     """
+    return _square_sums(coeffs, work, coords=True)
+
+
+def _square_sums(coeffs: np.ndarray, work: np.ndarray | None, coords: bool) -> SquareSums:
+    """:func:`square_sums`; with ``coords`` false the coordinate fold is
+    skipped and ``SquareSums.coords`` is None, the other sums the same bits."""
     coeffs, n, m = _mask_blocks(coeffs, "square_sums")
     rows = coeffs.shape[1]
     blocks = 1 << (n - m)

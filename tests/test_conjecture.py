@@ -361,7 +361,8 @@ _EDGE_ROWS = np.array([
     (2, "repeats"),
     (1000, "repeats"),  # mostly repeats: each distinct row formatted once
     (4096, "repeats"),  # a whole chunk, as at p = 1/2
-    (4096, "distinct"),  # every entropy distinct, as at p = 0.3: row by row
+    (4096, "distinct"),  # every row distinct, as at p = 0.3: row by row
+    (4096, "colliding"),  # every key equal: each row checked against one
 ])
 def test_the_csv_formatter_keeps_the_bytes_of_every_edge_case(monkeypatch, tmp_path, rows, case):
     pick = np.random.Generator(np.random.PCG64(rows)).integers(0, len(_EDGE_ROWS), size=rows)
@@ -369,6 +370,8 @@ def test_the_csv_formatter_keeps_the_bytes_of_every_edge_case(monkeypatch, tmp_p
     if case == "distinct":
         table[0] = np.arange(rows) / 7.0
         table[0, 1] = -0.0
+    if case == "colliding":
+        monkeypatch.setattr(conjecture, "_row_keys", lambda bits: np.zeros(rows, np.uint64))
     ids = np.random.Generator(np.random.PCG64(rows)).integers(0, 1 << 16, size=rows)
     res = cf.SweepResult(n=4, p=0.5, exhaustive=False, function_ids=ids,
                          **dict(zip(conjecture._COLUMNS, table)))
@@ -379,8 +382,10 @@ def test_the_csv_formatter_keeps_the_bytes_of_every_edge_case(monkeypatch, tmp_p
     cf.write_sweep_csv(res, fast)
     assert fast.read_bytes() == _csv_writer_bytes(res, tmp_path / "reference.csv")
     distinct = np.unique(table.view(np.int64), axis=1).shape[1]
-    # one row, or two with different entropies, are formatted alone
-    assert formatted == [rows if case == "distinct" or rows < 3 else distinct]
+    if case == "colliding":  # rows unlike the one their key picked stand alone
+        assert distinct < formatted[0] < rows
+    else:  # more than 7/8 distinct rows are formatted row by row
+        assert formatted == [rows if 8 * distinct > 7 * rows else distinct]
 
 
 # --- the command-line sweep: one stream of chunks ---------------------------------
