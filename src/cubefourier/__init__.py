@@ -26,15 +26,14 @@ __version__ = "0.1.0"
 _SOURCES = {
     "boolfn": (
         "Bias", "GraphPropertySpec", "RealTable", "TruthTable", "and_fn",
-        "clique_indicator", "constant", "critical_p0", "dictator", "discrete_derivative",
-        "format_truth_table", "from_bits", "load_truth_table", "majority", "mux3", "or_fn",
-        "parity", "parse_truth_table", "random_function", "save_truth_table",
-        "table_to_hex", "tribes",
+        "clique_indicator", "constant", "critical_p0", "dictator", "format_truth_table",
+        "from_bits", "load_truth_table", "majority", "mux3", "or_fn", "parity",
+        "parse_truth_table", "random_function", "table_to_hex", "tribes",
     ),
     "conjecture": (
         "AnalysisReport", "CliqueReport", "SweepResult", "analyze", "binary_entropy",
         "clique_experiment", "ei_ratio", "entropy_upper_bounds", "exhaustive_sweep",
-        "min_support_check", "write_sweep_csv",
+        "write_sweep_csv",
     ),
     "kernels": ("backend_name",),
     "reduction": (
@@ -43,15 +42,14 @@ _SOURCES = {
     ),
     "spectral": (
         "DyadicSpectrum", "LevelProfile", "Spectrum", "coordinate_influences", "degree",
-        "dyadic_check", "exact_transform", "influence_combinatorial", "influence_vector",
+        "exact_transform", "influence_combinatorial", "influence_vector",
         "inverse_transform", "level_profile", "load_spectrum_binary", "load_spectrum_json",
-        "min_support", "parseval_gap", "reconstruct_exact", "save_spectrum_binary",
-        "save_spectrum_json", "spectral_entropy", "support_size",
-        "total_influence_combinatorial", "total_influence_spectral", "transform",
+        "min_support", "parseval_gap", "save_spectrum_binary", "save_spectrum_json",
+        "spectral_entropy", "support_size", "total_influence_spectral", "transform",
     ),
     "tensor": (
-        "VirtualPowerStats", "profile_convolve", "profile_power", "tail_decay",
-        "tensor_power", "tensor_product", "virtual_power_stats",
+        "VirtualPowerStats", "profile_convolve", "profile_power", "tensor_power",
+        "tensor_product", "virtual_power_stats",
     ),
 }
 _HOME = {name: module for module, names in _SOURCES.items() for name in names}

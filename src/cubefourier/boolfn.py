@@ -35,16 +35,13 @@ __all__ = [
     "constant",
     "clique_indicator",
     "critical_p0",
-    "discrete_derivative",
     "random_function",
     "mask_array",
-    "popcounts",
     "sign_array",
     "level_array",
     "parse_truth_table",
     "format_truth_table",
     "load_truth_table",
-    "save_truth_table",
     "table_to_hex",
     "rows_to_hex",
 ]
@@ -54,10 +51,6 @@ def mask_array(n: int) -> np.ndarray:
     """All input masks 0 .. 2**n - 1 as an int64 array."""
     check_table_size(n, "truth table")
     return np.arange(1 << n, dtype=np.int64)
-
-
-def popcounts(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks)
 
 
 def sign_array(bits: np.ndarray, dtype) -> np.ndarray:
@@ -200,7 +193,7 @@ class TruthTable:
 
 @dataclass(frozen=True, eq=False)
 class RealTable:
-    """A real-valued function on the cube (n may be 0 for derivatives)."""
+    """A real-valued function on the cube (n may be 0)."""
 
     n: int
     values: np.ndarray  # float64, length 2**n, read-only
@@ -348,13 +341,13 @@ def parity(n: int, s: int) -> TruthTable:
     masks = mask_array(n)
     if not 0 <= s < masks.size:
         raise InputError(f"subset mask {s} out of range for n={n}")
-    return TruthTable(n, (popcounts(masks & s) & 1).astype(np.uint8))
+    return TruthTable(n, (np.bitwise_count(masks & s) & 1).astype(np.uint8))
 
 
 def majority(n: int) -> TruthTable:
     if n % 2 == 0:
         raise InputError("majority needs an odd variable count")
-    return TruthTable(n, (popcounts(mask_array(n)) > n // 2).astype(np.uint8))
+    return TruthTable(n, (np.bitwise_count(mask_array(n)) > n // 2).astype(np.uint8))
 
 
 def tribes(w: int, s: int) -> TruthTable:
@@ -421,25 +414,6 @@ def random_function(n: int, seed: int, density: float = 0.5) -> TruthTable:
     check_table_size(n, "truth table")
     rng = np.random.Generator(np.random.PCG64(seed))
     return TruthTable(n, (rng.random(1 << n) < density).astype(np.uint8))
-
-
-# ---------------------------------------------------------------------------
-# pointwise calculus
-
-
-def discrete_derivative(f: TruthTable | RealTable, i: int) -> RealTable:
-    """Half the difference of f across coordinate i, on n-1 variables.
-
-    "Across coordinate i" means between the +-1 coordinate values +1 and -1,
-    i.e. between stored bits 0 and 1.  Remaining coordinates keep their
-    relative order.  For Boolean f every output lies in {-1, 0, 1}.
-    """
-    _check_coordinate(f.n, i)
-    vals = f.sign_values()
-    h = 1 << (i - 1)
-    pairs = vals.reshape(-1, 2, h)
-    out = readonly((pairs[:, 0, :] - pairs[:, 1, :]) / 2.0)  # before the view is taken
-    return RealTable(f.n - 1, out.reshape(-1))
 
 
 def _check_coordinate(n: int, i: int) -> None:
@@ -522,8 +496,3 @@ def load_truth_table(path) -> TruthTable:
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: byte {exc.start} is not ASCII text") from None
     return parse_truth_table(text)
-
-
-def save_truth_table(f: TruthTable, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_truth_table(f))

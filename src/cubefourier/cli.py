@@ -265,6 +265,8 @@ def _cmd_tensor(ns):
     g2 = _load_source(ns, suffix="2")
     if (ns.power is None) == (g2 is None):
         raise InputError("tensor needs exactly one of --power N and a second factor")
+    if ns.exact and (g2 is not None or ns.explicit):
+        raise InputError("--exact applies only to a virtual power: --power N without --explicit")
     bias = _get_bias(ns)
     payload = {"schema": 1, "command": "tensor"}
     if ns.power is not None and not ns.explicit:

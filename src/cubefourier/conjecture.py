@@ -10,6 +10,7 @@ proven bound (which would indicate a software defect, not new mathematics).
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import deque
 from contextlib import closing, nullcontext
@@ -53,7 +54,6 @@ __all__ = [
     "write_sweep_csv",
     "CliqueReport",
     "clique_experiment",
-    "min_support_check",
 ]
 
 PROVEN_BOUND_SLACK = 1e-9
@@ -327,6 +327,11 @@ def _sweep_stream(n: int, p, sample: int | None, seed: int, bounds: bool = True)
     seeded PCG64 stream, the same ids as one draw of the whole sample.
     Nothing runs before the first ``next``.
     """
+    checked = {"n": n} if sample is None else {"n": n, "sample": sample, "seed": seed}
+    for name, value in checked.items():
+        # bool is an Integral: True would run as 1
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise InputError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise InputError("sweep needs at least one variable")
     p = as_bias(p).p
@@ -650,23 +655,3 @@ def clique_experiment(n_vertices: int, r: int) -> CliqueReport:
         coefficient_spread=float(max(coeffs) - min(coeffs)),
         ratio=ei_ratio(ent, infl, bias.p),
     )
-
-
-def min_support_check(f: TruthTable, p=0.5, epsilon: float = 1e-2) -> dict:
-    """Size of the epsilon-support against total influence.
-
-    Records log2 |B_eps| / I_p; the conjectured statement makes this
-    bounded in terms of 1/eps, so the number is reported, never asserted.
-    """
-    bias = as_bias(p)
-    sp = transform(f, bias)
-    size, captured = support_size(sp, epsilon)
-    infl = total_influence_spectral(sp)
-    log_size = math.log2(size) if size else 0.0
-    return {
-        "epsilon": epsilon,
-        "support_size": size,
-        "captured": captured,
-        "influence": infl,
-        "log_size_over_influence": (log_size / infl) if infl > 0 else None,
-    }

@@ -46,7 +46,6 @@ __all__ = [
     "transform",
     "inverse_transform",
     "exact_transform",
-    "reconstruct_exact",
     "spectral_entropy",
     "total_influence_spectral",
     "SquareSums",
@@ -56,7 +55,6 @@ __all__ = [
     "influence_combinatorial",
     "influence_vector",
     "coordinate_influences",
-    "total_influence_combinatorial",
     "measure_weights",
     "level_profile",
     "exact_level_profile",
@@ -64,7 +62,6 @@ __all__ = [
     "support_size",
     "min_support",
     "top_masks",
-    "dyadic_check",
     "parseval_gap",
     "spectrum_to_json",
     "spectrum_from_json",
@@ -250,22 +247,6 @@ def exact_transform(f: TruthTable | RealTable) -> DyadicSpectrum:
         raise InputError("exact transform needs at least one variable")
     kernels.wht_inplace(v)
     return DyadicSpectrum(f.n, readonly(v))
-
-
-def reconstruct_exact(dspec: DyadicSpectrum):
-    """Invert an exact spectrum; returns a TruthTable when the values are +-1.
-
-    The butterfly of the coefficients gives the values: it is the one of
-    the numerators scaled by 2**-n, so it is exact, as ``exact_transform``
-    is, for the spectrum of any table that transform accepts.
-    """
-    v = dspec.coeffs.copy()
-    kernels.wht_inplace(v)
-    if np.any(v % 1):
-        raise InputError("numerators are not a valid exact spectrum")
-    if np.all((v == 1) | (v == -1)):
-        return TruthTable(dspec.n, ((1 - v) // 2).astype(np.uint8))
-    return RealTable(dspec.n, readonly(v))
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +549,6 @@ def influence_vector(f: TruthTable, p=0.5) -> np.ndarray:
     )
 
 
-def total_influence_combinatorial(f: TruthTable, p=0.5) -> float:
-    return float(np.sum(influence_vector(f, p)))
-
-
 def level_profile(spec: Spectrum) -> LevelProfile:
     if isinstance(spec, DyadicSpectrum):
         return exact_level_profile(spec)
@@ -695,29 +672,6 @@ def min_support(spec: Spectrum, epsilon: float):
     """
     keep, captured = support_size(spec, epsilon)
     return top_masks(spec.coeffs, keep, key=np.square), captured
-
-
-def dyadic_check(dspec: DyadicSpectrum, k: int) -> bool:
-    """Exact structural test for "behaves like a degree-k function".
-
-    Two conditions on the integer numerators, both read off the coefficients:
-
-    * no weight strictly above level k (the degree really is at most k), and
-    * every numerator is divisible by 2**(n - k).
-
-    Divisibility alone is necessary but not sufficient -- parity's single
-    numerator is +-2**n and divides everything, and majority-of-3 has
-    numerators 0/+-4 which pass the k = 1 divisibility test despite having
-    degree 3.  The level condition rules those out.
-    """
-    if k < 0:
-        return not bool(np.any(dspec.coeffs))
-    if k >= dspec.n:
-        return True
-    if degree(dspec) > k:
-        return False
-    # 2**(n - k) divides a numerator exactly when coeff * 2**k is an integer
-    return not bool(np.any(np.ldexp(dspec.coeffs, k) % 1))
 
 
 def parseval_gap(spec: Spectrum, f: TruthTable | RealTable) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conjecture
-from .boolfn import RealTable, TruthTable, as_bias, readonly
+from .boolfn import TruthTable, as_bias, readonly
 from .config import check_table_size, get_max_n
 from .errors import InputError, ResourceError
 from .spectral import (
@@ -34,7 +34,6 @@ __all__ = [
     "tensor_power",
     "profile_convolve",
     "profile_power",
-    "tail_decay",
     "VirtualPowerStats",
     "virtual_power_stats",
 ]
@@ -122,14 +121,6 @@ def _pack(nums: list[int], slot: int) -> int:
 def _unpack(packed: int, count: int, slot: int) -> list[int]:
     raw = packed.to_bytes(count * slot, "little")
     return [int.from_bytes(raw[i : i + slot], "little") for i in range(0, len(raw), slot)]
-
-
-def tail_decay(profile: LevelProfile) -> np.ndarray:
-    """tail(k) for k = 0 .. n: mass strictly above each level."""
-    rev_cum = np.cumsum(profile.weights[::-1])[::-1]
-    out = np.zeros(profile.n + 1, dtype=np.float64)
-    out[: profile.n] = rev_cum[1:]
-    return out
 
 
 @dataclass(frozen=True)

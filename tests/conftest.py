@@ -9,6 +9,10 @@ correctness evidence.
 ``integer_wht`` is the oracle for the exact transform: a literal int64
 butterfly, one ``(a + b, a - b)`` reshape per coordinate, that shares no
 code with the float64 stage the package runs.
+
+``dyadic_check``, ``reconstruct_exact``, ``discrete_derivative`` and
+``total_influence_combinatorial`` build inputs for, or check, the exact
+transform and the influences; no command needs them, so they live here.
 """
 
 import tracemalloc
@@ -16,6 +20,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+import cubefourier as cf
+from cubefourier import kernels
 
 settings.register_profile(
     "ci",
@@ -81,3 +88,56 @@ def peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def dyadic_check(dspec, k: int) -> bool:
+    """Exact structural test for "behaves like a degree-k function".
+
+    Two conditions on the integer numerators, both read off the coefficients:
+
+    * no weight strictly above level k (the degree really is at most k), and
+    * every numerator is divisible by 2**(n - k).
+
+    Divisibility alone is necessary but not sufficient -- parity's single
+    numerator is +-2**n and divides everything, and majority-of-3 has
+    numerators 0/+-4 which pass the k = 1 divisibility test despite having
+    degree 3.  The level condition rules those out.
+    """
+    if k < 0:
+        return not bool(np.any(dspec.coeffs))
+    if k >= dspec.n:
+        return True
+    if cf.degree(dspec) > k:
+        return False
+    # 2**(n - k) divides a numerator exactly when coeff * 2**k is an integer
+    return not bool(np.any(np.ldexp(dspec.coeffs, k) % 1))
+
+
+def reconstruct_exact(dspec):
+    """Invert an exact spectrum; a TruthTable when the values are +-1.
+
+    The butterfly of the coefficients is the one of the numerators scaled
+    by 2**-n, so it is exact for the spectrum of any table that
+    ``exact_transform`` accepts.
+    """
+    v = dspec.coeffs.copy()
+    kernels.wht_inplace(v)
+    if np.all((v == 1) | (v == -1)):
+        return cf.TruthTable(dspec.n, ((1 - v) // 2).astype(np.uint8))
+    return cf.RealTable(dspec.n, v)
+
+
+def discrete_derivative(f, i: int):
+    """Half the difference of f across coordinate i, on n - 1 variables.
+
+    "Across coordinate i" is between stored bits 0 and 1; the remaining
+    coordinates keep their relative order.  For Boolean f every output lies
+    in {-1, 0, 1}.
+    """
+    pairs = f.sign_values().reshape(-1, 2, 1 << (i - 1))
+    return cf.RealTable(f.n - 1, ((pairs[:, 0, :] - pairs[:, 1, :]) / 2.0).reshape(-1))
+
+
+def total_influence_combinatorial(f, p=0.5) -> float:
+    """Total influence from the definition: the sum of the flip probabilities."""
+    return sum(cf.influence_vector(f, p))

@@ -16,7 +16,7 @@ import numpy as np
 import cubefourier as cf
 from cubefourier import config, kernels
 from cubefourier.boolfn import Bias
-from conftest import naive_transform
+from conftest import dyadic_check, naive_transform
 
 BIASES = [0.5, 0.25, 0.125, 0.3, 0.71]
 
@@ -198,7 +198,7 @@ def test_criterion_06_dyadic_corpus(capsys):
     count = 0
     for n, k, f in _all_juntas():
         d = cf.exact_transform(f)
-        if not cf.dyadic_check(d, k):
+        if not dyadic_check(d, k):
             failures += 1
         if cf.spectral_entropy(d) > 2 * k + 1e-9:
             failures += 1
@@ -210,7 +210,7 @@ def test_criterion_06_dyadic_corpus(capsys):
         n = 4 + tree_count % 5
         f = _random_tree_bits(rng, n, depth)
         d = cf.exact_transform(f)
-        if not cf.dyadic_check(d, depth):
+        if not dyadic_check(d, depth):
             failures += 1
         if cf.spectral_entropy(d) > 2 * depth + 1e-9:
             failures += 1

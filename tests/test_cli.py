@@ -124,7 +124,7 @@ def test_bad_bits_length(capsys):
 
 def test_file_source(tmp_path, capsys):
     path = tmp_path / "f.tt"
-    cf.save_truth_table(cf.majority(3), path)
+    path.write_text(cf.format_truth_table(cf.majority(3)))
     assert run("analyze", "--file", str(path)) == 0
 
 
@@ -191,6 +191,17 @@ def test_tensor_product_of_two_sources(capsys):
                "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 5
+
+
+@pytest.mark.parametrize(
+    "extra", [["--family2", "mux3"], ["--power", "3", "--explicit"]], ids=["product", "explicit"]
+)
+def test_tensor_refuses_exact_where_it_has_no_effect(capsys, extra):
+    assert run("tensor", "--family", "majority:3", *extra, "--exact") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cubefourier: error: --exact applies only to a virtual power")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_tensor_without_second_operand_errors(capsys):

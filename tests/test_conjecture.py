@@ -508,6 +508,27 @@ def test_a_negative_seed_is_refused_before_any_chunk_runs(monkeypatch, capsys):
     assert err == "cubefourier: error: seed must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"n": 2.5}, "n"), ({"n": True}, "n"), ({"sample": 2.5}, "sample"),
+     ({"sample": True}, "sample"), ({"sample": 3, "seed": 1.5}, "seed")],
+    ids=["n=2.5", "n=True", "sample=2.5", "sample=True", "seed=1.5"],
+)
+def test_a_non_integer_sweep_argument_is_refused_before_any_chunk_runs(monkeypatch, kwargs, name):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(conjecture, "_sweep_chunk", no_chunk)
+    with pytest.raises(InputError, match=f"^{name} must be an integer, got "):
+        cf.exhaustive_sweep(**{"n": 2, **kwargs})
+
+
+def test_numpy_integers_are_a_sample_and_a_seed():
+    a = cf.exhaustive_sweep(2, sample=np.int64(300), seed=np.uint8(7))
+    b = cf.exhaustive_sweep(2, sample=300, seed=7)
+    assert np.array_equal(a.function_ids, b.function_ids)
+
+
 def test_a_bad_csv_path_is_refused_before_any_chunk_runs(monkeypatch, tmp_path, capsys):
     def no_chunk(*args):
         raise AssertionError("a chunk ran")
@@ -602,28 +623,6 @@ def test_triangle_coefficient_has_a_closed_form():
     assert report.clique_coefficients[0] == pytest.approx(
         2.0 * (p0 * (1.0 - p0)) ** 1.5, abs=1e-12
     )
-
-
-def test_min_support_check_reports_ratio():
-    out = cf.min_support_check(cf.majority(3), epsilon=0.3)
-    assert out["support_size"] == 3
-    assert out["influence"] == pytest.approx(1.5)
-    assert out["log_size_over_influence"] == pytest.approx(math.log2(3) / 1.5)
-
-
-def test_min_support_check_other_epsilons_and_functions():
-    # majority with epsilon = 0.2 needs all four sets: log2(4)/1.5 = 4/3
-    out = cf.min_support_check(cf.majority(3), epsilon=0.2)
-    assert out["support_size"] == 4
-    assert out["log_size_over_influence"] == pytest.approx(4.0 / 3.0)
-    # parity concentrates on one set, so the ratio is zero
-    out = cf.min_support_check(cf.parity(4, 0b1111), epsilon=0.01)
-    assert out["support_size"] == 1
-    assert out["log_size_over_influence"] == 0.0
-    # tribes is only recorded, never asserted -- just pin the shape
-    out = cf.min_support_check(cf.tribes(2, 2), epsilon=0.1)
-    assert out["captured"] >= 0.9
-    assert out["log_size_over_influence"] > 0.0
 
 
 @given(st.integers(1, 8), st.integers(0, 10_000),

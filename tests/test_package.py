@@ -2,8 +2,10 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,8 @@ import pytest
 from setuptools.config.pyprojecttoml import read_configuration
 
 import cubefourier
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_name_in_every_all_resolves():
@@ -107,3 +111,41 @@ def test_the_package_makes_no_blas_call():
                 if BLAS_ATTRIBUTES & set(name.split(".")):
                     found.append(f"{path.name}:{node.lineno} import {name}")
     assert found == []
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every identifier a module uses, reads as an attribute or imports,
+    except a top-level function's or class's own name inside its body."""
+    names = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        names.discard(own)
+    return names
+
+
+def test_every_public_name_is_reached_outside_its_definition():
+    """A public name that no code outside its own definition, README line or
+    traced benchmark function reaches is used only by the tests: it belongs
+    in the tests, or nowhere."""
+    src = Path(cubefourier.__file__).parent
+    used = set().union(*(_names_used(path) for path in src.glob("*.py")))
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    path = ROOT / "perfbench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_cli)
+    traced = {name for names in traced_cli.TRACED.values() for name in names}
+    unreached = [
+        f"{home}.{name}"
+        for home, names in cubefourier._SOURCES.items()
+        for name in names
+        if name not in used | readme | traced
+    ]
+    assert unreached == []

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubefourier as cf
-from cubefourier.boolfn import Bias, mask_array, popcounts
+from cubefourier.boolfn import Bias, mask_array
 from cubefourier.errors import InputError
 from cubefourier.reduction import (
     ReductionLayout,
@@ -74,7 +74,7 @@ def test_pushforward_counts_are_exact_integers():
         layout = ReductionLayout(n, t=t, m=m)
         x = _original_masks(layout, np.arange(1 << layout.n_reduced, dtype=np.int64))
         counts = np.bincount(x, minlength=1 << n)
-        ones = popcounts(mask_array(n)).astype(np.int64)
+        ones = np.bitwise_count(mask_array(n)).astype(np.int64)
         expected = t**ones * ((1 << m) - t) ** (n - ones)
         assert counts.tolist() == expected.tolist()
 

@@ -16,7 +16,16 @@ from cubefourier.boolfn import level_array
 from cubefourier.config import get_max_n, set_max_n
 from cubefourier.errors import InputError, ResourceError
 from cubefourier.spectral import _square_sums, level_sums, measure_weights, square_sums, top_masks
-from conftest import integer_wht, naive_character, naive_transform, peak_bytes
+from conftest import (
+    discrete_derivative,
+    dyadic_check,
+    integer_wht,
+    naive_character,
+    naive_transform,
+    peak_bytes,
+    reconstruct_exact,
+    total_influence_combinatorial,
+)
 from test_kernels import STAGE_BACKENDS
 
 BIASES = [0.5, 0.25, 0.125, 0.3, 0.71]
@@ -123,7 +132,7 @@ def test_per_coordinate_influence_identity(n, seed, p):
 def test_total_influence_agrees_spectral_vs_combinatorial(n, seed, p):
     f = cf.random_function(n, seed)
     spectral = cf.total_influence_spectral(cf.transform(f, p))
-    combinatorial = cf.total_influence_combinatorial(f, p)
+    combinatorial = total_influence_combinatorial(f, p)
     assert abs(spectral - combinatorial) < 1e-9
 
 
@@ -138,7 +147,7 @@ def test_derivative_spectrum_is_a_slice(n, seed):
     f = cf.random_function(n, seed)
     sp = cf.exact_transform(f)
     for i in range(1, n + 1):
-        dsp = cf.exact_transform(cf.discrete_derivative(f, i))
+        dsp = cf.exact_transform(discrete_derivative(f, i))
         low = (1 << (i - 1)) - 1
         for s_rest in range(1 << (n - 1)):
             s = (s_rest & low) | ((s_rest & ~low) << 1) | (1 << (i - 1))
@@ -187,20 +196,20 @@ def test_exact_transform_matches_integer_butterfly_on_integer_tables(n):
         table = cf.RealTable(n, vals.astype(np.float64))
         d = cf.exact_transform(table)
         assert np.array_equal(d.numerators, integer_wht(vals)), (n, label)
-        back = cf.reconstruct_exact(d)
+        back = reconstruct_exact(d)
         assert np.array_equal(back.values, table.values), (n, label)
 
 
 @given(st.integers(1, 8), st.integers(0, 10_000))
 def test_exact_reconstruction_is_lossless(n, seed):
     f = cf.random_function(n, seed)
-    assert cf.reconstruct_exact(cf.exact_transform(f)) == f
+    assert reconstruct_exact(cf.exact_transform(f)) == f
 
 
 def test_exact_transform_accepts_integer_real_tables():
     t = cf.RealTable(2, np.array([3.0, -1.0, 0.0, 2.0]))
     d = cf.exact_transform(t)
-    back = cf.reconstruct_exact(d)
+    back = reconstruct_exact(d)
     assert np.array_equal(back.values, t.values)
 
 
@@ -290,7 +299,7 @@ def test_low_degree_numerators_are_divisible():
     bits = np.tile(f2.bits, 8)
     f = cf.TruthTable(5, bits)
     d = cf.exact_transform(f)
-    assert cf.dyadic_check(d, 2)
+    assert dyadic_check(d, 2)
     assert cf.spectral_entropy(d) <= 2 * 2 + 1e-12
 
 
@@ -298,27 +307,27 @@ def test_dyadic_check_requires_low_degree_not_just_divisibility():
     # majority(3) has numerators of magnitude 4 = 2^2, so divisibility by
     # 2^(3-1) holds -- but its degree is 3, so the check must still fail
     d = cf.exact_transform(cf.majority(3))
-    assert not cf.dyadic_check(d, 1)
-    assert not cf.dyadic_check(d, 0)
-    assert cf.dyadic_check(d, 3)
+    assert not dyadic_check(d, 1)
+    assert not dyadic_check(d, 0)
+    assert dyadic_check(d, 3)
     # parity's lone numerator +-2^n divides everything; only the level
     # condition can reject it below full degree
     dp = cf.exact_transform(cf.parity(3, 0b111))
-    assert not cf.dyadic_check(dp, 2)
-    assert cf.dyadic_check(dp, 3)
+    assert not dyadic_check(dp, 2)
+    assert dyadic_check(dp, 3)
 
 
 def test_dyadic_check_accepts_genuinely_low_degree_functions():
     # a dictator sitting inside three variables is degree 1
     d1 = cf.exact_transform(cf.dictator(3, 2))
-    assert cf.dyadic_check(d1, 1)
+    assert dyadic_check(d1, 1)
     # the 3-bit multiplexer has degree 2
     dm = cf.exact_transform(cf.mux3())
-    assert cf.dyadic_check(dm, 2)
-    assert not cf.dyadic_check(dm, 1)
+    assert dyadic_check(dm, 2)
+    assert not dyadic_check(dm, 1)
     # k = n is vacuous; negative k admits only the zero spectrum
-    assert cf.dyadic_check(dm, 3)
-    assert not cf.dyadic_check(dm, -1)
+    assert dyadic_check(dm, 3)
+    assert not dyadic_check(dm, -1)
 
 
 # --- minimal support ---------------------------------------------------------
@@ -682,10 +691,8 @@ def test_a_table_copies_a_read_only_view_of_memory_the_caller_can_write(build, f
 
 def test_the_producers_of_views_hand_them_over_uncopied():
     """Their root buffer is read-only before the view is taken, so the table keeps the view."""
-    hexed = cf.parse_truth_table("n=4\nhex:beef\n")
-    derived = cf.discrete_derivative(cf.random_function(5, 1), 2)
-    for arr in (hexed.bits, derived.values):
-        assert not arr.flags.owndata and not arr.flags.writeable
+    bits = cf.parse_truth_table("n=4\nhex:beef\n").bits
+    assert not bits.flags.owndata and not bits.flags.writeable
 
 
 def test_an_exact_spectrum_reads_writable_numerators_without_a_frozen_copy():

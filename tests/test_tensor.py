@@ -125,21 +125,6 @@ def test_mean_level_scales_linearly(N, seed):
     )
 
 
-def test_tail_decay_matches_profile_tails():
-    stats = cf.virtual_power_stats(cf.majority(3), 3)
-    decay = cf.tail_decay(stats.profile)
-    for k in range(stats.n + 1):
-        assert decay[k] == pytest.approx(stats.profile.tail(k), abs=1e-12)
-
-
-@given(st.integers(0, 100), st.integers(1, 12))
-def test_tail_decay_is_monotone_and_exhausts(seed, N):
-    stats = cf.virtual_power_stats(cf.random_function(3, seed), N)
-    decay = cf.tail_decay(stats.profile)
-    assert bool(np.all(np.diff(decay) <= 1e-12))
-    assert decay[stats.n] == 0.0   # nothing lives above level N*n
-
-
 def test_exact_mode_requires_uniform_measure():
     with pytest.raises(InputError):
         cf.virtual_power_stats(cf.majority(3), 2, p=0.3, exact=True)
