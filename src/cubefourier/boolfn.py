@@ -16,35 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_table_size
+from . import _SOURCES
+from .config import check_integer, check_table_size
 from .errors import InputError
 
-__all__ = [
-    "TruthTable",
-    "RealTable",
-    "Bias",
-    "GraphPropertySpec",
-    "from_bits",
-    "dictator",
-    "parity",
-    "majority",
-    "tribes",
-    "and_fn",
-    "or_fn",
-    "mux3",
-    "constant",
-    "clique_indicator",
-    "critical_p0",
-    "random_function",
-    "mask_array",
-    "sign_array",
-    "level_array",
-    "parse_truth_table",
-    "format_truth_table",
-    "load_truth_table",
-    "table_to_hex",
-    "rows_to_hex",
-]
+__all__ = list(_SOURCES["boolfn"])
 
 
 def mask_array(n: int) -> np.ndarray:
@@ -172,13 +148,6 @@ class TruthTable:
         """The +-1 view as a fresh float64 array: bit b maps to (-1)**b."""
         return sign_array(self.bits, np.float64)
 
-    def bit(self, mask: int) -> int:
-        return int(self.bits[mask])
-
-    def value(self, mask: int) -> int:
-        """The +-1 output at one mask."""
-        return 1 - 2 * int(self.bits[mask])
-
     def __eq__(self, other) -> bool:
         return same_fields(self, other, "n", "bits")
 
@@ -229,9 +198,13 @@ class Bias:
 
     def __post_init__(self):
         if self.t is not None:
-            if self.m is None or self.m < 1 or not 1 <= self.t < (1 << self.m):
+            t = check_integer(self.t, "exact bias numerator t")
+            m = check_integer(self.m, "exact bias exponent m")
+            if m < 1 or not 1 <= t < (1 << m):
                 raise InputError("exact bias needs integers 1 <= t < 2^m")
-            object.__setattr__(self, "p", self.t / (1 << self.m))
+            object.__setattr__(self, "t", t)
+            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "p", t / (1 << m))
         if not 0.0 < self.p < 1.0:
             raise InputError(f"bias must lie strictly between 0 and 1, got {self.p}")
 
@@ -245,7 +218,7 @@ class Bias:
 
     @classmethod
     def exact(cls, t: int, m: int) -> "Bias":
-        return cls(p=0.0, t=int(t), m=int(m))
+        return cls(p=0.0, t=t, m=m)
 
     @property
     def is_exact(self) -> bool:

@@ -279,8 +279,8 @@ def _cmd_tensor(ns):
             entropy=stats.entropy,
             influence=stats.total_influence,
             ei_ratio=stats.ei_ratio,
-            mean_level=stats.mean_level(),
-            level_variance=stats.level_variance(),
+            mean_level=stats.profile.mean_level(),
+            level_variance=stats.profile.variance(),
             level_weights=[float(w) for w in stats.profile.weights],
         )
     else:
@@ -305,7 +305,7 @@ def _cmd_tensor(ns):
 
 @contextmanager
 def _replacing(path):
-    """A text file for ``path``, written beside it and renamed onto it once
+    """A UTF-8 text file for ``path``, written beside it and renamed onto it once
     complete, and removed if the block fails; a symlink is followed first.
     A pipe or a device (``/dev/stdout``) is written in place.  Yields None
     when ``path`` is empty."""
@@ -314,12 +314,12 @@ def _replacing(path):
         return
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
-        with open(path, "w", encoding="ascii", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        fh = open(tmp, "w", encoding="ascii", newline="")
+        fh = open(tmp, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from None
     try:
@@ -502,13 +502,11 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         _apply_common(ns)
-        payload, lines, code = ns.func(ns)
-        text = json.dumps(payload, indent=2) if ns.format == "json" else "\n".join(lines)
-        if ns.output:
-            with open(ns.output, "w", encoding="utf-8") as fh:
-                print(text, file=fh)
-        else:
-            print(text)
+        # the report file is opened before any work, so a bad path costs none
+        with _replacing(ns.output) as fh:
+            payload, lines, code = ns.func(ns)
+            text = json.dumps(payload, indent=2) if ns.format == "json" else "\n".join(lines)
+            print(text, file=fh)
         return code
     except (InputError, ResourceError, OSError) as exc:
         print(f"cubefourier: error: {exc}", file=sys.stderr)

@@ -24,8 +24,16 @@ def get_max_n() -> int:
     return _max_n
 
 
+def check_integer(value, what: str) -> int:
+    """``value`` as an int; numpy integers pass, and a bool or a non-integer
+    raises InputError naming ``what`` (bool is an Integral: True would run as 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_count(value, what: str) -> None:
-    if not isinstance(value, numbers.Integral) or value < 1:
+    if check_integer(value, what) < 1:
         raise InputError(f"{what} must be an integer of at least 1, got {value!r}")
 
 

@@ -10,7 +10,6 @@ proven bound (which would indicate a software defect, not new mathematics).
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from collections import deque
 from contextlib import closing, nullcontext
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _SOURCES
 from .boolfn import (
     GraphPropertySpec,
     TruthTable,
@@ -28,7 +28,7 @@ from .boolfn import (
     rows_to_hex,
     sign_array,
 )
-from .config import check_table_size, get_threads
+from .config import check_integer, check_table_size, get_threads
 from .errors import InputError
 from .kernels import biased_forward_inplace
 from .spectral import (
@@ -43,18 +43,7 @@ from .spectral import (
     transform,
 )
 
-__all__ = [
-    "binary_entropy",
-    "ei_ratio",
-    "entropy_upper_bounds",
-    "AnalysisReport",
-    "analyze",
-    "SweepResult",
-    "exhaustive_sweep",
-    "write_sweep_csv",
-    "CliqueReport",
-    "clique_experiment",
-]
+__all__ = list(_SOURCES["conjecture"])
 
 PROVEN_BOUND_SLACK = 1e-9
 
@@ -329,9 +318,7 @@ def _sweep_stream(n: int, p, sample: int | None, seed: int, bounds: bool = True)
     """
     checked = {"n": n} if sample is None else {"n": n, "sample": sample, "seed": seed}
     for name, value in checked.items():
-        # bool is an Integral: True would run as 1
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise InputError(f"{name} must be an integer, got {value!r}")
+        check_integer(value, name)
     if n < 1:
         raise InputError("sweep needs at least one variable")
     p = as_bias(p).p

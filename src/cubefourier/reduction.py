@@ -18,24 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import _SOURCES, kernels
 from .boolfn import Bias, RealTable, TruthTable, readonly
 from .config import check_table_size
 from .conjecture import PROVEN_BOUND_SLACK
 from .errors import InputError
 from .spectral import spectral_entropy, total_influence_spectral, transform
 
-__all__ = [
-    "ReductionLayout",
-    "layout_for",
-    "reduce_table",
-    "block_projection",
-    "floor_log2_reciprocal",
-    "verify_red0",
-    "verify_red_fk",
-    "verify_entropy_monotone",
-    "reduction_report",
-]
+__all__ = list(_SOURCES["reduction"])
 
 
 @dataclass(frozen=True)
@@ -95,32 +85,14 @@ def _exact_bias(p: Bias) -> tuple[int, int]:
     return p.t, p.m
 
 
-def layout_for(n: int, p: Bias) -> ReductionLayout:
-    t, m = _exact_bias(p)
-    return ReductionLayout(n, t, m)
-
-
 def reduce_table(f: TruthTable | RealTable, p: Bias):
     """Pull f back to the uniform cube on n*m variables."""
-    layout = layout_for(f.n, p)
+    t, m = _exact_bias(p)
+    layout = ReductionLayout(f.n, t, m)
     x = _original_table(layout)
     if isinstance(f, TruthTable):
         return TruthTable(layout.n_reduced, readonly(f.bits[x]))
     return RealTable(layout.n_reduced, readonly(f.values[x]))
-
-
-def block_projection(layout: ReductionLayout, masks: np.ndarray) -> np.ndarray:
-    """Original subset mask whose block pattern matches each reduced mask.
-
-    A reduced subset S projects to the original subset containing exactly
-    the coordinates whose block in S is nonempty.
-    """
-    masks = np.asarray(masks, dtype=np.int64)
-    if masks.size and (masks.min() < 0 or masks.max() >= 1 << layout.n_reduced):
-        raise InputError(
-            f"reduced masks must lie in [0, 2^{layout.n_reduced}) for this layout"
-        )
-    return _projection_table(layout)[masks].astype(np.int64)
 
 
 def floor_log2_reciprocal(t: int, m: int) -> int:

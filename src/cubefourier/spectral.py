@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import io
 import json
 import math
 import struct
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import _SOURCES, kernels
 from .boolfn import (
     RealTable,
     TruthTable,
@@ -39,39 +38,7 @@ from .boolfn import (
 from .config import check_table_size
 from .errors import InputError
 
-__all__ = [
-    "Spectrum",
-    "DyadicSpectrum",
-    "LevelProfile",
-    "transform",
-    "inverse_transform",
-    "exact_transform",
-    "spectral_entropy",
-    "total_influence_spectral",
-    "SquareSums",
-    "square_sums",
-    "LevelSums",
-    "level_sums",
-    "influence_combinatorial",
-    "influence_vector",
-    "coordinate_influences",
-    "measure_weights",
-    "level_profile",
-    "exact_level_profile",
-    "degree",
-    "support_size",
-    "min_support",
-    "top_masks",
-    "parseval_gap",
-    "spectrum_to_json",
-    "spectrum_from_json",
-    "save_spectrum_json",
-    "load_spectrum_json",
-    "spectrum_to_bytes",
-    "spectrum_from_bytes",
-    "save_spectrum_binary",
-    "load_spectrum_binary",
-]
+__all__ = list(_SOURCES["spectral"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +77,6 @@ class Spectrum:
         """Squared coefficients, as a fresh read-only table on every call."""
         return readonly(self.coeffs * self.coeffs)
 
-    def coefficient(self, mask: int) -> float:
-        return float(self.coeffs[mask])
-
     def __eq__(self, other) -> bool:
         return same_fields(self, other, "n", "p", "coeffs")
 
@@ -147,14 +111,6 @@ class DyadicSpectrum(Spectrum):
     def numerators(self) -> np.ndarray:
         """coeffs * 2**n: integer-valued float64, as a fresh read-only table."""
         return readonly(np.ldexp(self.coeffs, self.n))
-
-    def coefficient(self, mask: int) -> Fraction:
-        from fractions import Fraction  # only the exact paths pay for importing it
-
-        return Fraction(float(self.coeffs[mask]))
-
-    def square(self, mask: int) -> Fraction:
-        return self.coefficient(mask) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,12 +150,6 @@ class LevelProfile:
         levels = np.arange(self.n + 1, dtype=np.float64)
         mean = self.mean_level()
         return float(np.sum((levels - mean) ** 2 * self.weights))
-
-    def tail(self, k: int) -> float:
-        """Mass on levels strictly above k."""
-        if k >= self.n:
-            return 0.0
-        return float(np.sum(self.weights[max(k + 1, 0) :]))
 
     def __eq__(self, other) -> bool:
         return same_fields(self, other, "n", "weights")
@@ -704,12 +654,6 @@ def parseval_gap(spec: Spectrum, f: TruthTable | RealTable) -> float:
 _MAGIC = b"CUBEFSP1"
 
 
-def spectrum_to_json(spec: Spectrum) -> str:
-    return json.dumps(
-        {"n": spec.n, "p": spec.p, "coeffs": [float(c) for c in spec.coeffs]}
-    )
-
-
 def spectrum_from_json(text: str) -> Spectrum:
     try:
         obj = json.loads(text)
@@ -733,25 +677,15 @@ def spectrum_from_json(text: str) -> Spectrum:
 
 def save_spectrum_json(spec: Spectrum, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(spectrum_to_json(spec))
+        fh.write(
+            json.dumps({"n": spec.n, "p": spec.p, "coeffs": [float(c) for c in spec.coeffs]})
+        )
         fh.write("\n")
 
 
 def load_spectrum_json(path) -> Spectrum:
     with open(path, "r", encoding="ascii") as fh:
         return spectrum_from_json(fh.read())
-
-
-def _header(spec: Spectrum) -> bytes:
-    return _MAGIC + struct.pack("<I", spec.n) + struct.pack("<d", spec.p)
-
-
-def _body(spec: Spectrum) -> np.ndarray:
-    return np.ascontiguousarray(spec.coeffs, dtype="<f8")
-
-
-def spectrum_to_bytes(spec: Spectrum) -> bytes:
-    return _header(spec) + _body(spec).tobytes()
 
 
 _HEAD = len(_MAGIC) + 4 + 8
@@ -782,18 +716,14 @@ def _read_binary(fh) -> Spectrum:
     return Spectrum(n, p, readonly(coeffs.astype(np.float64, copy=False)))
 
 
-def spectrum_from_bytes(data: bytes) -> Spectrum:
-    return _read_binary(io.BytesIO(data))
-
-
 def save_spectrum_binary(spec: Spectrum, path) -> None:
-    """Write the bytes of :func:`spectrum_to_bytes` without building them in memory."""
+    """Write the binary layout above, the body straight from the coefficient array."""
     with open(path, "wb") as fh:
-        fh.write(_header(spec))
-        fh.write(_body(spec).data)
+        fh.write(_MAGIC + struct.pack("<Id", spec.n, spec.p))
+        fh.write(np.ascontiguousarray(spec.coeffs, dtype="<f8").data)
 
 
 def load_spectrum_binary(path) -> Spectrum:
-    """Read a file of :func:`spectrum_to_bytes` straight into the coefficient array."""
+    """Read a file of :func:`save_spectrum_binary` straight into the coefficient array."""
     with open(path, "rb") as fh:
         return _read_binary(fh)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conjecture
+from . import _SOURCES, conjecture
 from .boolfn import TruthTable, as_bias, readonly
-from .config import check_table_size, get_max_n
+from .config import check_integer, check_table_size, get_max_n
 from .errors import InputError, ResourceError
 from .spectral import (
     LevelProfile,
@@ -29,14 +29,7 @@ from .spectral import (
     transform,
 )
 
-__all__ = [
-    "tensor_product",
-    "tensor_power",
-    "profile_convolve",
-    "profile_power",
-    "VirtualPowerStats",
-    "virtual_power_stats",
-]
+__all__ = list(_SOURCES["tensor"])
 
 
 def tensor_product(f: TruthTable, g: TruthTable) -> TruthTable:
@@ -49,6 +42,7 @@ def tensor_product(f: TruthTable, g: TruthTable) -> TruthTable:
 
 
 def tensor_power(f: TruthTable, N: int) -> TruthTable:
+    N = check_integer(N, "tensor power N")
     if N < 1:
         raise InputError("tensor power needs N >= 1")
     check_table_size(f.n * N, "tensor power")
@@ -78,6 +72,7 @@ def profile_power(base: LevelProfile, N: int) -> LevelProfile:
     A slot of N * bit_length(sum of numerators) bits cannot overflow, since
     every coefficient of the power is at most (sum of numerators)**N.
     """
+    N = check_integer(N, "profile power N")
     if N < 1:
         raise InputError("profile power needs N >= 1")
     if base.exact is None:
@@ -143,12 +138,6 @@ class VirtualPowerStats:
         """Ent/I normalised for the measure, as ``analyze`` reports it."""
         return conjecture.ei_ratio(self.entropy, self.total_influence, self.p)
 
-    def mean_level(self) -> float:
-        return self.profile.mean_level()
-
-    def level_variance(self) -> float:
-        return self.profile.variance()
-
 
 def virtual_power_stats(
     f: TruthTable,
@@ -163,6 +152,7 @@ def virtual_power_stats(
     N-fold self-convolution.  With ``exact=True`` (uniform measure only) the
     profile is convolved in rational arithmetic.
     """
+    N = check_integer(N, "tensor power N")
     if N < 1:
         raise InputError("tensor power needs N >= 1")
     bias = as_bias(p)

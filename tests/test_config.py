@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cubefourier as cf
@@ -47,7 +48,7 @@ def test_setters_reject_nonpositive_values():
         config.set_max_n(0)
 
 
-@pytest.mark.parametrize("value", [2.9, "3", None])
+@pytest.mark.parametrize("value", [2.9, "3", None, True])
 def test_setters_reject_non_integers(value):
     saved = config.get_max_n(), config.get_threads()
     with pytest.raises(InputError):
@@ -55,6 +56,32 @@ def test_setters_reject_non_integers(value):
     with pytest.raises(InputError):
         config.set_max_n(value)
     assert (config.get_max_n(), config.get_threads()) == saved
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: cf.Bias.exact(1.5, 2), "exact bias numerator t"),
+        (lambda: cf.Bias.exact(3, 2.9), "exact bias exponent m"),
+        (lambda: cf.Bias.exact(True, 1), "exact bias numerator t"),
+        (lambda: cf.virtual_power_stats(cf.majority(3), True), "tensor power N"),
+        (lambda: cf.virtual_power_stats(cf.majority(3), 2.5), "tensor power N"),
+        (lambda: cf.tensor_power(cf.majority(3), 1.5), "tensor power N"),
+        (lambda: cf.profile_power(cf.level_profile(cf.transform(cf.majority(3))), 2.5),
+         "profile power N"),
+    ],
+    ids=["exact-t=1.5", "exact-m=2.9", "exact-t=True", "virtual-N=True", "virtual-N=2.5",
+         "tensor_power-N=1.5", "profile_power-N=2.5"],
+)
+def test_integer_arguments_are_refused_not_truncated(call, name):
+    with pytest.raises(InputError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_numpy_integers_are_integer_arguments():
+    assert cf.Bias.exact(np.int64(3), np.uint8(2)) == cf.Bias.exact(3, 2)
+    stats = cf.virtual_power_stats(cf.majority(3), np.int64(2))
+    assert type(stats.N) is int and stats.n == 6
 
 
 def test_set_threads_reaches_the_kernels(monkeypatch):

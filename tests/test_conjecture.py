@@ -540,6 +540,18 @@ def test_a_bad_csv_path_is_refused_before_any_chunk_runs(monkeypatch, tmp_path, 
     assert "No such file or directory" in err and str(target) in err
 
 
+def test_a_bad_output_path_is_refused_before_any_chunk_runs(monkeypatch, tmp_path, capsys):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(conjecture, "_sweep_chunk", no_chunk)
+    csv, report = tmp_path / "s.csv", tmp_path / "missing" / "r.json"
+    assert main(["sweep", "--n", "4", "--csv", str(csv), "--output", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and str(report) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_failed_csv_write_stops_the_stream_and_leaves_no_file(monkeypatch, tmp_path, threads):
     started, writes = [], []

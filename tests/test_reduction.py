@@ -5,13 +5,9 @@ from hypothesis import strategies as st
 
 import cubefourier as cf
 from cubefourier.boolfn import Bias, mask_array
+from cubefourier import reduction
 from cubefourier.errors import InputError
-from cubefourier.reduction import (
-    ReductionLayout,
-    block_projection,
-    floor_log2_reciprocal,
-    layout_for,
-)
+from cubefourier.reduction import ReductionLayout, floor_log2_reciprocal
 from cubefourier.spectral import measure_weights
 
 
@@ -22,6 +18,12 @@ def _original_masks(layout, y):
     identity = cf.RealTable(n, np.arange(2**n, dtype=float))
     g = cf.reduce_table(identity, Bias.exact(layout.t, layout.m))
     return g.values.astype(np.int64)[np.asarray(y, dtype=np.int64)]
+
+
+def _projections(layout, masks):
+    """Original subset mask whose block pattern matches each reduced subset
+    mask: the coordinates whose block in it is nonempty."""
+    return reduction._projection_table(layout)[np.asarray(masks, dtype=np.int64)].astype(np.int64)
 
 
 def test_layout_geometry():
@@ -88,7 +90,7 @@ def test_constant_reduces_to_constant():
 def test_block_projection_groups_by_nonempty_blocks():
     layout = ReductionLayout(2, t=1, m=2)
     masks = np.array([0b0000, 0b0001, 0b0100, 0b0101, 0b1100])
-    proj = block_projection(layout, masks)
+    proj = _projections(layout, masks)
     assert proj.tolist() == [0b00, 0b01, 0b10, 0b11, 0b10]
 
 
@@ -134,8 +136,8 @@ def test_red0_aggregates_squares_exactly_for_dictator():
     p = Bias.exact(1, 2)
     g = cf.reduce_table(f, p)
     gsp = cf.exact_transform(g)
-    layout = layout_for(f.n, p)
-    proj = block_projection(layout, np.arange(1 << g.n))
+    layout = ReductionLayout(f.n, p.t, p.m)
+    proj = _projections(layout, np.arange(1 << g.n))
     squares = (gsp.numerators / (1 << g.n)) ** 2
     # V(empty) carries (1-2p)^2 = 1/4, V({1}) carries 4p(1-p) = 3/4
     assert np.sum(squares[proj == 0]) == pytest.approx(0.25, abs=1e-15)
@@ -258,13 +260,6 @@ def test_original_masks_match_the_per_block_formula(case):
 @given(_layout_and_masks())
 def test_block_projection_matches_the_per_block_formula(case):
     layout, masks = case
-    proj = block_projection(layout, masks)
+    proj = _projections(layout, masks)
     assert proj.dtype == np.int64
     assert proj.tolist() == _per_block(layout, masks, lambda v: v != 0).tolist()
-
-
-@pytest.mark.parametrize("bad", [-1, 1 << 6, [0, 5, -3], [63, 64]])
-def test_masks_outside_the_reduced_cube_are_input_errors(bad):
-    layout = ReductionLayout(3, t=1, m=2)
-    with pytest.raises(InputError):
-        block_projection(layout, bad)

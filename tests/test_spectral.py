@@ -152,7 +152,7 @@ def test_derivative_spectrum_is_a_slice(n, seed):
         for s_rest in range(1 << (n - 1)):
             s = (s_rest & low) | ((s_rest & ~low) << 1) | (1 << (i - 1))
             # derivative table has n-1 variables: its denominator is 2^(n-1)
-            assert dsp.coefficient(s_rest) == sp.coefficient(s)
+            assert dsp.coeffs[s_rest] == sp.coeffs[s]
 
 
 # --- exact arithmetic -------------------------------------------------------
@@ -273,14 +273,14 @@ def test_level_profile_sums_to_one():
 def test_exact_level_profile_of_majority3():
     prof = cf.level_profile(cf.exact_transform(cf.majority(3)))
     assert prof.exact == (Fraction(0), Fraction(3, 4), Fraction(0), Fraction(1, 4))
-    assert prof.tail(1) == pytest.approx(0.25)
-    assert prof.tail(3) == 0.0
+    assert sum(prof.weights[2:]) == pytest.approx(0.25)
+    assert sum(prof.weights[4:]) == 0.0
 
 
 def test_parity_profile_is_a_point_mass():
     prof = cf.level_profile(cf.transform(cf.parity(3, 0b111)))
     assert prof.weights.tolist() == [0.0, 0.0, 0.0, 1.0]
-    assert prof.tail(2) == 1.0
+    assert sum(prof.weights[3:]) == 1.0
 
 
 def test_mean_level_equals_total_influence_at_half():
@@ -380,6 +380,12 @@ def test_min_support_is_minimal_and_sufficient(n, seed, eps):
 # --- serialization -----------------------------------------------------------
 
 
+def _spectrum_bytes(sp):
+    """The documented binary layout: magic, u32 n, f64 p, then the coefficients."""
+    head = b"CUBEFSP1" + struct.pack("<I", sp.n) + struct.pack("<d", sp.p)
+    return head + sp.coeffs.astype("<f8").tobytes()
+
+
 def test_spectrum_json_roundtrip(tmp_path):
     sp = cf.transform(cf.random_function(5, 1), 0.3)
     path = tmp_path / "s.json"
@@ -393,7 +399,7 @@ def test_spectrum_binary_roundtrip_is_bit_exact(tmp_path):
     sp = cf.transform(cf.random_function(7, 2), 0.71)
     path = tmp_path / "s.spec"
     cf.save_spectrum_binary(sp, path)
-    assert path.read_bytes() == cf.spectral.spectrum_to_bytes(sp)
+    assert path.read_bytes() == _spectrum_bytes(sp)
     back = cf.load_spectrum_binary(path)
     assert back == sp
 
@@ -403,31 +409,29 @@ def test_binary_format_rejects_corruption(tmp_path):
     path = tmp_path / "s.spec"
     cf.save_spectrum_binary(sp, path)
     data = path.read_bytes()
-    with pytest.raises(InputError):
-        cf.spectral.spectrum_from_bytes(b"WRONGMAG" + data[8:])
-    with pytest.raises(InputError):
-        cf.spectral.spectrum_from_bytes(data[:-8])
+    for bad in (b"WRONGMAG" + data[8:], data[:-8]):
+        path.write_bytes(bad)
+        with pytest.raises(InputError):
+            cf.load_spectrum_binary(path)
 
 
 def test_binary_file_loader_rejects_what_the_bytes_parser_rejects(tmp_path):
     sp = cf.transform(cf.random_function(5, 1), 0.3)
-    data = cf.spectral.spectrum_to_bytes(sp)
+    data = _spectrum_bytes(sp)
     path = tmp_path / "s.spec"
     for bad in (b"", b"WRONGMAG" + data[8:], data[:-8], data + b"\0", data[:20]):
         path.write_bytes(bad)
         with pytest.raises(InputError):
             cf.load_spectrum_binary(path)
-        with pytest.raises(InputError):
-            cf.spectral.spectrum_from_bytes(bad)
     path.write_bytes(data)
     back = cf.load_spectrum_binary(path)
-    assert back == cf.spectral.spectrum_from_bytes(data) == sp
+    assert back == sp
     assert not back.coeffs.flags.writeable
 
 
 def test_binary_file_loader_reads_a_pipe(tmp_path):
     sp = cf.transform(cf.random_function(5, 1), 0.3)
-    data = cf.spectral.spectrum_to_bytes(sp)
+    data = _spectrum_bytes(sp)
     fifo = tmp_path / "s.fifo"
     os.mkfifo(fifo)
     for body in (data, data[:-8], data + b"\0"):
@@ -727,7 +731,7 @@ def test_the_float_producers_hand_over_their_buffer_uncopied(tmp_path, name, tab
 def _literal_level_fractions(dspec):
     out = [Fraction(0)] * (dspec.n + 1)
     for mask in range(dspec.size):
-        out[bin(mask).count("1")] += dspec.square(mask)
+        out[bin(mask).count("1")] += Fraction(float(dspec.coeffs[mask])) ** 2
     return tuple(out)
 
 

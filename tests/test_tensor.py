@@ -15,8 +15,9 @@ def test_product_multiplies_sign_values():
     g = cf.dictator(2, 1)
     prod = cf.tensor_product(f, g)
     assert prod.n == 5
+    vp, vf, vg = prod.sign_values(), f.sign_values(), g.sign_values()
     for mask in range(32):
-        assert prod.value(mask) == f.value(mask & 0b111) * g.value(mask >> 3)
+        assert vp[mask] == vf[mask & 0b111] * vg[mask >> 3]
 
 
 def test_product_spectrum_is_the_outer_product():
@@ -27,7 +28,8 @@ def test_product_spectrum_is_the_outer_product():
     sp = cf.exact_transform(cf.tensor_product(f, g))
     for s in range(1 << 6):
         lo, hi = s & 0b111, s >> 3
-        assert sp.coefficient(s) == sf.coefficient(lo) * sg.coefficient(hi)
+        exact = [Fraction(float(d.coeffs[m])) for d, m in ((sp, s), (sf, lo), (sg, hi))]
+        assert exact[0] == exact[1] * exact[2]
 
 
 @given(st.integers(0, 200), st.integers(0, 200), st.sampled_from([0.5, 0.3]))
@@ -98,7 +100,7 @@ def test_exact_virtual_profile_of_majority3_squared():
         Fraction(0),
         Fraction(1, 16),
     )
-    assert stats.profile.tail(2) == pytest.approx(7 / 16, abs=1e-15)
+    assert sum(stats.profile.weights[3:]) == pytest.approx(7 / 16, abs=1e-15)
 
 
 @given(st.integers(1, 20))
@@ -119,9 +121,11 @@ def test_mean_level_scales_linearly(N, seed):
     f = cf.random_function(3, seed)
     base = cf.virtual_power_stats(f, 1)
     stats = cf.virtual_power_stats(f, N)
-    assert stats.mean_level() == pytest.approx(N * base.mean_level(), rel=1e-9, abs=1e-9)
-    assert stats.level_variance() == pytest.approx(
-        N * base.level_variance(), rel=1e-9, abs=1e-9
+    assert stats.profile.mean_level() == pytest.approx(
+        N * base.profile.mean_level(), rel=1e-9, abs=1e-9
+    )
+    assert stats.profile.variance() == pytest.approx(
+        N * base.profile.variance(), rel=1e-9, abs=1e-9
     )
 
 
