@@ -16,12 +16,13 @@ import numpy as np
 
 # Pairs per piece.  A piece (512 KiB of float64) and its scratch (as much
 # again) stay in a 2 MiB L2 across the piece's ufunc passes.  Smaller
-# pieces cost more in per-call overhead, and, while sweep workers run
-# stages at once, in handing the interpreter lock back and forth.
+# pieces cost more in per-call overhead, and, while callers in several
+# threads run stages at once, in handing the interpreter lock back and forth.
 _CHUNK = 1 << 15
 
-# Scratch buffers, one per thread: sweep workers run stages at once and
-# never share them.
+# Scratch buffers, one per thread, for callers that transform in threads of
+# their own: no two share one.  The package itself, sweeps included, runs
+# every stage in the calling thread.
 _local = threading.local()
 
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,7 +42,7 @@ from .boolfn import (
     table_to_hex,
     tribes,
 )
-from .config import get_max_n, get_threads, set_max_n, set_threads
+from .config import get_max_n, set_max_n
 from .conjecture import (
     PROVEN_BOUND_SLACK,
     PROVEN_BOUNDS,
@@ -188,9 +188,9 @@ def _add_common(parser):
         "--format", choices=("json", "text"), default="text", help="report format"
     )
     parser.add_argument("--output", metavar="PATH", help="write the report to a file")
-    parser.add_argument(
-        "--threads", type=int, default=None, help="sweep pool width; other commands use one thread"
-    )
+    # Inert and hidden: every command line in perfbench/workloads.py passes
+    # it, so it is parsed until they drop it.
+    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     parser.add_argument(
         "--max-n", type=int, default=None, help="raise or lower the table-size cap"
     )
@@ -199,8 +199,6 @@ def _add_common(parser):
 def _apply_common(ns) -> None:
     if ns.max_n is not None:
         set_max_n(ns.max_n)
-    if ns.threads is not None:
-        set_threads(ns.threads)
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +302,23 @@ def _cmd_tensor(ns):
 
 
 @contextmanager
-def _replacing(path):
-    """A UTF-8 text file for ``path``, written beside it and renamed onto it once
-    complete, and removed if the block fails; a symlink is followed first.
-    A pipe or a device (``/dev/stdout``) is written in place.  Yields None
-    when ``path`` is empty."""
+def _replacing(path, binary=False):
+    """A UTF-8 text file for ``path`` (a binary one with ``binary``), written
+    beside it and renamed onto it once complete, and removed if the block
+    fails; a symlink is followed first.  A pipe or a device (``/dev/stdout``)
+    is written in place.  Yields None when ``path`` is empty."""
     if not path:
         yield None
         return
+    kwargs = {"mode": "wb"} if binary else {"mode": "w", "encoding": "utf-8", "newline": ""}
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, **kwargs) as fh:
             yield fh
         return
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        fh = open(tmp, "w", encoding="utf-8", newline="")
+        fh = open(tmp, **kwargs)
     except OSError as exc:
         raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from None
     try:
@@ -337,7 +336,7 @@ def _cmd_sweep(ns):
         ns.n, ns.p if ns.p is not None else 0.5, ns.sample, ns.seed, bounds=bool(ns.csv)
     )
     # the CSV is opened before any chunk runs, so a bad path costs no sweep
-    with closing(stream), _replacing(ns.csv) as fh:
+    with _replacing(ns.csv) as fh:
         summary = _summarise_sweep(ns.n, stream, fh)
     payload = {
         "schema": 1,
@@ -379,14 +378,16 @@ def _cmd_clique(ns):
 def _cmd_spectrum(ns):
     if ns.top < 0:
         raise InputError("--top must be nonnegative")
-    if ns.load is not None:
-        sp = load_spectrum_binary(ns.load)
-    else:
-        sp = transform(_load_source(ns), _get_bias(ns))
-    if ns.export:
-        save_spectrum_binary(sp, ns.export)
-    if ns.export_json:
-        save_spectrum_json(sp, ns.export_json)
+    # both exports are opened before the transform, and written all or not at all
+    with _replacing(ns.export, binary=True) as spec_fh, _replacing(ns.export_json) as json_fh:
+        if ns.load is not None:
+            sp = load_spectrum_binary(ns.load)
+        else:
+            sp = transform(_load_source(ns), _get_bias(ns))
+        if spec_fh:
+            save_spectrum_binary(sp, spec_fh)
+        if json_fh:
+            save_spectrum_json(sp, json_fh)
     order = top_masks(sp.coeffs, ns.top, key=np.abs)
     ent = spectral_entropy(sp)
     infl = total_influence_spectral(sp)
@@ -496,9 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # --max-n and --threads hold for one command: a caller in the same process
-    # (a test, a notebook) keeps its own settings afterwards.
-    saved = get_max_n(), get_threads()
+    # --max-n holds for one command: a caller in the same process (a test,
+    # a notebook) keeps its own cap afterwards.
+    saved = get_max_n()
     try:
         ns = parser.parse_args(argv)
         _apply_common(ns)
@@ -508,12 +509,12 @@ def main(argv=None) -> int:
             text = json.dumps(payload, indent=2) if ns.format == "json" else "\n".join(lines)
             print(text, file=fh)
         return code
-    except (InputError, ResourceError, OSError) as exc:
-        print(f"cubefourier: error: {exc}", file=sys.stderr)
+    except (InputError, ResourceError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it refused; a bare one is empty
+        print(f"cubefourier: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
     finally:
-        set_max_n(saved[0])
-        set_threads(saved[1])
+        set_max_n(saved)
 
 
 if __name__ == "__main__":

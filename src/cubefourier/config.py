@@ -2,11 +2,8 @@
 
 The variable-count cap bounds every 2**n allocation (2**26 doubles is about
 0.5 GiB, which keeps desk-scale guarantees).  Override with
-``CUBEFOURIER_MAX_N`` / :func:`set_max_n`.  The thread count, set with
-``CUBEFOURIER_THREADS`` / :func:`set_threads`, is the width of the pool an
-exhaustive or sampled sweep maps its chunks on; the transforms always run
-in the calling thread.  Both variables go through the setters at import, so
-a bad value raises :class:`InputError` naming it.
+``CUBEFOURIER_MAX_N`` / :func:`set_max_n`.  The variable goes through the
+setter at import, so a bad value raises :class:`InputError` naming it.
 """
 
 import numbers
@@ -17,7 +14,6 @@ from .errors import InputError, ResourceError
 DEFAULT_MAX_N = 26
 
 _max_n = DEFAULT_MAX_N
-_threads = 1
 
 
 def get_max_n() -> int:
@@ -32,39 +28,19 @@ def check_integer(value, what: str) -> int:
     return int(value)
 
 
-def _check_count(value, what: str) -> None:
-    if check_integer(value, what) < 1:
-        raise InputError(f"{what} must be an integer of at least 1, got {value!r}")
-
-
 def set_max_n(n: int) -> None:
     global _max_n
-    _check_count(n, "max_n")
+    if check_integer(n, "max_n") < 1:
+        raise InputError(f"max_n must be an integer of at least 1, got {n!r}")
     _max_n = n
 
 
-def get_threads() -> int:
-    return _threads
-
-
-def set_threads(count: int) -> None:
-    global _threads
-    _check_count(count, "thread count")
-    _threads = count
-
-
-def _apply_env(name: str, setter) -> None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return
+_env = os.environ.get("CUBEFOURIER_MAX_N")
+if _env is not None:
     try:
-        setter(int(raw))
+        set_max_n(int(_env))
     except ValueError as exc:
-        raise InputError(f"{name}={raw!r} is not valid: {exc}") from None
-
-
-_apply_env("CUBEFOURIER_MAX_N", set_max_n)
-_apply_env("CUBEFOURIER_THREADS", set_threads)
+        raise InputError(f"CUBEFOURIER_MAX_N={_env!r} is not valid: {exc}") from None
 
 
 def check_table_size(n: int, what: str = "table") -> None:

@@ -10,9 +10,7 @@ proven bound (which would indicate a software defect, not new mathematics).
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
-from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +26,7 @@ from .boolfn import (
     rows_to_hex,
     sign_array,
 )
-from .config import check_integer, check_table_size, get_threads
+from .config import check_integer, check_table_size
 from .errors import InputError
 from .kernels import biased_forward_inplace
 from .spectral import (
@@ -300,8 +298,7 @@ SWEEP_CHUNK = 4096
 # so each chunk reuses them instead of the memory being returned to the
 # system and faulted back in (about 100 page faults per 4096-row chunk).
 _BOUND_ROWS = 2048
-# Chunks a sweep keeps in flight per thread: enough to keep every worker
-# busy while the caller takes the oldest result.
+# Finished chunks a sweep holds before it hands over the oldest.
 _WINDOW = 2
 _COLUMNS = ("entropy", "influence", "ratio", "h_bound", "logn_bound")
 
@@ -351,63 +348,22 @@ def _sweep_stream(n: int, p, sample: int | None, seed: int, bounds: bool = True)
     return p, sample is None, count, _run_chunks(n, p, chunks, count, bounds)
 
 
-class _Ready:
-    """A result computed in the calling thread, with the two methods of a
-    future that :func:`_run_chunks` calls."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def result(self):
-        return self.value
-
-    def cancel(self) -> bool:
-        return False
-
-
 def _run_chunks(n: int, p: float, chunks, count: int, bounds: bool):
     """Yield (ids, statistics) for each chunk of ids, in order.
 
-    Up to _WINDOW chunks per thread are in flight: with more than one
-    thread they run ahead in a pool, and with one the next chunk is
-    computed before the last is handed over.  Either way the heap's top
+    Every chunk is computed in the calling thread, in one workspace of two
+    (2^n, rows) float64 buffers.  The next chunk is computed before the last
+    is handed over, up to _WINDOW finished results: the heap's top then
     holds live results while a chunk's temporaries come and go, so glibc
     reuses their memory instead of returning it and faulting it back in.
-    Each thread reuses one workspace of two (2^n, rows) float64 buffers.
-    Closing the generator cancels the chunks not started and waits for the
-    running ones.
     """
-    rows = min(count, SWEEP_CHUNK)
-    nthreads = get_threads() if count > SWEEP_CHUNK else 1
-    local = threading.local()
-
-    def run(ids):
-        if not hasattr(local, "work"):
-            local.work = np.empty((2, rows << n))
-        return _sweep_chunk(n, p, ids, local.work, bounds)
-
-    if nthreads == 1:
-        pool, submit = nullcontext(), lambda fn, ids: _Ready(fn(ids))
-    else:
-        # here: importing concurrent.futures costs every command about 8 ms
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=nthreads)
-        submit = pool.submit
-    pending = deque()
-    with pool:
-        try:
-            for ids in chunks:
-                pending.append((ids, submit(run, ids)))
-                if len(pending) == _WINDOW * nthreads:
-                    ids, done = pending.popleft()
-                    yield ids, done.result()
-            while pending:
-                ids, done = pending.popleft()
-                yield ids, done.result()
-        finally:
-            for _, future in pending:
-                future.cancel()
+    work = np.empty((2, min(count, SWEEP_CHUNK) << n))
+    done = deque()
+    for ids in chunks:
+        done.append((ids, _sweep_chunk(n, p, ids, work, bounds)))
+        if len(done) == _WINDOW:
+            yield done.popleft()
+    yield from done
 
 
 def _chunk_violations(n: int, ids: np.ndarray, stats: dict) -> list[dict]:
@@ -473,22 +429,20 @@ def exhaustive_sweep(
     Exhaustive mode enumerates all 2**(2**n) functions and is limited to
     n <= 4.  Larger n must pass ``sample``; function ids are then drawn
     from a seeded PCG64 stream.  Work is cut into fixed-size chunks whose
-    results are written into the columns in order, so the output is
-    identical for any thread count.
+    results are written into the columns in order.
     """
     p, exhaustive, count, stream = _sweep_stream(n, p, sample, seed)
     function_ids = np.empty(count, dtype=np.int64)
     columns = {key: np.empty(count) for key in _COLUMNS}
     violations = []
     start = 0
-    with closing(stream):
-        for ids, stats in stream:
-            stop = start + ids.size
-            function_ids[start:stop] = ids
-            for key, column in columns.items():
-                column[start:stop] = stats[key]
-            violations += _chunk_violations(n, ids, stats)
-            start = stop
+    for ids, stats in stream:
+        stop = start + ids.size
+        function_ids[start:stop] = ids
+        for key, column in columns.items():
+            column[start:stop] = stats[key]
+        violations += _chunk_violations(n, ids, stats)
+        start = stop
     return SweepResult(n=n, p=p, exhaustive=exhaustive, function_ids=function_ids,
                        violations=violations, **columns)
 

@@ -27,10 +27,11 @@ expression, so the output is bitwise identical to the plain
 stage-after-stage loop.
 
 The transforms run in the calling thread: handing part of one transform
-to a second thread was measured no faster on a 2-vCPU machine.  Callers
-may transform separate arrays at once, each in its own thread, as the
-sweep's chunk workers do; the C stages then run in parallel, since ctypes
-releases the interpreter lock for each call.
+to a second thread was measured no faster on a 2-vCPU machine.  The
+package never transforms in another thread (a sweep computes its chunks
+in the caller's thread too), but callers may transform separate arrays at
+once, each in its own thread; the C stages then run in parallel, since
+ctypes releases the interpreter lock for each call.
 """
 
 import math

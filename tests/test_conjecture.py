@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import os
-import sys
 import threading
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubefourier as cf
-from cubefourier import config, conjecture, spectral
+from cubefourier import conjecture, spectral
 from cubefourier.boolfn import rows_to_hex
 from cubefourier.cli import EXIT_VIOLATION, main
 from cubefourier.conjecture import (
@@ -193,50 +192,20 @@ def test_sweep_matches_analyze_bitwise_on_every_n3_function(p):
 
 
 def test_sweep_is_deterministic_across_threads_and_runs():
-    saved = config.get_threads()
-    try:
-        config.set_threads(1)
-        a = cf.exhaustive_sweep(3)
-        config.set_threads(7)
-        b = cf.exhaustive_sweep(3)
-    finally:
-        config.set_threads(saved)
+    a = cf.exhaustive_sweep(3)
+    b = cf.exhaustive_sweep(3)
     assert np.array_equal(a.entropy, b.entropy)
     assert np.array_equal(a.influence, b.influence)
     assert np.array_equal(a.ratio, b.ratio, equal_nan=True)
     assert a.max_ratio() == b.max_ratio()
 
 
-def test_threaded_sweep_merges_chunks_in_order():
-    # more workers than cores and a short switch interval: chunk results
-    # merged out of chunk order would change some row
-    count = 20 * cf.conjecture.SWEEP_CHUNK + 7
-    saved, interval = config.get_threads(), sys.getswitchinterval()
-    try:
-        config.set_threads(1)
-        want = cf.exhaustive_sweep(5, sample=count, seed=4)
-        config.set_threads(4)
-        sys.setswitchinterval(1e-6)
-        got = cf.exhaustive_sweep(5, sample=count, seed=4)
-    finally:
-        sys.setswitchinterval(interval)
-        config.set_threads(saved)
-    for name in ("entropy", "influence", "ratio", "h_bound", "logn_bound"):
-        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
-    assert got.violations == want.violations == []
-
-
 def test_sampled_sweep_holds_little_beyond_its_result_columns():
-    saved = config.get_threads()
-    try:
-        config.set_threads(1)
-        cf.exhaustive_sweep(5, p=0.3, sample=10)  # first-call allocations stay out
-        results = []
-        peak = peak_bytes(
-            lambda: results.append(cf.exhaustive_sweep(5, p=0.3, sample=600_000, seed=2))
-        )
-    finally:
-        config.set_threads(saved)
+    cf.exhaustive_sweep(5, p=0.3, sample=10)  # first-call allocations stay out
+    results = []
+    peak = peak_bytes(
+        lambda: results.append(cf.exhaustive_sweep(5, p=0.3, sample=600_000, seed=2))
+    )
     res = results[0]
     columns = [res.function_ids, res.entropy, res.influence, res.ratio, res.h_bound,
                res.logn_bound]
@@ -392,13 +361,9 @@ def test_the_csv_formatter_keeps_the_bytes_of_every_edge_case(monkeypatch, tmp_p
 
 
 def _library_report(n, p, sample, seed, threads):
-    """The sweep report and CSV as built from exhaustive_sweep's columns."""
-    saved = config.get_threads()
-    try:
-        config.set_threads(threads)
-        res = cf.exhaustive_sweep(n, p=p, sample=sample, seed=seed)
-    finally:
-        config.set_threads(saved)
+    """The sweep report and CSV as built from exhaustive_sweep's columns;
+    ``threads``, the command line's inert flag, does not reach the library."""
+    res = cf.exhaustive_sweep(n, p=p, sample=sample, seed=seed)
     best, best_hex = res.max_ratio()
     payload = {
         "schema": 1, "command": "sweep", "n": res.n, "p": res.p,

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubefourier as cf
-from cubefourier import _kernels_py, _stages, config, kernels
+from cubefourier import _kernels_py, _stages, kernels
 from cubefourier.errors import InputError
 
 try:
@@ -74,32 +74,6 @@ def test_partial_block_ranges_compose():
     _compiled.stage_f64(v_split, 0.7, 0.3, 0.1, -0.1, h, 0, 5)
     _compiled.stage_f64(v_split, 0.7, 0.3, 0.1, -0.1, h, 5, nblocks)
     assert np.array_equal(v_full, v_split)
-
-
-def _under_threads(threads, fn, *args):
-    saved = config.get_threads()
-    try:
-        config.set_threads(threads)
-        return fn(*args)
-    finally:
-        config.set_threads(saved)
-
-
-@given(st.integers(1, 12), st.integers(0, 100), st.integers(1, 8))
-def test_thread_count_never_changes_results(n, seed, threads):
-    f = cf.RealTable(n, _random_vec(n, seed))
-    c1 = _under_threads(1, cf.transform, f, 0.3).coeffs
-    c2 = _under_threads(threads, cf.transform, f, 0.3).coeffs
-    assert np.array_equal(c1, c2)
-
-
-@given(st.integers(1, 12), st.integers(0, 100), st.integers(1, 8))
-def test_wht_thread_count_never_changes_results(n, seed, threads):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    f = cf.RealTable(n, rng.integers(-5, 5, size=1 << n).astype(np.float64))
-    d1 = _under_threads(1, cf.exact_transform, f).numerators
-    d2 = _under_threads(threads, cf.exact_transform, f).numerators
-    assert np.array_equal(d1, d2)
 
 
 def test_forward_inverse_weights_cancel():
