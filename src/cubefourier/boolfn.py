@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,19 +124,43 @@ def same_fields(a, b, *names: str) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class TruthTable:
+class Frozen:
+    """Base of the immutable types: ``__init__`` sets each slot once with
+    ``object.__setattr__``, and any later assignment or deletion raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        # pickle and copy restore the fields here, as (instance dict, slots);
+        # an unpickled or deep-copied array is a fresh, writable one
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                if isinstance(value, np.ndarray):
+                    readonly(value)
+                object.__setattr__(self, name, value)
+
+
+class TruthTable(Frozen):
     """A Boolean function, one output bit per input mask."""
 
+    __slots__ = ("n", "bits")
     n: int
     bits: np.ndarray  # uint8 in {0,1}, length 2**n, read-only
 
-    def __post_init__(self):
+    def __init__(self, n: int, bits):
         # a fraction, NaN or value past 255 casts to some byte: refused below
         with np.errstate(invalid="ignore"):
-            arr = frozen_table(self.n, self.bits, np.uint8, "truth table", "output bits")
-        if arr.max() > 1 or (arr is not self.bits and not np.array_equal(arr, self.bits)):
+            arr = frozen_table(n, bits, np.uint8, "truth table", "output bits")
+        if arr.max() > 1 or (arr is not bits and not np.array_equal(arr, bits)):
             raise InputError("output bits must be 0 or 1")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", arr)
 
     @property
@@ -160,17 +183,18 @@ class TruthTable:
         return f"TruthTable(n={self.n}, hex={table_to_hex(self)})"
 
 
-@dataclass(frozen=True, eq=False)
-class RealTable:
+class RealTable(Frozen):
     """A real-valued function on the cube (n may be 0)."""
 
+    __slots__ = ("n", "values")
     n: int
     values: np.ndarray  # float64, length 2**n, read-only
 
-    def __post_init__(self):
-        arr = frozen_table(self.n, self.values, np.float64, "table", "values", least=0)
+    def __init__(self, n: int, values):
+        arr = frozen_table(n, values, np.float64, "table", "values", least=0)
         if not np.all(np.isfinite(arr)):
             raise InputError("table values must be finite")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -184,29 +208,30 @@ class RealTable:
         return same_fields(self, other, "n", "values")
 
 
-@dataclass(frozen=True)
-class Bias:
+class Bias(Frozen):
     """The parameter p of the product measure, optionally as an exact t/2**m.
 
     The exact form is required by the biased-to-uniform reduction; the
     floating value is what every transform uses.
     """
 
+    __slots__ = ("p", "t", "m")
     p: float
-    t: int | None = None
-    m: int | None = None
+    t: int | None
+    m: int | None
 
-    def __post_init__(self):
-        if self.t is not None:
-            t = check_integer(self.t, "exact bias numerator t")
-            m = check_integer(self.m, "exact bias exponent m")
+    def __init__(self, p: float, t: int | None = None, m: int | None = None):
+        if t is not None:
+            t = check_integer(t, "exact bias numerator t")
+            m = check_integer(m, "exact bias exponent m")
             if m < 1 or not 1 <= t < (1 << m):
                 raise InputError("exact bias needs integers 1 <= t < 2^m")
-            object.__setattr__(self, "t", t)
-            object.__setattr__(self, "m", m)
-            object.__setattr__(self, "p", t / (1 << m))
-        if not 0.0 < self.p < 1.0:
-            raise InputError(f"bias must lie strictly between 0 and 1, got {self.p}")
+            p = t / (1 << m)
+        if not 0.0 < p < 1.0:
+            raise InputError(f"bias must lie strictly between 0 and 1, got {p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def general(cls, p: float) -> "Bias":
@@ -224,6 +249,17 @@ class Bias:
     def is_exact(self) -> bool:
         return self.t is not None
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.p, self.t, self.m) == (other.p, other.t, other.m)
+
+    def __hash__(self):
+        return hash((self.p, self.t, self.m))
+
+    def __repr__(self) -> str:
+        return f"Bias(p={self.p!r}, t={self.t!r}, m={self.m!r})"
+
     def __str__(self) -> str:
         if self.is_exact:
             return f"{self.t}/2^{self.m}"
@@ -236,20 +272,35 @@ def as_bias(p) -> Bias:
     return Bias.general(p)
 
 
-@dataclass(frozen=True)
-class GraphPropertySpec:
+class GraphPropertySpec(Frozen):
     """Clique-containment property of graphs on labelled vertices.
 
     Edge variable k corresponds to the k-th vertex pair (u, v), u < v, in
     lexicographic order, so spectra are deterministic across runs.
     """
 
+    __slots__ = ("n_vertices", "r")
     n_vertices: int
     r: int
 
-    def __post_init__(self):
-        if not 2 <= self.r <= self.n_vertices:
+    def __init__(self, n_vertices: int, r: int):
+        n_vertices = check_integer(n_vertices, "vertex count")
+        r = check_integer(r, "clique size r")
+        if not 2 <= r <= n_vertices:
             raise InputError("need 2 <= r <= n_vertices")
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "r", r)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n_vertices, self.r) == (other.n_vertices, other.r)
+
+    def __hash__(self):
+        return hash((self.n_vertices, self.r))
+
+    def __repr__(self) -> str:
+        return f"GraphPropertySpec(n_vertices={self.n_vertices!r}, r={self.r!r})"
 
     @property
     def n_edges(self) -> int:
@@ -357,15 +408,21 @@ def clique_indicator(spec: GraphPropertySpec) -> TruthTable:
 
     Built as the superset closure of the clique edge masks: stage j ORs
     every mask without edge j into the same mask with edge j added, the
-    monotone analogue of a butterfly stage.
+    monotone analogue of a butterfly stage.  The closure runs on the bits
+    packed eight masks to a byte, mask 8k + i at bit i of byte k: stages 0-2
+    shift within each byte, and stage j >= 3 ORs whole runs of 2^(j-3) bytes.
     """
     n = spec.n_edges
     check_table_size(n, "clique indicator")
-    sat = np.zeros(1 << n, dtype=np.uint8)
-    sat[spec.clique_edge_masks()] = 1
-    for j in range(n):
-        pairs = sat.reshape(-1, 2, 1 << j)
+    packed = np.zeros(-(-(1 << n) // 8), dtype=np.uint8)
+    masks = np.array(spec.clique_edge_masks(), dtype=np.int64)
+    np.bitwise_or.at(packed, masks >> 3, np.left_shift(1, masks & 7).astype(np.uint8))
+    for j, low in zip(range(min(n, 3)), (0x55, 0x33, 0x0F)):
+        packed |= (packed & low) << (1 << j)
+    for j in range(3, n):
+        pairs = packed.reshape(-1, 2, 1 << (j - 3))
         pairs[:, 1, :] |= pairs[:, 0, :]
+    sat = np.unpackbits(packed, count=1 << n, bitorder="little")
     return TruthTable(n, readonly(sat))
 
 

@@ -8,62 +8,77 @@ never a routine error).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-# The package makes no BLAS call, but numpy's OpenBLAS starts a worker per
-# CPU at load that busy-waits for about 0.1 s of CPU time.  Ask for one
-# thread when this import is what loads numpy, keeping a value the user set
-# and leaving a host that loaded numpy alone.
-if "numpy" not in sys.modules:
+# When this import is what loads numpy, it starts a command-line process:
+#  - The package makes no BLAS call, but numpy's OpenBLAS starts a worker per
+#    CPU at load that busy-waits for about 0.1 s of CPU time.  Ask for one
+#    thread, keeping a value the user set.
+#  - The imports allocate tens of thousands of objects that live until exit,
+#    so collecting while they load, and again at exit, only walks them.
+#    Collect nothing during the imports, then move what they left into the
+#    permanent generation, which no later collection examines.
+# A host that loaded numpy first (a test run, a notebook) is left alone.
+_STARTS_PROCESS = "numpy" not in sys.modules
+_COLLECTING = gc.isenabled()
+if _STARTS_PROCESS:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
+try:
+    import numpy as np
 
-import numpy as np  # noqa: E402
+    from . import __version__
+    from .boolfn import (
+        Bias,
+        GraphPropertySpec,
+        TruthTable,
+        and_fn,
+        clique_indicator,
+        dictator,
+        from_bits,
+        load_truth_table,
+        majority,
+        mux3,
+        or_fn,
+        parity,
+        random_function,
+        table_to_hex,
+        tribes,
+    )
+    from .config import get_max_n, set_max_n
+    from .conjecture import (
+        PROVEN_BOUND_SLACK,
+        PROVEN_BOUNDS,
+        analyze,
+        _summarise_sweep,
+        _sweep_stream,
+        clique_experiment,
+    )
+    from .errors import InputError, ResourceError
+    from .kernels import backend_name
+    from .reduction import reduction_report
+    from .spectral import (
+        load_spectrum_binary,
+        save_spectrum_binary,
+        save_spectrum_json,
+        spectral_entropy,
+        top_masks,
+        total_influence_spectral,
+        transform,
+    )
+    from .tensor import tensor_power, tensor_product, virtual_power_stats
 
-from . import __version__
-from .boolfn import (
-    Bias,
-    GraphPropertySpec,
-    TruthTable,
-    and_fn,
-    clique_indicator,
-    dictator,
-    from_bits,
-    load_truth_table,
-    majority,
-    mux3,
-    or_fn,
-    parity,
-    random_function,
-    table_to_hex,
-    tribes,
-)
-from .config import get_max_n, set_max_n
-from .conjecture import (
-    PROVEN_BOUND_SLACK,
-    PROVEN_BOUNDS,
-    analyze,
-    _summarise_sweep,
-    _sweep_stream,
-    clique_experiment,
-)
-from .errors import InputError, ResourceError
-from .kernels import backend_name
-from .reduction import reduction_report
-from .spectral import (
-    load_spectrum_binary,
-    save_spectrum_binary,
-    save_spectrum_json,
-    spectral_entropy,
-    top_masks,
-    total_influence_spectral,
-    transform,
-)
-from .tensor import tensor_power, tensor_product, virtual_power_stats
+    if _STARTS_PROCESS:
+        gc.freeze()
+finally:
+    # a failed import leaves the collector as it found it
+    if _COLLECTING:
+        gc.enable()
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -78,8 +93,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-@dataclass(frozen=True)
-class CommandSpec:
+class CommandSpec(NamedTuple):
     """One subcommand: its name, help line, flag setup, and handler.
 
     The handler returns the JSON payload, the text report lines and the

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,8 +104,7 @@ def exceeded_bounds(entropy, bounds: dict) -> dict:
     return {name: entropy > bounds[name] + PROVEN_BOUND_SLACK for name in PROVEN_BOUNDS}
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Everything the analyzer computes for one function at one bias."""
 
     n: int
@@ -191,10 +190,11 @@ def analyze(f: TruthTable, p=0.5, epsilon: float = 1e-2) -> AnalysisReport:
 # sweeps over whole function classes
 
 
-@dataclass
 class SweepResult:
     """Per-function statistics for a sweep at one bias."""
 
+    __slots__ = ("n", "p", "exhaustive", "function_ids", "entropy", "influence", "ratio",
+                 "h_bound", "logn_bound", "violations")
     n: int
     p: float
     exhaustive: bool
@@ -204,7 +204,31 @@ class SweepResult:
     ratio: np.ndarray  # NaN where undefined
     h_bound: np.ndarray
     logn_bound: np.ndarray
-    violations: list = field(default_factory=list)
+    violations: list
+
+    def __init__(self, n: int, p: float, exhaustive: bool, function_ids: np.ndarray,
+                 entropy: np.ndarray, influence: np.ndarray, ratio: np.ndarray,
+                 h_bound: np.ndarray, logn_bound: np.ndarray, violations: list | None = None):
+        self.n = n
+        self.p = p
+        self.exhaustive = exhaustive
+        self.function_ids = function_ids
+        self.entropy = entropy
+        self.influence = influence
+        self.ratio = ratio
+        self.h_bound = h_bound
+        self.logn_bound = logn_bound
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other) -> bool:
+        """Field by field; the NaN ratio of a constant function equals itself."""
+        if type(other) is not type(self):
+            return NotImplemented
+        scalars = ("n", "p", "exhaustive", "violations")
+        return all(getattr(self, k) == getattr(other, k) for k in scalars) and all(
+            np.array_equal(getattr(self, k), getattr(other, k), equal_nan=True)
+            for k in SweepResult.__slots__ if k not in scalars
+        )
 
     @property
     def count(self) -> int:
@@ -381,17 +405,19 @@ def _chunk_violations(n: int, ids: np.ndarray, stats: dict) -> list[dict]:
     ]
 
 
-@dataclass
 class _SweepSummary:
     """What a sweep report reads: the count, the first largest ratio with
     its hex id (as :meth:`SweepResult.max_ratio` finds it), and the
     violations in id order."""
 
-    n: int
-    count: int = 0
-    best: float = float("nan")
-    best_hex: str = ""
-    violations: list = field(default_factory=list)
+    __slots__ = ("n", "count", "best", "best_hex", "violations")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.count = 0
+        self.best = float("nan")
+        self.best_hex = ""
+        self.violations = []
 
     def add(self, ids: np.ndarray, stats: dict) -> None:
         self.count += ids.size
@@ -529,8 +555,7 @@ def write_sweep_csv(result: SweepResult, path) -> None:
 # experiments
 
 
-@dataclass(frozen=True)
-class CliqueReport:
+class CliqueReport(NamedTuple):
     """Spectral data of the clique indicator at its critical bias."""
 
     n_vertices: int

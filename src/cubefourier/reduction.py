@@ -14,13 +14,11 @@ when p <= 1/2, and spectral entropy never decreases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _SOURCES, kernels
-from .boolfn import Bias, RealTable, TruthTable, readonly
-from .config import check_table_size
+from .boolfn import Bias, Frozen, RealTable, TruthTable, readonly
+from .config import check_integer, check_table_size
 from .conjecture import PROVEN_BOUND_SLACK
 from .errors import InputError
 from .spectral import spectral_entropy, total_influence_spectral, transform
@@ -28,19 +26,34 @@ from .spectral import spectral_entropy, total_influence_spectral, transform
 __all__ = list(_SOURCES["reduction"])
 
 
-@dataclass(frozen=True)
-class ReductionLayout:
+class ReductionLayout(Frozen):
     """Index bookkeeping for one reduction instance."""
 
+    __slots__ = ("n_original", "t", "m")
     n_original: int
     t: int
     m: int
 
-    def __post_init__(self):
-        if self.n_original < 1:
+    def __init__(self, n_original: int, t: int, m: int):
+        n_original = check_integer(n_original, "original variable count")
+        if n_original < 1:
             raise InputError("need at least one original variable")
-        Bias.exact(self.t, self.m)
+        bias = Bias.exact(t, m)
+        object.__setattr__(self, "n_original", n_original)
+        object.__setattr__(self, "t", bias.t)
+        object.__setattr__(self, "m", bias.m)
         check_table_size(self.n_reduced, "reduced table")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n_original, self.t, self.m) == (other.n_original, other.t, other.m)
+
+    def __hash__(self):
+        return hash((self.n_original, self.t, self.m))
+
+    def __repr__(self) -> str:
+        return f"ReductionLayout(n_original={self.n_original!r}, t={self.t!r}, m={self.m!r})"
 
     @property
     def n_reduced(self) -> int:

@@ -18,12 +18,12 @@ import json
 import math
 import struct
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _SOURCES, kernels
 from .boolfn import (
+    Frozen,
     RealTable,
     TruthTable,
     _check_coordinate,
@@ -42,18 +42,21 @@ from .errors import InputError
 __all__ = list(_SOURCES["spectral"])
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Frozen):
     """Transform coefficients of one function at one bias."""
 
+    __slots__ = ("n", "p", "coeffs", "_sums", "_level_sums")
     n: int
     p: float
     coeffs: np.ndarray  # float64, index = subset mask, read-only
 
-    def __post_init__(self):
-        arr = frozen_table(self.n, self.coeffs, np.float64, "spectrum", "coefficients")
-        object.__setattr__(self, "p", as_bias(self.p).p)
+    def __init__(self, n: int, p: float, coeffs):
+        arr = frozen_table(n, coeffs, np.float64, "spectrum", "coefficients")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", as_bias(p).p)
         object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "_sums", None)
+        object.__setattr__(self, "_level_sums", None)
 
     @property
     def size(self) -> int:
@@ -68,7 +71,7 @@ class Spectrum:
         return self._cached("_level_sums", level_sums)
 
     def _cached(self, key: str, compute):
-        value = self.__dict__.get(key)
+        value = getattr(self, key)
         if value is None:
             value = compute(self.coeffs.reshape(-1, 1))
             object.__setattr__(self, key, value)
@@ -96,6 +99,8 @@ class DyadicSpectrum(Spectrum):
     itself is refused, as the integer 2**53 + 1 rounds onto it.
     """
 
+    __slots__ = ()
+
     def __init__(self, n: int, numerators):
         # read once into the rint buffer, so the numerators need no frozen copy
         nums = table_entries(n, numerators, np.float64, "spectrum", "numerators")
@@ -108,29 +113,40 @@ class DyadicSpectrum(Spectrum):
             raise InputError("exact spectrum numerators must be integers of magnitude below 2^53")
         super().__init__(n, 0.5, readonly(np.ldexp(coeffs, -n, out=coeffs)))
 
+    @classmethod
+    def _from_buffer(cls, n: int, numerators: np.ndarray) -> "DyadicSpectrum":
+        """The spectrum of numerators the caller computed and hands over:
+        a writable float64 buffer of integers below 2**53 by construction,
+        scaled in place and not checked again."""
+        self = cls.__new__(cls)
+        Spectrum.__init__(self, n, 0.5, readonly(np.ldexp(numerators, -n, out=numerators)))
+        return self
+
     @property
     def numerators(self) -> np.ndarray:
         """coeffs * 2**n: integer-valued float64, as a fresh read-only table."""
         return readonly(np.ldexp(self.coeffs, self.n))
 
 
-@dataclass(frozen=True, eq=False)
-class LevelProfile:
+class LevelProfile(Frozen):
     """Squared coefficient mass per level |S| = 0 .. n.
 
     ``exact`` carries the same numbers as Fractions when the profile came
     from exact arithmetic; float ``weights`` are always present.
     """
 
+    __slots__ = ("n", "weights", "exact")
     n: int
     weights: np.ndarray  # float64, length n + 1, read-only
-    exact: tuple[Fraction, ...] | None = None
+    exact: tuple[Fraction, ...] | None
 
-    def __post_init__(self):
-        arr = frozen_array(self.weights, np.float64, self.n + 1, f"{self.n + 1} level weights")
-        object.__setattr__(self, "weights", arr)
-        if self.exact is not None and len(self.exact) != self.n + 1:
+    def __init__(self, n: int, weights, exact: tuple[Fraction, ...] | None = None):
+        arr = frozen_array(weights, np.float64, n + 1, f"{n + 1} level weights")
+        if exact is not None and len(exact) != n + 1:
             raise InputError("exact profile length mismatch")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "exact", exact)
 
     @classmethod
     def from_numerators(cls, n: int, numerators, denom: int) -> "LevelProfile":
@@ -184,7 +200,8 @@ def exact_transform(f: TruthTable | RealTable) -> DyadicSpectrum:
     Accepts integer-valued tables with |value| <= 2**20.  The butterfly runs
     in doubles; every partial sum is an integer of magnitude at most
     max|value| * 2**n <= 2**(20 + n), exact and below the 2**53 limit of
-    ``DyadicSpectrum`` up to n = 32.
+    ``DyadicSpectrum`` up to n = 32, so the result is scaled in place
+    without that constructor's check.
     """
     v = f.sign_values()  # fresh, writable
     if isinstance(f, RealTable):
@@ -194,18 +211,17 @@ def exact_transform(f: TruthTable | RealTable) -> DyadicSpectrum:
             raise InputError(
                 f"exact transform supports integer values up to {_EXACT_VALUE_BOUND}"
             )
-    if f.n < 1:
-        raise InputError("exact transform needs at least one variable")
+    if not 1 <= f.n <= 32:
+        raise InputError("exact transform needs 1 to 32 variables")
     kernels.wht_inplace(v)
-    return DyadicSpectrum(f.n, readonly(v))
+    return DyadicSpectrum._from_buffer(f.n, v)
 
 
 # ---------------------------------------------------------------------------
 # derived quantities
 
 
-@dataclass(frozen=True, eq=False)
-class SquareSums:
+class SquareSums(Frozen):
     """Sums over the squared coefficients w = c*c of each table of a (2^n, rows) batch.
 
     Built by :func:`square_sums`.  Every array is read-only and has one
@@ -213,16 +229,20 @@ class SquareSums:
     skipped the coordinate fold, which no caller of ``square_sums`` sees.
     """
 
+    __slots__ = ("n", "total", "plogp", "level_mass", "coords")
     n: int
     total: np.ndarray  # sum of w
     plogp: np.ndarray  # sum of w log2 w over w > 0
     level_mass: np.ndarray  # sum of |S| w
     coords: np.ndarray | None  # (rows, n): sum of w over the sets containing i + 1
 
-    def __post_init__(self):
-        for arr in (self.total, self.plogp, self.level_mass, self.coords):
-            if arr is not None:
-                arr.setflags(write=False)
+    def __init__(self, n: int, total: np.ndarray, plogp: np.ndarray,
+                 level_mass: np.ndarray, coords: np.ndarray | None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "total", readonly(total))
+        object.__setattr__(self, "plogp", readonly(plogp))
+        object.__setattr__(self, "level_mass", readonly(level_mass))
+        object.__setattr__(self, "coords", coords if coords is None else readonly(coords))
 
     def entropy(self) -> np.ndarray:
         """Shannon entropy (bits) of each table's squares.
@@ -243,20 +263,21 @@ class SquareSums:
         return self.coords / (4.0 * p * (1.0 - p))
 
 
-@dataclass(frozen=True, eq=False)
-class LevelSums:
+class LevelSums(Frozen):
     """Per-level sums of each table of a (2^n, rows) coefficient batch.
 
     Built by :func:`level_sums`; both arrays are read-only, (rows, n + 1).
     """
 
+    __slots__ = ("n", "levels", "peaks")
     n: int
     levels: np.ndarray  # sum of c*c over |S| = k
     peaks: np.ndarray  # largest |c| over |S| = k, NaN ignored
 
-    def __post_init__(self):
-        self.levels.setflags(write=False)
-        self.peaks.setflags(write=False)
+    def __init__(self, n: int, levels: np.ndarray, peaks: np.ndarray):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "levels", readonly(levels))
+        object.__setattr__(self, "peaks", readonly(peaks))
 
     def degree(self, tol: float) -> np.ndarray:
         """Largest level holding a coefficient above ``tol`` in magnitude, else 0."""

@@ -11,7 +11,7 @@ analysed "virtually", without materialising a 2**(N*n) table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,8 +118,7 @@ def _unpack(packed: int, count: int, slot: int) -> list[int]:
     return [int.from_bytes(raw[i : i + slot], "little") for i in range(0, len(raw), slot)]
 
 
-@dataclass(frozen=True)
-class VirtualPowerStats:
+class VirtualPowerStats(NamedTuple):
     """Spectral summary of f**(x)N computed from f alone."""
 
     base_n: int

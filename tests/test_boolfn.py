@@ -31,6 +31,7 @@ from cubefourier.boolfn import (
     load_truth_table,
     mask_array,
 )
+from cubefourier.conjecture import clique_experiment
 from cubefourier.spectral import Spectrum, transform
 from cubefourier.errors import InputError, ResourceError
 from conftest import discrete_derivative
@@ -217,6 +218,27 @@ def test_clique_indicator_is_monotone():
         for e in range(spec.n_edges):
             with_e = f.bits[masks | (1 << e)]
             assert bool(np.all(with_e >= f.bits))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GraphPropertySpec(7.5, 3),
+        lambda: GraphPropertySpec(5, 2.5),
+        lambda: GraphPropertySpec(True, 2),
+        lambda: clique_indicator(GraphPropertySpec(4.0, 3)),
+        lambda: clique_experiment(5, 2.5),
+    ],
+)
+def test_graph_sizes_must_be_integers(build):
+    with pytest.raises(InputError, match="must be an integer"):
+        build()
+
+
+def test_graph_sizes_accept_numpy_integers_as_ints():
+    spec = GraphPropertySpec(np.int64(5), np.int32(3))
+    assert spec == GraphPropertySpec(5, 3)
+    assert type(spec.n_vertices) is int and type(spec.n_edges) is int
 
 
 def test_critical_p0_solves_its_equation():

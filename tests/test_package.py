@@ -1,19 +1,23 @@
 """The package surface: every exported name resolves, lazily."""
 
 import ast
+import copy
 import importlib
 import importlib.util
 import os
+import pickle
 import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from setuptools.config.pyprojecttoml import read_configuration
 
 import cubefourier
+from cubefourier.boolfn import Frozen
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,6 +95,113 @@ def test_cli_keeps_the_users_openblas_thread_count():
 def test_cli_leaves_a_host_that_loaded_numpy_alone():
     code = "import os, numpy, cubefourier.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert _run(code) == ["None"]
+
+
+def test_cli_start_freezes_the_imported_heap_and_keeps_the_collector_on():
+    code = "import gc, cubefourier.cli; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+    assert _run(code) == ["True", "True"]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_cli_leaves_the_collector_of_a_host_that_loaded_numpy_alone(collecting):
+    code = (
+        f"import gc, numpy\n{'' if collecting else 'gc.disable()'}\n"
+        "import cubefourier.cli\n"
+        "print(gc.isenabled(), gc.get_freeze_count())\n"
+    )
+    assert _run(code) == [str(collecting), "0"]
+
+
+def test_a_failed_cli_import_leaves_the_collector_on():
+    code = (
+        "import gc, sys\n"
+        "sys.modules['cubefourier.tensor'] = None  # importing it now raises ImportError\n"
+        "try:\n"
+        "    import cubefourier.cli\n"
+        "except ImportError:\n"
+        "    print('failed', 'numpy' in sys.modules)\n"
+        "print(gc.isenabled(), gc.get_freeze_count())\n"
+    )
+    assert _run(code) == ["failed", "True", "True", "0"]
+
+
+def test_no_package_class_is_a_dataclass():
+    """A dataclass compiles its generated methods again at every import."""
+    modules = [
+        importlib.import_module(f"cubefourier.{info.name}")
+        for info in pkgutil.iter_modules(cubefourier.__path__)
+        if info.name != "__main__"
+    ]
+    classes = [
+        obj for m in modules for obj in vars(m).values()
+        if isinstance(obj, type) and obj.__module__ == m.__name__
+    ]
+    assert len(classes) >= 15
+    assert [c.__qualname__ for c in classes if hasattr(c, "__dataclass_fields__")] == []
+
+
+def _immutable_values():
+    """One instance of each immutable type, with one of its fields."""
+    from cubefourier.cli import COMMANDS
+
+    f = cubefourier.majority(3)
+    spec = cubefourier.transform(f, 0.3)
+    return [
+        (f, "n"),
+        (cubefourier.RealTable(1, [0.5, 1.0]), "values"),
+        (cubefourier.Bias.exact(1, 2), "p"),
+        (cubefourier.GraphPropertySpec(4, 3), "r"),
+        (spec, "coeffs"),
+        (cubefourier.exact_transform(f), "n"),
+        (cubefourier.level_profile(spec), "weights"),
+        (spec.sums(), "total"),
+        (spec.level_sums(), "levels"),
+        (cubefourier.ReductionLayout(1, 1, 2), "m"),
+        (cubefourier.analyze(f), "entropy"),
+        (cubefourier.clique_experiment(3, 3), "ratio"),
+        (cubefourier.virtual_power_stats(f, 2), "N"),
+        (COMMANDS[0], "name"),
+    ]
+
+
+def test_the_immutable_types_refuse_assignment():
+    for value, field in _immutable_values():
+        for change in (
+            lambda: setattr(value, field, getattr(value, field)),
+            lambda: setattr(value, "extra", 1),
+            lambda: delattr(value, field),
+        ):
+            with pytest.raises(AttributeError):
+                change()
+
+
+def test_the_immutable_types_survive_pickle_and_copy():
+    for value, field in _immutable_values():
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert np.array_equal(getattr(twin, field), getattr(value, field))
+            if isinstance(value, Frozen) and isinstance(getattr(value, field), np.ndarray):
+                assert not getattr(twin, field).flags.writeable
+            if type(value).__eq__ is not object.__eq__:
+                assert twin == value
+
+
+def test_the_value_types_compare_and_hash_by_their_fields():
+    cf = cubefourier
+    for make, other in [
+        (lambda: cf.Bias.exact(1, 2), cf.Bias.general(0.25)),
+        (lambda: cf.GraphPropertySpec(4, 3), cf.GraphPropertySpec(4, 4)),
+        (lambda: cf.ReductionLayout(2, 1, 2), cf.ReductionLayout(2, 3, 2)),
+        (lambda: cf.majority(3), cf.parity(3, 7)),
+    ]:
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and a != other
+    f = cf.majority(3)
+    assert cf.transform(f, 0.3) == cf.transform(f, 0.3) != cf.transform(f, 0.4)
+    assert cf.exhaustive_sweep(2, 0.3) == cf.exhaustive_sweep(2, 0.3) != cf.exhaustive_sweep(2)
+    for unhashable in (cf.transform(f), cf.RealTable(0, [1.0]), cf.exhaustive_sweep(1)):
+        with pytest.raises(TypeError):
+            hash(unhashable)
 
 
 BLAS_ATTRIBUTES = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot", "linalg"}

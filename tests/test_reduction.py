@@ -33,6 +33,18 @@ def test_layout_geometry():
     assert Bias.exact(layout.t, layout.m).p == 0.25
 
 
+@pytest.mark.parametrize("args", [(2.5, 3, 4), (True, 1, 1), (2, 1.0, 2), (2, 1, True)])
+def test_layout_sizes_must_be_integers(args):
+    with pytest.raises(InputError, match="must be an integer"):
+        ReductionLayout(*args)
+
+
+def test_layout_keeps_numpy_integers_as_ints():
+    layout = ReductionLayout(np.int64(2), np.int32(1), np.uint8(2))
+    assert layout == ReductionLayout(2, 1, 2)
+    assert [type(v) for v in (layout.n_original, layout.t, layout.m)] == [int] * 3
+
+
 def test_reduction_requires_exact_bias():
     with pytest.raises(InputError):
         cf.reduce_table(cf.majority(3), Bias.general(0.3))
