@@ -37,8 +37,8 @@ _SOURCES = {
     ),
     "kernels": ("backend_name",),
     "reduction": (
-        "ReductionLayout", "reduce_table", "reduction_report", "verify_entropy_monotone",
-        "verify_red0", "verify_red_fk",
+        "reduce_table", "reduction_report", "verify_entropy_monotone", "verify_red0",
+        "verify_red_fk",
     ),
     "spectral": (
         "DyadicSpectrum", "LevelProfile", "Spectrum", "coordinate_influences", "degree",

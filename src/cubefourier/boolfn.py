@@ -117,19 +117,22 @@ def frozen_table(n: int, value, dtype, what: str, entries: str, least: int = 1) 
     return _frozen(table_entries(n, value, dtype, what, entries, least), value)
 
 
-def same_fields(a, b, *names: str) -> bool:
-    """Whether b has a's type and equal ``names`` fields (``np.array_equal`` on each)."""
-    return type(a) is type(b) and all(
-        np.array_equal(getattr(a, name), getattr(b, name)) for name in names
-    )
-
-
 class Frozen:
-    """Base of the immutable types: ``__init__`` sets each slot once with
-    ``object.__setattr__``, and any later assignment or deletion raises
-    AttributeError."""
+    """Base of the immutable types.
 
-    __slots__ = ()
+    Each type names its fields once, in ``_fields``: its ``__slots__``, or
+    the part of them that makes its value.  ``__init__`` sets them with
+    ``_set``, and any later assignment or deletion raises AttributeError.
+    Two values of the same type are equal when ``np.array_equal`` holds on
+    each field; the hash is that of the field tuple, so a type holding an
+    array is unhashable; the repr shows the fields.
+    """
+
+    __slots__ = _fields = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
@@ -146,11 +149,23 @@ class Frozen:
                     readonly(value)
                 object.__setattr__(self, name, value)
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in self._fields)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, k) for k in self._fields))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__name__}({fields})"
+
 
 class TruthTable(Frozen):
     """A Boolean function, one output bit per input mask."""
 
-    __slots__ = ("n", "bits")
+    __slots__ = _fields = ("n", "bits")
     n: int
     bits: np.ndarray  # uint8 in {0,1}, length 2**n, read-only
 
@@ -160,8 +175,7 @@ class TruthTable(Frozen):
             arr = frozen_table(n, bits, np.uint8, "truth table", "output bits")
         if arr.max() > 1 or (arr is not bits and not np.array_equal(arr, bits)):
             raise InputError("output bits must be 0 or 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", arr)
+        self._set(n=n, bits=arr)
 
     @property
     def size(self) -> int:
@@ -170,9 +184,6 @@ class TruthTable(Frozen):
     def sign_values(self) -> np.ndarray:
         """The +-1 view as a fresh float64 array: bit b maps to (-1)**b."""
         return sign_array(self.bits, np.float64)
-
-    def __eq__(self, other) -> bool:
-        return same_fields(self, other, "n", "bits")
 
     def __hash__(self):
         return hash((self.n, self.bits.tobytes()))
@@ -186,7 +197,7 @@ class TruthTable(Frozen):
 class RealTable(Frozen):
     """A real-valued function on the cube (n may be 0)."""
 
-    __slots__ = ("n", "values")
+    __slots__ = _fields = ("n", "values")
     n: int
     values: np.ndarray  # float64, length 2**n, read-only
 
@@ -194,8 +205,7 @@ class RealTable(Frozen):
         arr = frozen_table(n, values, np.float64, "table", "values", least=0)
         if not np.all(np.isfinite(arr)):
             raise InputError("table values must be finite")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", arr)
+        self._set(n=n, values=arr)
 
     @property
     def size(self) -> int:
@@ -203,9 +213,6 @@ class RealTable(Frozen):
 
     def sign_values(self) -> np.ndarray:
         return self.values.astype(np.float64)
-
-    def __eq__(self, other) -> bool:
-        return same_fields(self, other, "n", "values")
 
 
 class Bias(Frozen):
@@ -215,7 +222,7 @@ class Bias(Frozen):
     floating value is what every transform uses.
     """
 
-    __slots__ = ("p", "t", "m")
+    __slots__ = _fields = ("p", "t", "m")
     p: float
     t: int | None
     m: int | None
@@ -224,14 +231,16 @@ class Bias(Frozen):
         if t is not None:
             t = check_integer(t, "exact bias numerator t")
             m = check_integer(m, "exact bias exponent m")
-            if m < 1 or not 1 <= t < (1 << m):
+            # t < 2^m and the size of p are read off bit lengths, so a huge
+            # m is refused before 2^m is built: t/2^m < 2^-1075 rounds to 0.0
+            if not (t >= 1 and t.bit_length() <= m):
                 raise InputError("exact bias needs integers 1 <= t < 2^m")
+            if m - t.bit_length() >= 1075:
+                raise InputError(f"exact bias t/2^m rounds to 0: exponent m = {m} is too large")
             p = t / (1 << m)
         if not 0.0 < p < 1.0:
             raise InputError(f"bias must lie strictly between 0 and 1, got {p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "m", m)
+        self._set(p=p, t=t, m=m)
 
     @classmethod
     def general(cls, p: float) -> "Bias":
@@ -248,17 +257,6 @@ class Bias(Frozen):
     @property
     def is_exact(self) -> bool:
         return self.t is not None
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.p, self.t, self.m) == (other.p, other.t, other.m)
-
-    def __hash__(self):
-        return hash((self.p, self.t, self.m))
-
-    def __repr__(self) -> str:
-        return f"Bias(p={self.p!r}, t={self.t!r}, m={self.m!r})"
 
     def __str__(self) -> str:
         if self.is_exact:
@@ -279,7 +277,7 @@ class GraphPropertySpec(Frozen):
     lexicographic order, so spectra are deterministic across runs.
     """
 
-    __slots__ = ("n_vertices", "r")
+    __slots__ = _fields = ("n_vertices", "r")
     n_vertices: int
     r: int
 
@@ -288,19 +286,7 @@ class GraphPropertySpec(Frozen):
         r = check_integer(r, "clique size r")
         if not 2 <= r <= n_vertices:
             raise InputError("need 2 <= r <= n_vertices")
-        object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "r", r)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.n_vertices, self.r) == (other.n_vertices, other.r)
-
-    def __hash__(self):
-        return hash((self.n_vertices, self.r))
-
-    def __repr__(self) -> str:
-        return f"GraphPropertySpec(n_vertices={self.n_vertices!r}, r={self.r!r})"
+        self._set(n_vertices=n_vertices, r=r)
 
     @property
     def n_edges(self) -> int:

@@ -39,23 +39,25 @@ import os
 
 import numpy as np
 
-from . import _kernels_py, _stages
+from . import _stages
 from .errors import InputError
 
+# the numpy fallback, _kernels_py, is imported only when it is selected
 LOAD_ERROR = None
 if os.environ.get("CUBEFOURIER_PURE_PYTHON", "0") not in ("", "0"):
-    _impl = _kernels_py
-    BACKEND = "python"
     LOAD_ERROR = "compiled kernels not loaded: CUBEFOURIER_PURE_PYTHON is set"
 else:
     try:
         _stages.load()
-        _impl = _stages
-        BACKEND = "compiled"
     except OSError as exc:  # no compiler, a failed build, an unwritable cache, a bad library
-        _impl = _kernels_py
-        BACKEND = "python"
         LOAD_ERROR = f"C stage kernel not loaded: {exc}"
+if LOAD_ERROR is None:
+    _impl = _stages
+    BACKEND = "compiled"
+else:
+    from . import _kernels_py as _impl
+
+    BACKEND = "python"
 
 # Phase one works on runs of at most 2^_BLOCK_LOG2 entries: 512 KiB of
 # float64, which stays in a 2 MiB L2 across the run's stages.

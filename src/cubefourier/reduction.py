@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _SOURCES, kernels
-from .boolfn import Bias, Frozen, RealTable, TruthTable, readonly
-from .config import check_integer, check_table_size
+from .boolfn import Bias, RealTable, TruthTable, readonly
+from .config import check_table_size
 from .conjecture import PROVEN_BOUND_SLACK
 from .errors import InputError
 from .spectral import spectral_entropy, total_influence_spectral, transform
@@ -26,86 +26,44 @@ from .spectral import spectral_entropy, total_influence_spectral, transform
 __all__ = list(_SOURCES["reduction"])
 
 
-class ReductionLayout(Frozen):
-    """Index bookkeeping for one reduction instance."""
-
-    __slots__ = ("n_original", "t", "m")
-    n_original: int
-    t: int
-    m: int
-
-    def __init__(self, n_original: int, t: int, m: int):
-        n_original = check_integer(n_original, "original variable count")
-        if n_original < 1:
-            raise InputError("need at least one original variable")
-        bias = Bias.exact(t, m)
-        object.__setattr__(self, "n_original", n_original)
-        object.__setattr__(self, "t", bias.t)
-        object.__setattr__(self, "m", bias.m)
-        check_table_size(self.n_reduced, "reduced table")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.n_original, self.t, self.m) == (other.n_original, other.t, other.m)
-
-    def __hash__(self):
-        return hash((self.n_original, self.t, self.m))
-
-    def __repr__(self) -> str:
-        return f"ReductionLayout(n_original={self.n_original!r}, t={self.t!r}, m={self.m!r})"
-
-    @property
-    def n_reduced(self) -> int:
-        return self.n_original * self.m
-
-    @property
-    def threshold(self) -> int:
-        """Block values >= threshold make the original coordinate read 1."""
-        return (1 << self.m) - self.t
-
-
-def _block_table(layout: ReductionLayout, lut: np.ndarray) -> np.ndarray:
-    """Bit i of entry y is lut[block i of y], for every reduced mask y.
+def _block_table(n: int, lut: np.ndarray) -> np.ndarray:
+    """Bit i of entry y is lut[block i of y], for every mask y of n blocks of
+    m bits, where lut has 2^m entries.
 
     Built from outer products: the table for blocks 1..i+1 is the table for
     blocks 1..i repeated once per value of block i+1, ORed with that
     block's bit.  Entries use the smallest unsigned type that holds them.
     """
-    lut = lut.astype(np.min_scalar_type((1 << layout.n_original) - 1))
+    lut = lut.astype(np.min_scalar_type((1 << n) - 1))
     out = lut
-    for i in range(1, layout.n_original):
+    for i in range(1, n):
         out = ((lut << i)[:, None] | out[None, :]).ravel()
     return out
 
 
-def _original_table(layout: ReductionLayout) -> np.ndarray:
-    """Original input mask selected by every reduced input mask."""
-    return _block_table(layout, np.arange(1 << layout.m) >= layout.threshold)
-
-
-def _projection_table(layout: ReductionLayout) -> np.ndarray:
-    """Block projection of every reduced subset mask."""
-    return _block_table(layout, np.arange(1 << layout.m) != 0)
-
-
-def _exact_bias(p: Bias) -> tuple[int, int]:
+def _exact_bias(f: TruthTable | RealTable, p: Bias) -> tuple[int, int]:
+    """t and m of p, once p is an exact t/2^m and f's reduced table on
+    f.n * m variables is within the size cap."""
     if not isinstance(p, Bias) or not p.is_exact:
         raise InputError(
             "the reduction is defined only for exact dyadic biases t/2^m; "
             "construct one with Bias.exact(t, m)"
         )
+    if f.n < 1:
+        raise InputError("need at least one original variable")
+    check_table_size(f.n * p.m, "reduced table")
     return p.t, p.m
 
 
 def reduce_table(f: TruthTable | RealTable, p: Bias):
     """Pull f back to the uniform cube on n*m variables."""
-    t, m = _exact_bias(p)
-    layout = ReductionLayout(f.n, t, m)
-    x = _original_table(layout)
+    t, m = _exact_bias(f, p)
+    # the original input mask selected by every reduced input mask: a block
+    # makes its coordinate read 1 when its value is in the top t of 2^m
+    x = _block_table(f.n, np.arange(1 << m) >= (1 << m) - t)
     if isinstance(f, TruthTable):
-        return TruthTable(layout.n_reduced, readonly(f.bits[x]))
-    return RealTable(layout.n_reduced, readonly(f.values[x]))
+        return TruthTable(f.n * m, readonly(f.bits[x]))
+    return RealTable(f.n * m, readonly(f.values[x]))
 
 
 def floor_log2_reciprocal(t: int, m: int) -> int:
@@ -120,24 +78,24 @@ def reduction_report(f: TruthTable | RealTable, p: Bias) -> dict:
     butterfly weight there is +-1/2, so for a +-1 table each coefficient is
     exactly the dyadic rational the integer transform gives.
     """
-    t, m = _exact_bias(p)
-    layout = ReductionLayout(f.n, t, m)
+    t, m = _exact_bias(f, p)
     g_spec = transform(reduce_table(f, p), 0.5)
     f_spec = transform(f, p)
-    # the squares of g summed per block projection, one block at a time;
-    # add.at adds into each bin in index order, as bincount does
-    proj, c = _projection_table(layout), g_spec.coeffs
+    # the squares of g summed per block projection (the coordinates whose
+    # block is nonempty), one run at a time; add.at adds into each bin in
+    # index order, as bincount does
+    proj, c = _block_table(f.n, np.arange(1 << m) != 0), g_spec.coeffs
     grouped = np.zeros(1 << f.n)
     step = 1 << kernels._BLOCK_LOG2
     for lo in range(0, c.size, step):
         w = c[lo : lo + step]
         np.add.at(grouped, proj[lo : lo + step], w * w)
     lhs = total_influence_spectral(g_spec)
-    rhs = 6.0 * (t / (1 << m)) * floor_log2_reciprocal(t, m) * total_influence_spectral(f_spec)
+    rhs = 6.0 * p.p * floor_log2_reciprocal(t, m) * total_influence_spectral(f_spec)
     reduced = spectral_entropy(g_spec)
     original = spectral_entropy(f_spec)
     return {
-        "p": t / (1 << m),
+        "p": p.p,
         "t": t,
         "m": m,
         "red0_max_gap": float(np.max(np.abs(grouped - f_spec.squares()))),

@@ -33,7 +33,6 @@ from .boolfn import (
     level_array,
     mask_array,
     readonly,
-    same_fields,
     table_entries,
 )
 from .config import check_table_size
@@ -45,18 +44,15 @@ __all__ = list(_SOURCES["spectral"])
 class Spectrum(Frozen):
     """Transform coefficients of one function at one bias."""
 
-    __slots__ = ("n", "p", "coeffs", "_sums", "_level_sums")
+    _fields = ("n", "p", "coeffs")
+    __slots__ = (*_fields, "_sums", "_level_sums")
     n: int
     p: float
     coeffs: np.ndarray  # float64, index = subset mask, read-only
 
     def __init__(self, n: int, p: float, coeffs):
         arr = frozen_table(n, coeffs, np.float64, "spectrum", "coefficients")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", as_bias(p).p)
-        object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "_sums", None)
-        object.__setattr__(self, "_level_sums", None)
+        self._set(n=n, p=as_bias(p).p, coeffs=arr, _sums=None, _level_sums=None)
 
     @property
     def size(self) -> int:
@@ -74,15 +70,12 @@ class Spectrum(Frozen):
         value = getattr(self, key)
         if value is None:
             value = compute(self.coeffs.reshape(-1, 1))
-            object.__setattr__(self, key, value)
+            self._set(**{key: value})
         return value
 
     def squares(self) -> np.ndarray:
         """Squared coefficients, as a fresh read-only table on every call."""
         return readonly(self.coeffs * self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return same_fields(self, other, "n", "p", "coeffs")
 
 
 _NUMERATOR_LIMIT = 2.0**53
@@ -135,7 +128,8 @@ class LevelProfile(Frozen):
     from exact arithmetic; float ``weights`` are always present.
     """
 
-    __slots__ = ("n", "weights", "exact")
+    _fields = ("n", "weights")
+    __slots__ = (*_fields, "exact")
     n: int
     weights: np.ndarray  # float64, length n + 1, read-only
     exact: tuple[Fraction, ...] | None
@@ -144,9 +138,7 @@ class LevelProfile(Frozen):
         arr = frozen_array(weights, np.float64, n + 1, f"{n + 1} level weights")
         if exact is not None and len(exact) != n + 1:
             raise InputError("exact profile length mismatch")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "weights", arr)
-        object.__setattr__(self, "exact", exact)
+        self._set(n=n, weights=arr, exact=exact)
 
     @classmethod
     def from_numerators(cls, n: int, numerators, denom: int) -> "LevelProfile":
@@ -167,9 +159,6 @@ class LevelProfile(Frozen):
         levels = np.arange(self.n + 1, dtype=np.float64)
         mean = self.mean_level()
         return float(np.sum((levels - mean) ** 2 * self.weights))
-
-    def __eq__(self, other) -> bool:
-        return same_fields(self, other, "n", "weights")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +218,7 @@ class SquareSums(Frozen):
     skipped the coordinate fold, which no caller of ``square_sums`` sees.
     """
 
-    __slots__ = ("n", "total", "plogp", "level_mass", "coords")
+    __slots__ = _fields = ("n", "total", "plogp", "level_mass", "coords")
     n: int
     total: np.ndarray  # sum of w
     plogp: np.ndarray  # sum of w log2 w over w > 0
@@ -238,11 +227,9 @@ class SquareSums(Frozen):
 
     def __init__(self, n: int, total: np.ndarray, plogp: np.ndarray,
                  level_mass: np.ndarray, coords: np.ndarray | None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "total", readonly(total))
-        object.__setattr__(self, "plogp", readonly(plogp))
-        object.__setattr__(self, "level_mass", readonly(level_mass))
-        object.__setattr__(self, "coords", coords if coords is None else readonly(coords))
+        self._set(n=n, total=readonly(total), plogp=readonly(plogp),
+                  level_mass=readonly(level_mass),
+                  coords=coords if coords is None else readonly(coords))
 
     def entropy(self) -> np.ndarray:
         """Shannon entropy (bits) of each table's squares.
@@ -269,15 +256,13 @@ class LevelSums(Frozen):
     Built by :func:`level_sums`; both arrays are read-only, (rows, n + 1).
     """
 
-    __slots__ = ("n", "levels", "peaks")
+    __slots__ = _fields = ("n", "levels", "peaks")
     n: int
     levels: np.ndarray  # sum of c*c over |S| = k
     peaks: np.ndarray  # largest |c| over |S| = k, NaN ignored
 
     def __init__(self, n: int, levels: np.ndarray, peaks: np.ndarray):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "levels", readonly(levels))
-        object.__setattr__(self, "peaks", readonly(peaks))
+        self._set(n=n, levels=readonly(levels), peaks=readonly(peaks))
 
     def degree(self, tol: float) -> np.ndarray:
         """Largest level holding a coefficient above ``tol`` in magnitude, else 0."""

@@ -34,7 +34,7 @@ from cubefourier.boolfn import (
 from cubefourier.conjecture import clique_experiment
 from cubefourier.spectral import Spectrum, transform
 from cubefourier.errors import InputError, ResourceError
-from conftest import discrete_derivative
+from conftest import discrete_derivative, peak_bytes
 
 
 def test_dictator_copies_its_coordinate():
@@ -131,6 +131,30 @@ def test_bias_rejects_endpoints():
         Bias.general(1.0)
     with pytest.raises(InputError):
         Bias.exact(4, 2)
+
+
+def test_a_huge_exact_exponent_is_refused_before_two_to_the_m_is_built():
+    # 1/2^(10^8) rounds to 0.0; 2^(10^8) alone would take 12.7 MB
+    def refuse():
+        with pytest.raises(InputError, match="exponent m = 100000000 is too large"):
+            Bias.exact(1, 10**8)
+
+    assert peak_bytes(refuse) < 2**20
+
+
+def test_an_exact_bias_at_the_underflow_rounds_as_a_double():
+    assert Bias.exact(1, 1074).p == Bias.exact(3, 1076).p == 5e-324
+    with pytest.raises(InputError, match="got 0.0"):
+        Bias.exact(1, 1075)  # half the smallest double rounds to even, 0
+    for t, m in [(1, 1076), (3, 1077)]:
+        with pytest.raises(InputError, match="too large"):
+            Bias.exact(t, m)
+
+
+def test_an_exact_bias_keeps_numpy_integers_as_ints():
+    b = Bias.exact(np.int32(1), np.uint8(2))
+    assert b == Bias.exact(1, 2)
+    assert [type(v) for v in (b.t, b.m)] == [int, int]
 
 
 def test_bias_that_is_not_a_number_is_an_input_error():

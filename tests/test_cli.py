@@ -175,6 +175,18 @@ def test_reduce_needs_exact_bias(capsys):
     assert "exact bias" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--bits", "01", "--pt", "1", "--pm", "100000000000"),
+    ("reduce", "--family", "dictator:1,1", "--t", "1", "--m", "1000000000000"),
+])
+def test_a_huge_exact_exponent_is_a_one_line_error(capsys, argv):
+    assert run(*argv) == 1
+    m = argv[-1]
+    assert capsys.readouterr().err == (
+        f"cubefourier: error: exact bias t/2^m rounds to 0: exponent m = {m} is too large\n"
+    )
+
+
 def test_tensor_virtual_vs_explicit(capsys):
     assert run("tensor", "--family", "majority:3", "--power", "2",
                "--format", "json") == 0

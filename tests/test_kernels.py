@@ -233,16 +233,14 @@ def test_concurrent_callers_share_the_pool_safely():
             assert got is not None and np.array_equal(got, want), backend.__name__
 
 
-def _child_kernels(prelude="", **env_extra):
-    """BACKEND and LOAD_ERROR of cubefourier.kernels in a fresh interpreter."""
+def _child_kernels(prelude="", report="[k.BACKEND, k.LOAD_ERROR]", **env_extra):
+    """``report`` (by default BACKEND and LOAD_ERROR) of cubefourier.kernels
+    in a fresh interpreter."""
     import json
     import subprocess
     import sys
 
-    code = (
-        prelude
-        + "import json, cubefourier.kernels as k; print(json.dumps([k.BACKEND, k.LOAD_ERROR]))"
-    )
+    code = prelude + f"import json, sys, cubefourier.kernels as k; print(json.dumps({report}))"
     env = {"PATH": "/usr/bin:/bin"}
     if "PYTHONPATH" in os.environ:
         env["PYTHONPATH"] = os.environ["PYTHONPATH"]
@@ -251,6 +249,13 @@ def _child_kernels(prelude="", **env_extra):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return json.loads(out.stdout)
+
+
+@pytest.mark.skipif(kernels.backend_name() == "python", reason="the numpy stage is selected")
+def test_the_c_stage_leaves_the_numpy_stage_unimported():
+    report = "[k.BACKEND, 'cubefourier._kernels_py' in sys.modules]"
+    assert _child_kernels(report=report) == ["compiled", False]
+    assert _child_kernels(report=report, CUBEFOURIER_PURE_PYTHON="1") == ["python", True]
 
 
 def test_load_error_names_the_forcing_variable():

@@ -156,7 +156,6 @@ def _immutable_values():
         (cubefourier.level_profile(spec), "weights"),
         (spec.sums(), "total"),
         (spec.level_sums(), "levels"),
-        (cubefourier.ReductionLayout(1, 1, 2), "m"),
         (cubefourier.analyze(f), "entropy"),
         (cubefourier.clique_experiment(3, 3), "ratio"),
         (cubefourier.virtual_power_stats(f, 2), "N"),
@@ -191,17 +190,56 @@ def test_the_value_types_compare_and_hash_by_their_fields():
     for make, other in [
         (lambda: cf.Bias.exact(1, 2), cf.Bias.general(0.25)),
         (lambda: cf.GraphPropertySpec(4, 3), cf.GraphPropertySpec(4, 4)),
-        (lambda: cf.ReductionLayout(2, 1, 2), cf.ReductionLayout(2, 3, 2)),
         (lambda: cf.majority(3), cf.parity(3, 7)),
     ]:
         a, b = make(), make()
         assert a == b and hash(a) == hash(b) and a != other
     f = cf.majority(3)
-    assert cf.transform(f, 0.3) == cf.transform(f, 0.3) != cf.transform(f, 0.4)
-    assert cf.exhaustive_sweep(2, 0.3) == cf.exhaustive_sweep(2, 0.3) != cf.exhaustive_sweep(2)
-    for unhashable in (cf.transform(f), cf.RealTable(0, [1.0]), cf.exhaustive_sweep(1)):
+    for make, other in [
+        (lambda: cf.transform(f, 0.3), cf.transform(f, 0.4)),
+        (lambda: cf.transform(f, 0.3).sums(), cf.transform(f, 0.4).sums()),
+        (lambda: cf.transform(f, 0.3).level_sums(), cf.transform(f, 0.4).level_sums()),
+        (lambda: cf.exhaustive_sweep(2, 0.3), cf.exhaustive_sweep(2)),
+    ]:
+        a, b = make(), make()
+        assert a is not b and a == b != other
+    for unhashable in (cf.transform(f), cf.transform(f).sums(), cf.transform(f).level_sums(),
+                       cf.RealTable(0, [1.0]), cf.exhaustive_sweep(1)):
         with pytest.raises(TypeError):
             hash(unhashable)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_frozen_type_names_its_fields_once():
+    """``_fields`` are slots; the field repr rebuilds an equal value; a type
+    holding an array is unhashable unless it hashes its own way."""
+    from cubefourier.spectral import DyadicSpectrum
+
+    values = [value for value, _ in _immutable_values() if isinstance(value, Frozen)]
+    assert {type(v) for v in values} == set(_subclasses(Frozen))
+    for value in values:
+        cls = type(value)
+        slots = {name for c in cls.__mro__ for name in getattr(c, "__slots__", ())}
+        assert cls._fields and set(cls._fields) <= slots, cls
+        holds_array = any(isinstance(getattr(value, k), np.ndarray) for k in cls._fields)
+        if holds_array and cls.__hash__ is Frozen.__hash__:
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(copy.deepcopy(value))
+        # a TruthTable shows its bits or hex, and a DyadicSpectrum is built
+        # from numerators, not from its fields; arrays show every float
+        # exactly only in numpy's "unique" float mode
+        if cls not in (cubefourier.TruthTable, DyadicSpectrum):
+            namespace = {cls.__name__: cls, "array": np.array, "np": np}
+            with np.printoptions(floatmode="unique"):
+                text = repr(value)
+            assert eval(text, namespace) == value, text
 
 
 BLAS_ATTRIBUTES = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot", "linalg"}

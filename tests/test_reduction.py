@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,15 +8,32 @@ from hypothesis import strategies as st
 import cubefourier as cf
 from cubefourier.boolfn import Bias, mask_array
 from cubefourier import reduction
-from cubefourier.errors import InputError
-from cubefourier.reduction import ReductionLayout, floor_log2_reciprocal
+from cubefourier.errors import InputError, ResourceError
+from cubefourier.reduction import floor_log2_reciprocal
 from cubefourier.spectral import measure_weights
+
+
+class Layout(NamedTuple):
+    """One reduction instance: n original variables at bias t/2^m."""
+
+    n: int
+    t: int
+    m: int
+
+    @property
+    def n_reduced(self) -> int:
+        return self.n * self.m
+
+    @property
+    def threshold(self) -> int:
+        """Block values >= threshold make the original coordinate read 1."""
+        return (1 << self.m) - self.t
 
 
 def _original_masks(layout, y):
     """Original input mask selected by each reduced mask y: the reduction of
     the table whose value at every original mask is that mask."""
-    n = layout.n_original
+    n = layout.n
     identity = cf.RealTable(n, np.arange(2**n, dtype=float))
     g = cf.reduce_table(identity, Bias.exact(layout.t, layout.m))
     return g.values.astype(np.int64)[np.asarray(y, dtype=np.int64)]
@@ -23,26 +42,8 @@ def _original_masks(layout, y):
 def _projections(layout, masks):
     """Original subset mask whose block pattern matches each reduced subset
     mask: the coordinates whose block in it is nonempty."""
-    return reduction._projection_table(layout)[np.asarray(masks, dtype=np.int64)].astype(np.int64)
-
-
-def test_layout_geometry():
-    layout = ReductionLayout(3, t=1, m=2)
-    assert layout.n_reduced == 6
-    assert layout.threshold == 3
-    assert Bias.exact(layout.t, layout.m).p == 0.25
-
-
-@pytest.mark.parametrize("args", [(2.5, 3, 4), (True, 1, 1), (2, 1.0, 2), (2, 1, True)])
-def test_layout_sizes_must_be_integers(args):
-    with pytest.raises(InputError, match="must be an integer"):
-        ReductionLayout(*args)
-
-
-def test_layout_keeps_numpy_integers_as_ints():
-    layout = ReductionLayout(np.int64(2), np.int32(1), np.uint8(2))
-    assert layout == ReductionLayout(2, 1, 2)
-    assert [type(v) for v in (layout.n_original, layout.t, layout.m)] == [int] * 3
+    table = reduction._block_table(layout.n, np.arange(1 << layout.m) != 0)
+    return table[np.asarray(masks, dtype=np.int64)].astype(np.int64)
 
 
 def test_reduction_requires_exact_bias():
@@ -50,6 +51,14 @@ def test_reduction_requires_exact_bias():
         cf.reduce_table(cf.majority(3), Bias.general(0.3))
     with pytest.raises(InputError):
         cf.reduce_table(cf.majority(3), 0.25)  # plain float is not enough
+
+
+@pytest.mark.parametrize("run", [cf.reduce_table, cf.reduction_report])
+def test_reduction_refuses_a_zero_variable_table_and_an_oversized_result(run):
+    with pytest.raises(InputError, match="at least one original variable"):
+        run(cf.RealTable(0, [1.0]), Bias.exact(1, 2))
+    with pytest.raises(ResourceError, match="reduced table on 30 variables"):
+        run(cf.majority(3), Bias.exact(1, 10))
 
 
 def test_dictator_quarter_reduces_to_and2():
@@ -64,7 +73,7 @@ def test_dictator_three_quarters_reduces_to_or2():
 
 def test_reduction_block_threshold():
     # t=3, m=2: blocks with value >= 1 feed a 1 into the original function
-    layout = ReductionLayout(1, t=3, m=2)
+    layout = Layout(1, t=3, m=2)
     x = _original_masks(layout, np.arange(4))
     assert x.tolist() == [0, 1, 1, 1]
 
@@ -73,7 +82,7 @@ def test_reduction_block_threshold():
 def test_reduced_bit_frequency_matches_bias(n, m):
     """Each original coordinate must read 1 on exactly t of 2^m block values."""
     for t in range(1, 1 << m):
-        layout = ReductionLayout(n, t=t, m=m)
+        layout = Layout(n, t=t, m=m)
         y = np.arange(1 << layout.n_reduced, dtype=np.int64)
         x = _original_masks(layout, y)
         for i in range(n):
@@ -85,7 +94,7 @@ def test_pushforward_counts_are_exact_integers():
     # the uniform measure on reduced masks must push forward to exactly
     # t^|x| (2^m - t)^(n - |x|) preimages of each original mask x
     for n, t, m in [(2, 1, 2), (2, 3, 2), (1, 5, 3), (3, 1, 2)]:
-        layout = ReductionLayout(n, t=t, m=m)
+        layout = Layout(n, t=t, m=m)
         x = _original_masks(layout, np.arange(1 << layout.n_reduced, dtype=np.int64))
         counts = np.bincount(x, minlength=1 << n)
         ones = np.bitwise_count(mask_array(n)).astype(np.int64)
@@ -100,7 +109,7 @@ def test_constant_reduces_to_constant():
 
 
 def test_block_projection_groups_by_nonempty_blocks():
-    layout = ReductionLayout(2, t=1, m=2)
+    layout = Layout(2, t=1, m=2)
     masks = np.array([0b0000, 0b0001, 0b0100, 0b0101, 0b1100])
     proj = _projections(layout, masks)
     assert proj.tolist() == [0b00, 0b01, 0b10, 0b11, 0b10]
@@ -148,7 +157,7 @@ def test_red0_aggregates_squares_exactly_for_dictator():
     p = Bias.exact(1, 2)
     g = cf.reduce_table(f, p)
     gsp = cf.exact_transform(g)
-    layout = ReductionLayout(f.n, p.t, p.m)
+    layout = Layout(f.n, p.t, p.m)
     proj = _projections(layout, np.arange(1 << g.n))
     squares = (gsp.numerators / (1 << g.n)) ** 2
     # V(empty) carries (1-2p)^2 = 1/4, V({1}) carries 4p(1-p) = 3/4
@@ -245,7 +254,7 @@ def _per_block(layout, y, keep):
     """Bit i of the result is keep(block i of y), one block at a time."""
     y = np.asarray(y, dtype=np.int64)
     out = np.zeros_like(y)
-    for i in range(layout.n_original):
+    for i in range(layout.n):
         vals = (y >> (i * layout.m)) & ((1 << layout.m) - 1)
         out |= keep(vals).astype(np.int64) << i
     return out
@@ -256,7 +265,7 @@ def _layout_and_masks(draw):
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 14 // m))
     t = draw(st.integers(1, (1 << m) - 1))
-    layout = ReductionLayout(n, t=t, m=m)
+    layout = Layout(n, t=t, m=m)
     masks = draw(st.lists(st.integers(0, (1 << layout.n_reduced) - 1), max_size=64))
     return layout, np.array(masks, dtype=np.int64)
 
