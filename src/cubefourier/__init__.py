@@ -31,14 +31,14 @@ _SOURCES = {
         "parse_truth_table", "random_function", "table_to_hex", "tribes",
     ),
     "conjecture": (
-        "AnalysisReport", "CliqueReport", "SweepResult", "analyze", "binary_entropy",
-        "clique_experiment", "ei_ratio", "entropy_upper_bounds", "exhaustive_sweep",
-        "write_sweep_csv",
+        "AnalysisReport", "Check", "CliqueReport", "SweepResult", "analyze",
+        "binary_entropy", "clique_experiment", "ei_ratio", "entropy_upper_bounds",
+        "exhaustive_sweep", "write_sweep_csv",
     ),
     "kernels": ("backend_name",),
     "reduction": (
-        "reduce_table", "reduction_report", "verify_entropy_monotone", "verify_red0",
-        "verify_red_fk",
+        "reduce_table", "reduction_checks", "reduction_report", "verify_entropy_monotone",
+        "verify_red0", "verify_red_fk",
     ),
     "spectral": (
         "DyadicSpectrum", "LevelProfile", "Spectrum", "coordinate_influences", "degree",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for bad input or usage, 2 only when a proven
 inequality fails its check (which signals a defect worth investigating,
-never a routine error).
+never a routine error).  Only ``main`` sets it, from the library's check
+records that each command returns; the text marks come from them too.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ try:
     )
     from .config import get_max_n, set_max_n
     from .conjecture import (
-        PROVEN_BOUND_SLACK,
-        PROVEN_BOUNDS,
+        Check,
         analyze,
         _summarise_sweep,
         _sweep_stream,
@@ -61,7 +61,7 @@ try:
     )
     from .errors import InputError, ResourceError
     from .kernels import backend_name
-    from .reduction import reduction_report
+    from .reduction import reduction_checks, reduction_report
     from .spectral import (
         load_spectrum_binary,
         save_spectrum_binary,
@@ -97,13 +97,13 @@ class CommandSpec(NamedTuple):
     """One subcommand: its name, help line, flag setup, and handler.
 
     The handler returns the JSON payload, the text report lines and the
-    exit code.
+    checks that decide the exit code.
     """
 
     name: str
     help: str
     configure: Callable[[argparse.ArgumentParser], None]
-    run: Callable[[argparse.Namespace], tuple[dict, list[str], int]]
+    run: Callable[[argparse.Namespace], tuple[dict, list[str], tuple[Check, ...]]]
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +210,11 @@ def _add_common(parser):
     )
 
 
-def _apply_common(ns) -> None:
-    if ns.max_n is not None:
-        set_max_n(ns.max_n)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 #
-# Each returns (JSON payload, text report lines, exit code); main writes
-# the report in the format asked for.
-
-
-def _mark(holds: bool) -> str:
-    return "ok" if holds else "VIOLATED"
+# Each returns (JSON payload, text report lines, checks); main writes the
+# report in the format asked for and exits with 2 if a check is violated.
 
 
 def _cmd_analyze(ns):
@@ -238,13 +229,12 @@ def _cmd_analyze(ns):
         f"{report.support_captured:.6g} (eps = {report.epsilon:g})",
         f"parseval gap       {report.parseval:.3g}",
     ]
-    for name, value in report.bounds.items():
-        mark = _mark(name not in report.violations) if name in PROVEN_BOUNDS else "recorded"
-        lines.append(f"bound {name:<14} {value:.10g}  [{mark}]")
+    for check in report.checks:
+        lines.append(f"bound {check.name:<14} {check.bound:.10g}  [{check.mark}]")
     if report.claim_constant is not None:
         lines.append(f"biased claim constant  {report.claim_constant:.10g}")
     payload = {"schema": 1, "command": "analyze", **report.to_dict()}
-    return payload, lines, EXIT_VIOLATION if report.violations else EXIT_OK
+    return payload, lines, report.checks
 
 
 def _cmd_reduce(ns):
@@ -252,24 +242,15 @@ def _cmd_reduce(ns):
     if ns.pt is None or ns.pm is None:
         raise InputError("the reduction needs an exact bias: --t T --m M")
     report = reduction_report(f, Bias.exact(ns.pt, ns.pm))
-    fk, ent = report["red_fk"], report["entropy"]
-    # the influence bound is proven only for p <= 1/2; above it is recorded
-    fk_proven = report["p"] <= 0.5
+    _, fk, ent = checks = reduction_checks(report)
     lines = [
         f"p = {report['p']:.6g} = {report['t']}/2^{report['m']}"
         f"   reduced variables = {f.n * report['m']}",
         f"squared-coefficient gap  {report['red0_max_gap']:.3g}",
-        f"influence bound          {fk['lhs']:.10g} <= {fk['rhs']:.10g}"
-        f"  [{_mark(fk['holds']) if fk_proven else 'recorded'}]",
-        f"entropy monotone         {ent['reduced']:.10g} >= "
-        f"{ent['original']:.10g}  [{_mark(ent['holds'])}]",
+        f"influence bound          {fk.value:.10g} <= {fk.bound:.10g}  [{fk.mark}]",
+        f"entropy monotone         {ent.bound:.10g} >= {ent.value:.10g}  [{ent.mark}]",
     ]
-    proven_failed = (
-        not ent["holds"]
-        or report["red0_max_gap"] > PROVEN_BOUND_SLACK
-        or (fk_proven and not fk["holds"])
-    )
-    return report, lines, EXIT_VIOLATION if proven_failed else EXIT_OK
+    return report, lines, checks
 
 
 def _cmd_tensor(ns):
@@ -312,7 +293,7 @@ def _cmd_tensor(ns):
         if g2 is not None:
             payload["function_hex"] = table_to_hex(g) if g.n <= 16 else None
     lines = [f"{key} = {value}" for key, value in payload.items() if key != "schema"]
-    return payload, lines, EXIT_OK
+    return payload, lines, ()
 
 
 @contextmanager
@@ -370,23 +351,23 @@ def _cmd_sweep(ns):
     ]
     if ns.csv:
         lines.append(f"per-function table written to {ns.csv}")
-    return payload, lines, EXIT_VIOLATION if summary.violations else EXIT_OK
+    return payload, lines, summary.checks
 
 
 def _cmd_clique(ns):
     report = clique_experiment(ns.nv, ns.r)
+    (union,) = report.checks
     lines = [
         f"K_{report.r} on {report.n_vertices} vertices; {report.n_edges} edge variables",
         f"critical bias p0 = {report.p0:.12g} "
         f"(equation residual {report.equation_residual:.3g})",
         f"entropy   {report.entropy:.10g}",
-        f"influence {report.influence:.10g} <= {report.union_bound:.10g}"
-        f"  [{_mark(report.union_bound_holds)}]",
+        f"influence {union.value:.10g} <= {union.bound:.10g}  [{union.mark}]",
         f"clique coefficients agree to {report.coefficient_spread:.3g}",
         f"normalised ratio {report.ratio:.10g}",
     ]
     payload = {"schema": 1, "command": "clique", **report.to_dict()}
-    return payload, lines, EXIT_OK if report.union_bound_holds else EXIT_VIOLATION
+    return payload, lines, report.checks
 
 
 def _cmd_spectrum(ns):
@@ -421,7 +402,7 @@ def _cmd_spectrum(ns):
         "influence": infl,
         "top": [{"mask": int(msk), "coefficient": float(sp.coeffs[msk])} for msk in order],
     }
-    return payload, lines, EXIT_OK
+    return payload, lines, ()
 
 
 def _conf_analyze(p):
@@ -511,18 +492,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # --max-n holds for one command: a caller in the same process (a test,
+    # --max-n is set for one command: a caller in the same process (a test,
     # a notebook) keeps its own cap afterwards.
     saved = get_max_n()
     try:
         ns = parser.parse_args(argv)
-        _apply_common(ns)
+        if ns.max_n is not None:
+            set_max_n(ns.max_n)
         # the report file is opened before any work, so a bad path costs none
         with _replacing(ns.output) as fh:
-            payload, lines, code = ns.func(ns)
+            payload, lines, checks = ns.func(ns)
             text = json.dumps(payload, indent=2) if ns.format == "json" else "\n".join(lines)
             print(text, file=fh)
-        return code
+        return EXIT_VIOLATION if any(check.violated for check in checks) else EXIT_OK
     except (InputError, ResourceError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the allocation it refused; a bare one is empty
         print(f"cubefourier: error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -96,12 +96,44 @@ def entropy_upper_bounds(n: int, influence, infl_vec) -> dict:
     return out
 
 
-PROVEN_BOUNDS = ("h_bound", "proof_form", "logn_bound")
+class Check(NamedTuple):
+    """One inequality of a report, ``value`` <= ``bound`` up to
+    PROVEN_BOUND_SLACK, with ``holds`` computed where the check is made.  A
+    proven check that fails signals a defect: the command line exits with 2."""
+
+    name: str
+    value: float
+    bound: float
+    proven: bool
+    holds: bool
+
+    @property
+    def violated(self) -> bool:
+        return self.proven and not self.holds
+
+    @property
+    def mark(self) -> str:
+        if not self.proven:
+            return "recorded"
+        return "ok" if self.holds else "VIOLATED"
 
 
-def exceeded_bounds(entropy, bounds: dict) -> dict:
-    """For each proven bound, whether the entropy exceeds it (elementwise)."""
-    return {name: entropy > bounds[name] + PROVEN_BOUND_SLACK for name in PROVEN_BOUNDS}
+def _bounds_proven(p: float) -> bool:
+    """The entropy bounds are theorems of the uniform measure."""
+    return p == 0.5
+
+
+def entropy_checks(p: float, entropy, bounds: dict) -> tuple[Check, ...]:
+    """The entropy against each of ``bounds`` (from entropy_upper_bounds),
+    elementwise: an array ``entropy`` gives arrays of values and ``holds``.
+    Nothing is checked away from p = 1/2, and displayed_form is recorded."""
+    if not _bounds_proven(p):
+        return ()
+    return tuple(
+        Check(name, entropy, bound, name != "displayed_form",
+              np.logical_not(entropy > bound + PROVEN_BOUND_SLACK))
+        for name, bound in bounds.items()
+    )
 
 
 class AnalysisReport(NamedTuple):
@@ -113,8 +145,7 @@ class AnalysisReport(NamedTuple):
     influence: float
     influence_vec: tuple[float, ...]
     ratio: float | None
-    bounds: dict
-    violations: tuple[str, ...]
+    checks: tuple[Check, ...]  # one per entropy bound, at p = 1/2 only
     degree: int
     level_weights: tuple[float, ...]
     support_size: int
@@ -122,6 +153,14 @@ class AnalysisReport(NamedTuple):
     epsilon: float
     parseval: float
     claim_constant: float | None = None
+
+    @property
+    def bounds(self) -> dict:
+        return {check.name: check.bound for check in self.checks}
+
+    @property
+    def violations(self) -> tuple[str, ...]:
+        return tuple(check.name for check in self.checks if check.violated)
 
     def to_dict(self) -> dict:
         return {
@@ -131,7 +170,7 @@ class AnalysisReport(NamedTuple):
             "influence": self.influence,
             "influence_per_coordinate": list(self.influence_vec),
             "ei_ratio": self.ratio,
-            "bounds": dict(self.bounds),
+            "bounds": self.bounds,
             "violations": list(self.violations),
             "degree": self.degree,
             "level_weights": list(self.level_weights),
@@ -154,19 +193,12 @@ def analyze(f: TruthTable, p=0.5, epsilon: float = 1e-2) -> AnalysisReport:
     ivec = coordinate_influences(spec)
     profile = level_profile(spec)
     size, captured = support_size(spec, epsilon)
-    if bias.p == 0.5:
-        bounds = entropy_upper_bounds(f.n, infl, ivec)
-        violations = tuple(name for name, bad in exceeded_bounds(ent, bounds).items() if bad)
-        claim = None
-    else:
-        # The proven bounds are uniform-measure statements; at other biases
-        # only the conjectured normalisation is recorded.
-        bounds = {}
-        violations = ()
-        claim = None
-        if f.n >= 2 and infl > 0.0:
-            denom = bias.p * (1.0 - bias.p) * math.log2(f.n) * infl
-            claim = ent / denom if denom > 0.0 else None
+    checks = entropy_checks(bias.p, ent, entropy_upper_bounds(f.n, infl, ivec))
+    claim = None
+    # where no bound is checked, only the conjectured normalisation is recorded
+    if not checks and f.n >= 2 and infl > 0.0:
+        denom = bias.p * (1.0 - bias.p) * math.log2(f.n) * infl
+        claim = ent / denom if denom > 0.0 else None
     return AnalysisReport(
         n=f.n,
         p=bias.p,
@@ -174,8 +206,7 @@ def analyze(f: TruthTable, p=0.5, epsilon: float = 1e-2) -> AnalysisReport:
         influence=infl,
         influence_vec=tuple(float(x) for x in ivec),
         ratio=ei_ratio(ent, infl, bias.p),
-        bounds=bounds,
-        violations=violations,
+        checks=checks,
         degree=spectral_degree(spec),
         level_weights=tuple(float(w) for w in profile.weights),
         support_size=size,
@@ -289,7 +320,7 @@ def _sweep_chunk(
         signs = _BYTE_SIGNS[: min(8, (1 << n) - mask)]
         np.take(signs, octets[:, mask // 8], axis=1, out=coeffs[mask : mask + 8])
     biased_forward_inplace(coeffs, p)
-    full = bounds or p == 0.5  # the violations at p = 1/2 need the bounds
+    full = bounds or _bounds_proven(p)  # a proven check needs the bounds
     sums = _square_sums(coeffs, work, coords=full)  # overwrites coeffs with the squares
     ent = sums.entropy()
     infl = sums.influence(p)
@@ -305,9 +336,9 @@ def _sweep_chunk(
         part = slice(start, start + _BOUND_ROWS)
         bound = entropy_upper_bounds(n, infl[part], ivec[part])
         bad = np.zeros(bound["h_bound"].size, dtype=bool)
-        if p == 0.5:
-            for over in exceeded_bounds(ent[part], bound).values():
-                bad |= over
+        for check in entropy_checks(p, ent[part], bound):
+            if check.proven:
+                bad |= ~check.holds
         pieces.append((bound["h_bound"], bound["logn_bound"], bad))
     stats["h_bound"], stats["logn_bound"], stats["bad"] = (
         np.concatenate(column) for column in zip(*pieces)
@@ -428,6 +459,12 @@ class _SweepSummary:
                 self.best = float(ratio[idx])
                 self.best_hex = rows_to_hex(_id_bits(self.n, ids[idx : idx + 1]))[0]
         self.violations += _chunk_violations(self.n, ids, stats)
+
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        """The count of functions that break a proven bound, against 0."""
+        count = len(self.violations)
+        return (Check("violations", count, 0, True, count == 0),)
 
 
 def _summarise_sweep(n: int, stream, csv_file=None) -> _SweepSummary:
@@ -571,21 +608,17 @@ class CliqueReport(NamedTuple):
     coefficient_spread: float
     ratio: float | None
 
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        """The union bound on the influence, proven at every bias."""
+        return (Check("union_bound", self.influence, self.union_bound, True,
+                      self.union_bound_holds),)
+
     def to_dict(self) -> dict:
-        return {
-            "n_vertices": self.n_vertices,
-            "r": self.r,
-            "n_edges": self.n_edges,
-            "p0": self.p0,
-            "equation_residual": self.equation_residual,
-            "entropy": self.entropy,
-            "influence": self.influence,
-            "union_bound": self.union_bound,
-            "union_bound_holds": self.union_bound_holds,
-            "clique_coefficients": list(self.clique_coefficients),
-            "coefficient_spread": self.coefficient_spread,
-            "ei_ratio": self.ratio,
-        }
+        out = self._asdict()
+        out["clique_coefficients"] = list(self.clique_coefficients)
+        out["ei_ratio"] = out.pop("ratio")  # the last field
+        return out
 
 
 def clique_experiment(n_vertices: int, r: int) -> CliqueReport:

@@ -19,7 +19,7 @@ import numpy as np
 from . import _SOURCES, kernels
 from .boolfn import Bias, RealTable, TruthTable, readonly
 from .config import check_table_size
-from .conjecture import PROVEN_BOUND_SLACK
+from .conjecture import PROVEN_BOUND_SLACK, Check
 from .errors import InputError
 from .spectral import spectral_entropy, total_influence_spectral, transform
 
@@ -108,6 +108,18 @@ def reduction_report(f: TruthTable | RealTable, p: Bias) -> dict:
     }
 
 
+def reduction_checks(report: dict) -> tuple[Check, ...]:
+    """The three inequalities of a :func:`reduction_report`.  The influence
+    bound red_fk is proven for p <= 1/2 only: above it the floor term
+    vanishes, and it is recorded.  The other two are proven at every bias."""
+    gap, fk, ent = report["red0_max_gap"], report["red_fk"], report["entropy"]
+    return (
+        Check("red0", gap, 0.0, True, not gap > PROVEN_BOUND_SLACK),
+        Check("red_fk", fk["lhs"], fk["rhs"], report["p"] <= 0.5, fk["holds"]),
+        Check("entropy", ent["original"], ent["reduced"], True, ent["holds"]),
+    )
+
+
 def verify_red0(f: TruthTable | RealTable, p: Bias) -> float:
     """Max gap between aggregated reduced squares and original squares.
 
@@ -121,8 +133,7 @@ def verify_red0(f: TruthTable | RealTable, p: Bias) -> float:
 def verify_red_fk(f: TruthTable | RealTable, p: Bias) -> tuple[float, float, bool]:
     """Check uniform influence of g against 6 p floor(log2(1/p)) I_p(f).
 
-    The bound is proven for p <= 1/2; above that the floor term vanishes
-    and the comparison is reported but not meaningful.
+    The bound is proven for p <= 1/2 (see :func:`reduction_checks`).
     """
     fk = reduction_report(f, p)["red_fk"]
     return fk["lhs"], fk["rhs"], fk["holds"]

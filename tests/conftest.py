@@ -79,6 +79,22 @@ def naive():
     return naive_transform
 
 
+@pytest.fixture
+def tightened(monkeypatch):
+    """The additive bound lowered by 0.95.  No function breaks a proven
+    bound, so this makes the violation paths run on real spectra."""
+    from cubefourier import conjecture
+
+    real = conjecture.entropy_upper_bounds
+
+    def lowered(n, influence, infl_vec):
+        bounds = real(n, influence, infl_vec)
+        bounds["logn_bound"] = bounds["logn_bound"] - 0.95
+        return bounds
+
+    monkeypatch.setattr(conjecture, "entropy_upper_bounds", lowered)
+
+
 def peak_bytes(fn) -> int:
     """Peak bytes traced while fn() runs, above those live when it starts."""
     tracemalloc.start()

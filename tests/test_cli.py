@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cubefourier as cf
+from cubefourier import conjecture, reduction, spectral
 from cubefourier.cli import FAMILIES, main, parse_family
 from cubefourier.errors import InputError
 from test_golden import GOLDEN
@@ -396,6 +397,53 @@ def test_proven_violation_maps_to_exit_two(monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod, "reduction_report", fake_report)
     assert run("reduce", "--family", "dictator:1,1", "--t", "1", "--m", "2") == 2
+
+
+# Each patch breaks one inequality, below the code that checks it.
+def _break_red0(monkeypatch):
+    real = spectral.Spectrum.squares
+    monkeypatch.setattr(spectral.Spectrum, "squares", lambda self: real(self) + 1e-6)
+
+
+def _break_red_fk(monkeypatch):
+    monkeypatch.setattr(reduction, "floor_log2_reciprocal", lambda t, m: 0)
+
+
+def _break_entropy_monotone(monkeypatch):
+    # the reduced spectrum has more variables, so it gets the lower entropy
+    monkeypatch.setattr(reduction, "spectral_entropy", lambda spec: -float(spec.n))
+
+
+def _break_union_bound(monkeypatch):
+    monkeypatch.setattr(conjecture, "total_influence_spectral", lambda spec: 1e9)
+
+
+QUARTER = ["reduce", "--family", "majority:3", "--t", "1", "--m", "2"]
+
+
+@pytest.mark.parametrize("argv, brk, marked, code", [
+    (["analyze", "--family", "and:3"], "tightened", "bound logn_bound", 2),
+    (QUARTER, _break_red0, None, 2),  # the gap's text line carries no mark
+    (QUARTER, _break_red_fk, "influence bound", 2),
+    (QUARTER, _break_entropy_monotone, "entropy monotone", 2),
+    (["clique", "--nv", "5", "--r", "3"], _break_union_bound, "influence", 2),
+    # above p = 1/2 the influence bound is recorded, never asserted
+    (["reduce", "--family", "majority:3", "--t", "3", "--m", "2"], _break_red_fk,
+     "influence bound", 0),
+])
+def test_each_failing_proven_check_exits_two(request, monkeypatch, capsys, argv, brk, marked,
+                                             code):
+    if brk == "tightened":
+        request.getfixturevalue("tightened")
+    else:
+        brk(monkeypatch)
+    assert run(*argv) == code
+    lines = capsys.readouterr().out.splitlines()
+    if marked is not None:
+        (line,) = [line for line in lines if line.startswith(marked)]
+        assert line.endswith("[VIOLATED]" if code else "[recorded]"), line
+    assert sum("VIOLATED" in line for line in lines) == (marked is not None and code == 2)
+    assert run(*argv, "--format", "json") == code
 
 
 def test_version_flag_exits_zero():

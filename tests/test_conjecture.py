@@ -16,7 +16,7 @@ from cubefourier.cli import EXIT_VIOLATION, main
 from cubefourier.conjecture import (
     _id_bits,
     _sweep_chunk,
-    exceeded_bounds,
+    entropy_checks,
 )
 from cubefourier.errors import InputError
 from conftest import peak_bytes
@@ -95,21 +95,15 @@ def test_proven_bounds_hold_on_random_functions(n, seed):
 def test_violation_detector_fires_on_fabricated_numbers():
     # entropy far above every bound: the detector itself must not be a no-op
     bounds = cf.entropy_upper_bounds(3, 1.0, [0.5, 0.5, 0.5])
-    bad = [name for name, over in exceeded_bounds(50.0, bounds).items() if over]
-    assert set(bad) == {"h_bound", "proof_form", "logn_bound"}
+    checks = entropy_checks(0.5, 50.0, bounds)
+    assert [c.name for c in checks] == list(bounds)
+    assert [c.mark for c in checks] == ["VIOLATED", "VIOLATED", "recorded", "VIOLATED"]
+    assert {c.name for c in checks if c.violated} == {"h_bound", "proof_form", "logn_bound"}
+    # the same numbers away from p = 1/2, where no bound is proven
+    assert entropy_checks(0.3, 50.0, bounds) == ()
 
 
-def test_a_tightened_bound_is_caught_by_the_sweep_analyze_and_the_cli(monkeypatch):
-    """No function breaks a proven bound, so the additive one is lowered by
-    0.95 to make the violation paths run on real spectra."""
-    real = conjecture.entropy_upper_bounds
-
-    def tightened(n, influence, infl_vec):
-        bounds = real(n, influence, infl_vec)
-        bounds["logn_bound"] = bounds["logn_bound"] - 0.95
-        return bounds
-
-    monkeypatch.setattr(conjecture, "entropy_upper_bounds", tightened)
+def test_a_tightened_bound_is_caught_by_the_sweep_analyze_and_the_cli(tightened):
     assert cf.exhaustive_sweep(2).violations == []
     found = cf.exhaustive_sweep(3).violations
     assert len(found) == 16
@@ -430,15 +424,7 @@ def test_a_biased_sweep_without_csv_takes_no_bounds(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_the_cli_stream_reports_violations_in_id_order(monkeypatch, tmp_path, threads):
-    real = conjecture.entropy_upper_bounds
-
-    def tightened(n, influence, infl_vec):  # as in the tightened-bound test above
-        bounds = real(n, influence, infl_vec)
-        bounds["logn_bound"] = bounds["logn_bound"] - 0.95
-        return bounds
-
-    monkeypatch.setattr(conjecture, "entropy_upper_bounds", tightened)
+def test_the_cli_stream_reports_violations_in_id_order(tightened, tmp_path, threads):
     res, want_json = _library_report(4, 0.5, None, 0, threads)
     assert len(res.violations) == 32  # AND- and OR-like functions, spread over many chunks
     code, got_json, _ = _cli_report(tmp_path, "--n", "4", "--threads", str(threads))

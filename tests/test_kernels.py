@@ -89,15 +89,20 @@ def test_backend_name_is_reported():
     assert cf.backend_name() == kernels.BACKEND
 
 
+def _passed_through() -> dict:
+    """The variables a stripped child environment keeps: the import path,
+    and whether bytecode is written, so a run that asks for none leaves no
+    .pyc files in the source tree."""
+    keep = ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")
+    return {name: os.environ[name] for name in keep if name in os.environ}
+
+
 def test_pure_python_fallback_is_forced_by_env(tmp_path):
-    import os
     import subprocess
     import sys
 
     code = "import cubefourier; print(cubefourier.backend_name())"
-    env = {"PATH": "/usr/bin:/bin", "CUBEFOURIER_PURE_PYTHON": "1"}
-    if "PYTHONPATH" in os.environ:
-        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+    env = {"PATH": "/usr/bin:/bin", "CUBEFOURIER_PURE_PYTHON": "1", **_passed_through()}
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=env,
@@ -241,10 +246,7 @@ def _child_kernels(prelude="", report="[k.BACKEND, k.LOAD_ERROR]", **env_extra):
     import sys
 
     code = prelude + f"import json, sys, cubefourier.kernels as k; print(json.dumps({report}))"
-    env = {"PATH": "/usr/bin:/bin"}
-    if "PYTHONPATH" in os.environ:
-        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
-    env.update(env_extra)
+    env = {"PATH": "/usr/bin:/bin", **_passed_through(), **env_extra}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

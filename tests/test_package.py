@@ -157,6 +157,7 @@ def _immutable_values():
         (spec.sums(), "total"),
         (spec.level_sums(), "levels"),
         (cubefourier.analyze(f), "entropy"),
+        (cubefourier.analyze(f).checks[0], "holds"),
         (cubefourier.clique_experiment(3, 3), "ratio"),
         (cubefourier.virtual_power_stats(f, 2), "N"),
         (COMMANDS[0], "name"),
