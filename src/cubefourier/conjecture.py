@@ -30,6 +30,7 @@ from .config import check_integer, check_table_size
 from .errors import InputError
 from .kernels import biased_forward_inplace
 from .spectral import (
+    _level_probabilities,
     _square_sums,
     coordinate_influences,
     degree as spectral_degree,
@@ -294,8 +295,28 @@ _BYTE_SIGNS = readonly(
 )
 
 
+def _cut_edge_influence(n: int, p: float):
+    """A function from ids to the total influence of each, read off its bits
+    as Σ_i Σ_{x: x_i = 0} μ_{n-1}(x without i)·[f(x) != f(x ^ e_i)], the
+    weight of the cube edges it cuts; on uint64, so 64-bit ids shift logically."""
+    masks = np.arange(1 << n)
+    bit = 1 << masks.astype(object)  # bit x of an id, as a Python int
+    shifts = np.array([[1 << i] for i in range(n)], dtype=np.uint64)
+    lower = np.array([[bit[masks >> i & 1 == 0].sum()] for i in range(n)], dtype=np.uint64)
+    levels = np.array([[[bit[np.bitwise_count(masks) == k].sum()]] for k in range(n)], np.uint64)
+    weights = _level_probabilities(n - 1, p)[:, None]
+
+    def influence(ids: np.ndarray) -> np.ndarray:
+        table = np.asarray(ids, dtype=np.int64).view(np.uint64)
+        cut = (table >> shifts ^ table) & lower  # bit x of row i: x_i = 0, f(x) != f(x ^ e_i)
+        # edges cut at level k of x: at most n * C(n - 1, k) <= 60
+        return (weights * np.bitwise_count(cut & levels).sum(axis=1, dtype=np.uint8)).sum(axis=0)
+
+    return influence
+
+
 def _sweep_chunk(
-    n: int, p: float, ids: np.ndarray, work: np.ndarray | None = None, bounds: bool = True
+    n: int, p: float, ids: np.ndarray, work: np.ndarray | None = None, full: bool = True
 ) -> dict:
     """Statistics for one batch of function ids.
 
@@ -304,9 +325,8 @@ def _sweep_chunk(
     depend on batching.  ``work`` is a (2, k) float64 workspace of at least
     2^n * rows entries per row, reused across chunks; the batch is built in
     its first row, squared there in place, and its second row is scratch.
-    With ``bounds`` false the caller reads no bound column, so away from
-    p = 1/2, where no bound is checked, the coordinate influences and the
-    bounds are skipped and the result holds no ``h_bound`` or ``logn_bound``.
+    With ``full`` false (see :func:`_sweep_stream`) no bound is read, so the
+    coordinate influences and the bounds, ``h_bound`` and ``logn_bound``, are skipped.
     """
     rows = ids.size
     size = rows << n
@@ -320,7 +340,6 @@ def _sweep_chunk(
         signs = _BYTE_SIGNS[: min(8, (1 << n) - mask)]
         np.take(signs, octets[:, mask // 8], axis=1, out=coeffs[mask : mask + 8])
     biased_forward_inplace(coeffs, p)
-    full = bounds or _bounds_proven(p)  # a proven check needs the bounds
     sums = _square_sums(coeffs, work, coords=full)  # overwrites coeffs with the squares
     ent = sums.entropy()
     infl = sums.influence(p)
@@ -363,7 +382,9 @@ def _sweep_stream(n: int, p, sample: int | None, seed: int, bounds: bool = True)
 
     Returns p as a float, whether the sweep is exhaustive, the number of
     functions, and a generator of (ids, :func:`_sweep_chunk` statistics)
-    pairs in id order; ``bounds`` is passed on to every chunk.  Exhaustive
+    pairs in id order.  The sweep is full unless the caller reads no bound
+    column (``bounds`` false) and no bound is proven at p; only a sweep
+    that is not full skips work (see :func:`_run_chunks`).  Exhaustive
     chunks are ``arange`` slices; sampled ones are drawn in order from one
     seeded PCG64 stream, the same ids as one draw of the whole sample.
     Nothing runs before the first ``next``.
@@ -400,10 +421,10 @@ def _sweep_stream(n: int, p, sample: int | None, seed: int, bounds: bool = True)
     chunks = (
         draw(start, min(SWEEP_CHUNK, count - start)) for start in range(0, count, SWEEP_CHUNK)
     )
-    return p, sample is None, count, _run_chunks(n, p, chunks, count, bounds)
+    return p, sample is None, count, _run_chunks(n, p, chunks, count, bounds or _bounds_proven(p))
 
 
-def _run_chunks(n: int, p: float, chunks, count: int, bounds: bool):
+def _run_chunks(n: int, p: float, chunks, count: int, full: bool):
     """Yield (ids, statistics) for each chunk of ids, in order.
 
     Every chunk is computed in the calling thread, in one workspace of two
@@ -411,11 +432,30 @@ def _run_chunks(n: int, p: float, chunks, count: int, bounds: bool):
     is handed over, up to _WINDOW finished results: the heap's top then
     holds live results while a chunk's temporaries come and go, so glibc
     reuses their memory instead of returning it and faulting it back in.
+
+    A sweep that is not ``full`` reads only its largest ratio, so it
+    transforms only the functions whose ceiling n / I (at most n bits of
+    entropy, I from :func:`_cut_edge_influence`) reaches the largest so far,
+    with a 1e-9 margin on each side: a skipped ratio is below the largest,
+    not even a tie, and gets NaN statistics.
     """
     work = np.empty((2, min(count, SWEEP_CHUNK) << n))
+    ceiling = None if full else _cut_edge_influence(n, p)
+    best = np.nan  # the largest finite ratio so far
     done = deque()
     for ids in chunks:
-        done.append((ids, _sweep_chunk(n, p, ids, work, bounds)))
+        # no I exceeds n, so while the largest ratio is at most 1 none is skipped
+        if full or not best * (1 - 1e-9) > 1 + 1e-9:
+            stats = _sweep_chunk(n, p, ids, work, full)
+        else:
+            keep = ~(best * (1 - 1e-9) * ceiling(ids) > n * (1 + 1e-9))
+            stats = {key: np.full(ids.size, np.nan) for key in ("entropy", "influence", "ratio")}
+            stats["bad"] = np.zeros(ids.size, dtype=bool)
+            for key, column in _sweep_chunk(n, p, ids[keep], work, full).items():
+                stats[key][keep] = column
+        if not full:
+            best = np.fmax.reduce(stats["ratio"], initial=best)
+        done.append((ids, stats))
         if len(done) == _WINDOW:
             yield done.popleft()
     yield from done

@@ -244,6 +244,45 @@ def test_biased_sweep_records_the_claim_constant():
                for fid in res.function_ids.tolist())
 
 
+# --- the two facts the biased sweep's ceiling rests on --------------------------
+
+_CEILING_BIASES = [0.5, 0.3, 0.7, 1e-3, 0.999]
+
+
+def _cut_edges_from_tables(n, p, ids):
+    """Oracle for the total influence: sum over i of Pr[f(x) != f(x ^ e_i)]
+    under the p-biased measure, read off the truth tables, so each cut edge
+    is counted from both of its ends."""
+    tables = _id_bits(n, ids).astype(bool)
+    x = np.arange(1 << n)
+    ones = np.array([bin(v).count("1") for v in x.tolist()])
+    mu = p**ones * (1.0 - p) ** (n - ones)
+    return sum((tables != tables[:, x ^ (1 << k)]) @ mu for k in range(n))
+
+
+@pytest.mark.parametrize("p", _CEILING_BIASES)
+@pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None), (4, None), (5, 20000)])
+def test_the_entropy_is_at_most_n_bits_and_the_influence_counts_cut_edges(n, sample, p):
+    res = cf.exhaustive_sweep(n, p=p, sample=sample, seed=2)
+    assert np.all(res.entropy <= n * (1 + 1e-9))
+    assert np.allclose(_cut_edges_from_tables(n, p, res.function_ids), res.influence,
+                       rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("p", _CEILING_BIASES)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_ceiling_counts_the_cut_edges_of_every_id_width(n, p):
+    """n = 6 fills all 64 bits of an id, so its top bit is the int64 sign."""
+    rng = np.random.Generator(np.random.PCG64(n))
+    drawn = rng.integers(0, 1 << 64, size=2000, dtype=np.uint64, endpoint=False)
+    constants = np.array([0, (1 << 64) - 1], dtype=np.uint64)
+    ids = (np.concatenate((constants, drawn)) >> np.uint64(64 - (1 << n))).view(np.int64)
+    assert n < 6 or np.any(ids < 0)
+    got = conjecture._cut_edge_influence(n, p)(ids)
+    assert np.allclose(got, _cut_edges_from_tables(n, p, ids), rtol=1e-12, atol=0.0)
+    assert got[0] == got[1] == 0.0  # the two constants cut no edge
+
+
 def test_sweep_csv_layout(tmp_path):
     res = cf.exhaustive_sweep(2)
     path = tmp_path / "sweep.csv"
@@ -389,18 +428,57 @@ def test_the_cli_stream_reports_the_bytes_of_the_library_sweep(tmp_path, n, samp
     assert got_csv == (tmp_path / "library.csv").read_bytes()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("p", [0.3, 0.7])
-@pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None), (4, None), (5, 20000)])
-def test_a_sweep_without_csv_reports_the_bytes_of_the_library_sweep(tmp_path, n, sample, p, threads):
-    """Without --csv a biased chunk skips the bounds: the report must not move."""
-    _, want_json = _library_report(n, p, sample, 9, threads)
+def _cli_json(tmp_path, n, p, sample, seed, threads=1):
     out = tmp_path / "cli.json"
-    args = ["--n", str(n), "--p", str(p), "--seed", "9", "--threads", str(threads)]
+    args = ["--n", str(n), "--p", str(p), "--seed", str(seed), "--threads", str(threads)]
     if sample:
         args += ["--sample", str(sample)]
     assert main(["sweep", *args, "--format", "json", "--output", str(out)]) == 0
-    assert out.read_text() == want_json
+    return out.read_text()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("p", [0.3, 0.7, 1e-3, 0.999])
+@pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None), (4, None), (5, 20000),
+                                       (2, 20000)])
+def test_a_sweep_without_csv_reports_the_bytes_of_the_library_sweep(tmp_path, n, sample, p, threads):
+    """Without --csv a biased chunk skips the bounds and the functions whose
+    ratio cannot reach the largest so far: the report must not move.  Every
+    sweep here holds constant functions but the n = 5 one, and at n = 2 the
+    20000 samples repeat 16 functions, so the first largest ratio in id order
+    must win its ties."""
+    _, want_json = _library_report(n, p, sample, 9, threads)
+    assert _cli_json(tmp_path, n, p, sample, 9, threads) == want_json
+
+
+@pytest.mark.parametrize("p, seed", [(0.3, 0), (0.7, 12), (1e-3, 0), (0.999, 9)])
+def test_a_biased_sweep_finds_a_maximum_in_its_last_short_chunk(tmp_path, p, seed):
+    res, want_json = _library_report(5, p, 20000, seed, 1)
+    last = 20000 - 20000 % conjecture.SWEEP_CHUNK
+    assert np.nanargmax(res.ratio) >= last > 20000 - conjecture.SWEEP_CHUNK
+    assert _cli_json(tmp_path, 5, p, 20000, seed) == want_json
+
+
+def test_only_a_biased_sweep_without_csv_skips_the_functions_below_its_maximum(
+    monkeypatch, tmp_path
+):
+    transformed, real = [], conjecture._sweep_chunk
+
+    def counted(n, p, ids, *args):
+        transformed.append(ids.size)
+        return real(n, p, ids, *args)
+
+    monkeypatch.setattr(conjecture, "_sweep_chunk", counted)
+    argv = ["sweep", "--n", "5", "--sample", "60000", "--seed", "4", "--output", os.devnull]
+    assert main([*argv, "--p", "0.3"]) == 0
+    assert sum(transformed) < 60000 / 5
+    for full in (["--p", "0.5"], ["--p", "0.3", "--csv", str(tmp_path / "sweep.csv")]):
+        transformed.clear()
+        assert main([*argv, *full]) == 0
+        assert sum(transformed) == 60000
+    transformed.clear()
+    cf.exhaustive_sweep(5, p=0.3, sample=60000, seed=4)
+    assert sum(transformed) == 60000
 
 
 def test_a_biased_sweep_without_csv_takes_no_bounds(monkeypatch, tmp_path):
