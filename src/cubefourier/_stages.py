@@ -8,9 +8,12 @@ compiler or another Python gets a fresh build.  When no cached library
 matches, :func:`build` compiles one with the C compiler Python was built
 with (``sysconfig``'s ``CC``).  The compiler writes a temporary file that is
 then renamed into place, so processes that build at once never load a
-partial library.  ``setup.py`` runs the same :func:`build` on the install
-tree, so read-only installs find the library ready.  This module uses only
-the standard library, so ``setup.py`` can load it on its own.
+partial library.  A build then removes every other key's library: on Linux
+a process that has one mapped keeps using it, and a second interpreter
+sharing the checkout (another Python or compiler) rebuilds once, on its
+next import.  ``setup.py`` runs the same :func:`build` on the install tree,
+so read-only installs find the library ready.  This module uses only the
+standard library, so ``setup.py`` can load it on its own.
 
 ``stage_f64`` takes the same arguments as the numpy fallback in
 ``_kernels_py`` and trusts them: the caller (``kernels._run_stages``) checks
@@ -21,6 +24,7 @@ import ctypes
 import os
 import shlex
 import sysconfig
+from contextlib import suppress
 from importlib.util import source_hash
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -55,6 +59,7 @@ def build(package_dir: str = PACKAGE_DIR) -> str:
     path = os.path.join(cache, f"_stages-{cache_key(source, command)}.so")
     if os.path.exists(path):
         return path
+    import glob
     import subprocess  # here: importing it costs every command about 8 ms
 
     os.makedirs(cache, exist_ok=True)
@@ -74,6 +79,10 @@ def build(package_dir: str = PACKAGE_DIR) -> str:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # the .tmp files of builds in flight stay
+    for stale in set(glob.glob(os.path.join(glob.escape(cache), "_stages-*.so"))) - {path}:
+        with suppress(FileNotFoundError):  # another build removed it first
+            os.unlink(stale)
     return path
 
 

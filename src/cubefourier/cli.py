@@ -39,6 +39,7 @@ try:
         GraphPropertySpec,
         TruthTable,
         and_fn,
+        as_bias,
         clique_indicator,
         dictator,
         from_bits,
@@ -178,23 +179,7 @@ def _load_source(ns, suffix="") -> TruthTable | None:
 
 
 def _add_bias(parser):
-    parser.add_argument("--p", type=float, default=None, help="bias (default 1/2)")
-    parser.add_argument("--pt", type=int, default=None, help="exact bias numerator t")
-    parser.add_argument(
-        "--pm", type=int, default=None, help="exact bias exponent m, for p = t/2^m"
-    )
-
-
-def _get_bias(ns) -> Bias:
-    if ns.pt is not None or ns.pm is not None:
-        if ns.pt is None or ns.pm is None:
-            raise InputError("exact bias needs both the numerator and the exponent")
-        if ns.p is not None:
-            raise InputError("give either --p or an exact t/2^m bias, not both")
-        return Bias.exact(ns.pt, ns.pm)
-    if ns.p is not None:
-        return Bias.general(ns.p)
-    return Bias.exact(1, 1)
+    parser.add_argument("--p", type=float, default=0.5, help="bias (default 1/2)")
 
 
 def _add_common(parser):
@@ -218,7 +203,7 @@ def _add_common(parser):
 
 
 def _cmd_analyze(ns):
-    report = analyze(_load_source(ns), _get_bias(ns), epsilon=ns.epsilon)
+    report = analyze(_load_source(ns), ns.p, epsilon=ns.epsilon)
     lines = [
         f"n = {report.n}   p = {report.p:.6g}   backend = {backend_name()}",
         f"spectral entropy   {report.entropy:.10g} bits",
@@ -239,9 +224,9 @@ def _cmd_analyze(ns):
 
 def _cmd_reduce(ns):
     f = _load_source(ns)
-    if ns.pt is None or ns.pm is None:
+    if ns.t is None or ns.m is None:
         raise InputError("the reduction needs an exact bias: --t T --m M")
-    report = reduction_report(f, Bias.exact(ns.pt, ns.pm))
+    report = reduction_report(f, Bias.exact(ns.t, ns.m))
     _, fk, ent = checks = reduction_checks(report)
     lines = [
         f"p = {report['p']:.6g} = {report['t']}/2^{report['m']}"
@@ -260,7 +245,7 @@ def _cmd_tensor(ns):
         raise InputError("tensor needs exactly one of --power N and a second factor")
     if ns.exact and (g2 is not None or ns.explicit):
         raise InputError("--exact applies only to a virtual power: --power N without --explicit")
-    bias = _get_bias(ns)
+    bias = as_bias(ns.p)
     payload = {"schema": 1, "command": "tensor"}
     if ns.power is not None and not ns.explicit:
         stats = virtual_power_stats(f, ns.power, bias, exact=ns.exact)
@@ -327,9 +312,7 @@ def _replacing(path, binary=False):
 
 def _cmd_sweep(ns):
     # without a CSV no bound column is read: a biased sweep skips them
-    p, exhaustive, count, stream = _sweep_stream(
-        ns.n, ns.p if ns.p is not None else 0.5, ns.sample, ns.seed, bounds=bool(ns.csv)
-    )
+    p, exhaustive, _, stream = _sweep_stream(ns.n, ns.p, ns.sample, ns.seed, bounds=bool(ns.csv))
     # the CSV is opened before any chunk runs, so a bad path costs no sweep
     with _replacing(ns.csv) as fh:
         summary = _summarise_sweep(ns.n, stream, fh)
@@ -378,7 +361,7 @@ def _cmd_spectrum(ns):
         if ns.load is not None:
             sp = load_spectrum_binary(ns.load)
         else:
-            sp = transform(_load_source(ns), _get_bias(ns))
+            sp = transform(_load_source(ns), ns.p)
         if spec_fh:
             save_spectrum_binary(sp, spec_fh)
         if json_fh:
@@ -414,10 +397,8 @@ def _conf_analyze(p):
 
 def _conf_reduce(p):
     _add_source(p)
-    p.add_argument("--t", "--pt", dest="pt", metavar="T", type=int, help="bias numerator")
-    p.add_argument(
-        "--m", "--pm", dest="pm", metavar="M", type=int, help="bias exponent (p = t/2^m)"
-    )
+    p.add_argument("--t", type=int, help="bias numerator")
+    p.add_argument("--m", type=int, help="bias exponent (p = t/2^m)")
     _add_common(p)
 
 
@@ -437,7 +418,7 @@ def _conf_tensor(p):
 
 def _conf_sweep(p):
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, default=None)
+    _add_bias(p)
     p.add_argument("--sample", type=int, default=None, help="sample instead of enumerating")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", metavar="PATH", help="write the per-function table")

@@ -31,12 +31,12 @@ from .errors import InputError
 from .kernels import biased_forward_inplace
 from .spectral import (
     _level_probabilities,
-    _square_sums,
     coordinate_influences,
     degree as spectral_degree,
     level_profile,
     parseval_gap,
     spectral_entropy,
+    square_sums,
     support_size,
     total_influence_spectral,
     transform,
@@ -340,7 +340,7 @@ def _sweep_chunk(
         signs = _BYTE_SIGNS[: min(8, (1 << n) - mask)]
         np.take(signs, octets[:, mask // 8], axis=1, out=coeffs[mask : mask + 8])
     biased_forward_inplace(coeffs, p)
-    sums = _square_sums(coeffs, work, coords=full)  # overwrites coeffs with the squares
+    sums = square_sums(coeffs, work, coords=full)  # overwrites coeffs with the squares
     ent = sums.entropy()
     infl = sums.influence(p)
     with np.errstate(divide="ignore", invalid="ignore"):

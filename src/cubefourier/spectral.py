@@ -368,7 +368,7 @@ def _mask_blocks(coeffs: np.ndarray, what: str):
     return coeffs, n, min(n, kernels._BLOCK_LOG2)
 
 
-def square_sums(coeffs: np.ndarray, work: np.ndarray | None = None) -> SquareSums:
+def square_sums(coeffs: np.ndarray, work: np.ndarray | None = None, coords=True) -> SquareSums:
     """All of :class:`SquareSums` for a (2^n, rows) coefficient batch in one pass.
 
     The pass walks blocks of 2^min(n, _BLOCK_LOG2) masks of every table,
@@ -386,13 +386,10 @@ def square_sums(coeffs: np.ndarray, work: np.ndarray | None = None) -> SquareSum
       which reproduces the pairwise sum of the whole table bit for bit;
     * the coordinates above the block take the block totals, folded as the
       masks are inside a block.
+
+    With ``coords`` false the coordinate fold is skipped and
+    ``SquareSums.coords`` is None; the other sums keep the same bits.
     """
-    return _square_sums(coeffs, work, coords=True)
-
-
-def _square_sums(coeffs: np.ndarray, work: np.ndarray | None, coords: bool) -> SquareSums:
-    """:func:`square_sums`; with ``coords`` false the coordinate fold is
-    skipped and ``SquareSums.coords`` is None, the other sums the same bits."""
     coeffs, n, m = _mask_blocks(coeffs, "square_sums")
     rows = coeffs.shape[1]
     blocks = 1 << (n - m)
@@ -705,31 +702,6 @@ def load_spectrum_json(path) -> Spectrum:
 _HEAD = len(_MAGIC) + 4 + 8
 
 
-def _read_binary(fh) -> Spectrum:
-    """Read one binary spectrum from ``fh``, a file or a pipe, to its end.
-
-    The header is read and checked, including the table-size cap, before
-    the body is allocated; the body is read straight into the coefficient
-    array, and any byte after it is an error.
-    """
-    head = fh.read(_HEAD)
-    if len(head) < _HEAD or head[: len(_MAGIC)] != _MAGIC:
-        raise InputError("not a spectrum file (bad magic)")
-    (n,) = struct.unpack_from("<I", head, len(_MAGIC))
-    (p,) = struct.unpack_from("<d", head, len(_MAGIC) + 4)
-    if n < 1 or n > 48:
-        raise InputError(f"corrupt spectrum file: n={n}")
-    check_table_size(n, "spectrum")
-    coeffs = np.empty(1 << n, dtype="<f8")
-    expected = _HEAD + coeffs.nbytes
-    got = _HEAD + fh.readinto(coeffs)
-    if got < expected:
-        raise InputError(f"corrupt spectrum file: expected {expected} bytes, got {got}")
-    if fh.read(1):
-        raise InputError(f"corrupt spectrum file: longer than the {expected} bytes expected")
-    return Spectrum(n, p, readonly(coeffs.astype(np.float64, copy=False)))
-
-
 def save_spectrum_binary(spec: Spectrum, target) -> None:
     """Write the binary layout above, the body straight from the coefficient
     array, to a path or to an open binary file."""
@@ -739,6 +711,26 @@ def save_spectrum_binary(spec: Spectrum, target) -> None:
 
 
 def load_spectrum_binary(path) -> Spectrum:
-    """Read a file of :func:`save_spectrum_binary` straight into the coefficient array."""
+    """Read a file of :func:`save_spectrum_binary`, or a pipe, to its end.
+
+    The header, with the table-size cap, is checked before the body is
+    allocated; the body is read straight into the coefficient array, and
+    any byte after it is an error.
+    """
     with open(path, "rb") as fh:
-        return _read_binary(fh)
+        head = fh.read(_HEAD)
+        if len(head) < _HEAD or head[: len(_MAGIC)] != _MAGIC:
+            raise InputError("not a spectrum file (bad magic)")
+        (n,) = struct.unpack_from("<I", head, len(_MAGIC))
+        (p,) = struct.unpack_from("<d", head, len(_MAGIC) + 4)
+        if n < 1 or n > 48:
+            raise InputError(f"corrupt spectrum file: n={n}")
+        check_table_size(n, "spectrum")
+        coeffs = np.empty(1 << n, dtype="<f8")
+        expected = _HEAD + coeffs.nbytes
+        got = _HEAD + fh.readinto(coeffs)
+        if got < expected:
+            raise InputError(f"corrupt spectrum file: expected {expected} bytes, got {got}")
+        if fh.read(1):
+            raise InputError(f"corrupt spectrum file: longer than the {expected} bytes expected")
+        return Spectrum(n, p, readonly(coeffs.astype(np.float64, copy=False)))

@@ -21,7 +21,6 @@ from .config import check_integer, check_table_size, get_max_n
 from .errors import InputError, ResourceError
 from .spectral import (
     LevelProfile,
-    exact_level_profile,
     exact_transform,
     level_profile,
     spectral_entropy,
@@ -159,15 +158,13 @@ def virtual_power_stats(
         if bias.p != 0.5:
             raise InputError("exact virtual powers are supported at p = 1/2 only")
         spec = exact_transform(f)
-        base_profile = exact_level_profile(spec)
     else:
         spec = transform(f, bias)
-        base_profile = level_profile(spec)
     return VirtualPowerStats(
         base_n=f.n,
         N=N,
         p=bias.p,
         entropy=N * spectral_entropy(spec),
         total_influence=N * total_influence_spectral(spec),
-        profile=profile_power(base_profile, N),
+        profile=profile_power(level_profile(spec), N),
     )

@@ -91,15 +91,52 @@ def test_analyze_json_fields(capsys):
 
 
 def test_analyze_accepts_exact_bias(capsys):
-    assert run("analyze", "--family", "dictator:1,1", "--pt", "1", "--pm", "2",
-               "--format", "json") == 0
+    assert run("analyze", "--family", "dictator:1,1", "--p", "0.25", "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["p"] == 0.25
     assert payload["entropy"] == pytest.approx(0.8112781244591329, abs=1e-12)
 
 
-def test_analyze_rejects_conflicting_bias(capsys):
-    assert run("analyze", "--family", "mux3", "--p", "0.3", "--pt", "1", "--pm", "2") == 1
+# every double is exactly t/2^m, so --p repr(t/2^m) states the exact bias
+@pytest.mark.parametrize("t, m", [(1, 2), (3, 3), (7, 3), (5, 4), (1023, 10), (1, 100)])
+def test_a_dyadic_p_gives_the_library_values_at_the_exact_bias(capsys, t, m):
+    f = cf.random_function(4, 11)
+    bias = cf.Bias.exact(t, m)
+    source = ("--family", "random:4,11", "--p", repr(t / 2**m), "--format", "json")
+
+    def cli(*argv):
+        assert run(*argv, *source) == 0
+        return json.loads(capsys.readouterr().out)
+
+    want = {"schema": 1, "command": "analyze", **cf.analyze(f, bias).to_dict()}
+    assert cli("analyze") == json.loads(json.dumps(want))
+
+    got, stats = cli("tensor", "--power", "5"), cf.virtual_power_stats(f, 5, bias)
+    assert (got["p"], got["entropy"], got["influence"], got["ei_ratio"]) == (
+        stats.p, stats.entropy, stats.total_influence, stats.ei_ratio)
+    assert got["level_weights"] == [float(w) for w in stats.profile.weights]
+
+    got, sp = cli("spectrum"), cf.transform(f, bias)
+    assert (got["p"], got["entropy"], got["influence"]) == (
+        sp.p, cf.spectral_entropy(sp), cf.total_influence_spectral(sp))
+    assert got["top"] == [{"mask": int(k), "coefficient": float(sp.coeffs[k])}
+                          for k in spectral.top_masks(sp.coeffs, 8, key=np.abs)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--family", "mux3", "--pt", "1", "--pm", "2"),
+    ("analyze", "--family", "mux3", "--p", "0.3", "--pt", "1", "--pm", "2"),
+    ("tensor", "--family", "mux3", "--power", "2", "--pt", "1"),
+    ("spectrum", "--family", "mux3", "--pm", "2"),
+    ("reduce", "--family", "mux3", "--pt", "1", "--pm", "2"),
+    ("reduce", "--family", "mux3", "--t", "1", "--pm", "2"),
+])
+def test_only_reduce_reads_t_and_m_and_only_as_t_and_m(capsys, argv):
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if "error" in line]
+    assert line.startswith("cubefourier: error: unrecognized arguments: --p")
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-0.5"])
@@ -142,25 +179,6 @@ def test_reduce_report_contract(tmp_path, capsys):
     assert payload["red0_max_gap"] < 1e-12
 
 
-def test_reduce_accepts_pt_pm_aliases(capsys):
-    assert run("reduce", "--family", "dictator:1,1", "--pt", "1", "--pm", "2",
-               "--format", "json") == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["t"] == 1 and payload["m"] == 2
-
-
-def test_reduce_mixes_the_two_spellings_of_one_option(capsys):
-    assert run("reduce", "--family", "dictator:1,1", "--t", "1", "--pm", "2",
-               "--format", "json") == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["t"] == 1 and payload["m"] == 2
-    # both spellings set one value, and the last one given wins
-    assert run("reduce", "--family", "dictator:1,1", "--t", "1", "--m", "2",
-               "--pt", "3", "--pm", "3", "--format", "json") == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["t"] == 3 and payload["m"] == 3
-
-
 def test_reduce_records_the_influence_bound_above_one_half(capsys):
     argv = ["reduce", "--family", "majority:3", "--t", "3", "--m", "2"]
     assert run(*argv) == 0
@@ -176,13 +194,9 @@ def test_reduce_needs_exact_bias(capsys):
     assert "exact bias" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ("analyze", "--bits", "01", "--pt", "1", "--pm", "100000000000"),
-    ("reduce", "--family", "dictator:1,1", "--t", "1", "--m", "1000000000000"),
-])
-def test_a_huge_exact_exponent_is_a_one_line_error(capsys, argv):
-    assert run(*argv) == 1
-    m = argv[-1]
+def test_a_huge_exact_exponent_is_a_one_line_error(capsys):
+    m = "1000000000000"
+    assert run("reduce", "--family", "dictator:1,1", "--t", "1", "--m", m) == 1
     assert capsys.readouterr().err == (
         f"cubefourier: error: exact bias t/2^m rounds to 0: exponent m = {m} is too large\n"
     )

@@ -318,6 +318,50 @@ def test_load_error_is_none_when_the_extension_loads(tmp_path):
     assert lib.stat().st_mtime_ns == stamp
 
 
+@needs_compiled
+def test_a_rebuild_removes_the_stale_library(tmp_path):
+    pkg = _package_copy(tmp_path)
+    cache = pkg / "cubefourier" / "__pycache__"
+
+    def libraries():
+        return [name for name in os.listdir(cache) if name.startswith("_stages-")]
+
+    assert _child_kernels(PYTHONPATH=str(pkg)) == ["compiled", None]
+    (old,) = libraries()
+    with open(pkg / "cubefourier" / "_stages.c", "a", encoding="ascii") as fh:
+        fh.write("/* an edit that changes the cache key */\n")
+    assert _child_kernels(PYTHONPATH=str(pkg)) == ["compiled", None]
+    (new,) = libraries()
+    assert new != old and new.endswith(".so")
+
+
+@needs_compiled
+def test_setup_builds_the_library_into_the_install_tree(tmp_path):
+    """``setup.py``'s build_py step leaves the compiled kernel where an
+    install that cannot write its own ``__pycache__`` finds it."""
+    import shutil
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    for name in ("setup.py", "pyproject.toml"):
+        shutil.copy(root / name, tmp_path / name)
+    shutil.copytree(root / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    lib = tmp_path / "lib"
+    env = {"PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
+    subprocess.run([sys.executable, "setup.py", "-q", "build_py", "--build-lib", str(lib)],
+                   cwd=tmp_path, env=env, capture_output=True, check=True)
+    # built by setup.py itself, before any import could build it
+    cache = lib / "cubefourier" / "__pycache__"
+    (built,) = os.listdir(cache)
+    assert built.startswith("_stages-") and built.endswith(".so")
+    stamp = (cache / built).stat().st_mtime_ns
+    assert _child_kernels(PYTHONPATH=str(lib)) == ["compiled", None]
+    assert [name for name in os.listdir(cache) if name.startswith("_stages-")] == [built]
+    assert (cache / built).stat().st_mtime_ns == stamp
+
+
 def test_cache_key_follows_source_compiler_and_flags(monkeypatch):
     source = Path(_stages.PACKAGE_DIR, "_stages.c").read_bytes()
     key = _stages.cache_key(source, ["gcc"])

@@ -15,7 +15,7 @@ from cubefourier import kernels
 from cubefourier.boolfn import level_array
 from cubefourier.config import get_max_n, set_max_n
 from cubefourier.errors import InputError, ResourceError
-from cubefourier.spectral import _square_sums, level_sums, measure_weights, square_sums, top_masks
+from cubefourier.spectral import level_sums, measure_weights, square_sums, top_masks
 from conftest import (
     discrete_derivative,
     dyadic_check,
@@ -894,7 +894,7 @@ def test_batch_rows_match_each_row_alone(n):
 @pytest.mark.parametrize("n, rows", [(1, 3), (5, 4096), (17, 2)])
 def test_square_sums_without_the_coordinate_fold_keep_the_other_sums(n, rows):
     coeffs = np.random.Generator(np.random.PCG64(n)).standard_normal((1 << n, rows))
-    full, bare = square_sums(coeffs), _square_sums(coeffs, None, coords=False)
+    full, bare = square_sums(coeffs), square_sums(coeffs, coords=False)
     assert bare.coords is None
     for name in ("total", "plogp", "level_mass"):
         assert np.array_equal(getattr(bare, name), getattr(full, name)), name
