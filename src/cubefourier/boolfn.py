@@ -215,59 +215,17 @@ class RealTable(Frozen):
         return self.values.astype(np.float64)
 
 
-class Bias(Frozen):
-    """The parameter p of the product measure, optionally as an exact t/2**m.
-
-    The exact form is required by the biased-to-uniform reduction; the
-    floating value is what every transform uses.
-    """
-
-    __slots__ = _fields = ("p", "t", "m")
-    p: float
-    t: int | None
-    m: int | None
-
-    def __init__(self, p: float, t: int | None = None, m: int | None = None):
-        if t is not None:
-            t = check_integer(t, "exact bias numerator t")
-            m = check_integer(m, "exact bias exponent m")
-            # t < 2^m and the size of p are read off bit lengths, so a huge
-            # m is refused before 2^m is built: t/2^m < 2^-1075 rounds to 0.0
-            if not (t >= 1 and t.bit_length() <= m):
-                raise InputError("exact bias needs integers 1 <= t < 2^m")
-            if m - t.bit_length() >= 1075:
-                raise InputError(f"exact bias t/2^m rounds to 0: exponent m = {m} is too large")
-            p = t / (1 << m)
-        if not 0.0 < p < 1.0:
-            raise InputError(f"bias must lie strictly between 0 and 1, got {p}")
-        self._set(p=p, t=t, m=m)
-
-    @classmethod
-    def general(cls, p: float) -> "Bias":
-        try:
-            p = float(p)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bias must be a number, got {p!r}") from exc
-        return cls(p=p)
-
-    @classmethod
-    def exact(cls, t: int, m: int) -> "Bias":
-        return cls(p=0.0, t=t, m=m)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.t is not None
-
-    def __str__(self) -> str:
-        if self.is_exact:
-            return f"{self.t}/2^{self.m}"
-        return repr(self.p)
-
-
-def as_bias(p) -> Bias:
-    if isinstance(p, Bias):
-        return p
-    return Bias.general(p)
+def as_bias(p) -> float:
+    """The bias p of a product measure as a float, checked to lie strictly
+    between 0 and 1.  The exact dyadic form t/2**m that the reduction needs
+    is passed to it as the two integers."""
+    try:
+        p = float(p)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bias must be a number, got {p!r}") from exc
+    if not 0.0 < p < 1.0:
+        raise InputError(f"bias must lie strictly between 0 and 1, got {p}")
+    return p
 
 
 class GraphPropertySpec(Frozen):
@@ -349,7 +307,7 @@ def dictator(n: int, i: int) -> TruthTable:
 def parity(n: int, s: int) -> TruthTable:
     """+-1 value at x is (-1)**|s & x|; equals the character u_s at p=1/2."""
     masks = mask_array(n)
-    if not 0 <= s < masks.size:
+    if not 0 <= check_integer(s, "subset mask s") < masks.size:
         raise InputError(f"subset mask {s} out of range for n={n}")
     return TruthTable(n, (np.bitwise_count(masks & s) & 1).astype(np.uint8))
 
@@ -412,11 +370,11 @@ def clique_indicator(spec: GraphPropertySpec) -> TruthTable:
     return TruthTable(n, readonly(sat))
 
 
-def critical_p0(spec: GraphPropertySpec) -> Bias:
+def critical_p0(spec: GraphPropertySpec) -> float:
     """The bias where the expected K_r count condition C(n,r) p^C(r,2) = 1/2 holds."""
     subsets = math.comb(spec.n_vertices, spec.r)
     exponent = math.comb(spec.r, 2)
-    return Bias.general((0.5 / subsets) ** (1.0 / exponent))
+    return as_bias((0.5 / subsets) ** (1.0 / exponent))
 
 
 def random_function(n: int, seed: int, density: float = 0.5) -> TruthTable:
@@ -428,12 +386,14 @@ def random_function(n: int, seed: int, density: float = 0.5) -> TruthTable:
     if not 0.0 <= density <= 1.0:
         raise InputError("density must lie in [0, 1]")
     check_table_size(n, "truth table")
+    if check_integer(seed, "seed") < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     return TruthTable(n, (rng.random(1 << n) < density).astype(np.uint8))
 
 
 def _check_coordinate(n: int, i: int) -> None:
-    if not 1 <= i <= n:
+    if not 1 <= check_integer(i, "coordinate i") <= n:
         raise InputError(f"coordinate {i} out of range 1..{n}")
 
 

@@ -35,7 +35,6 @@ try:
 
     from . import __version__
     from .boolfn import (
-        Bias,
         GraphPropertySpec,
         TruthTable,
         and_fn,
@@ -226,7 +225,7 @@ def _cmd_reduce(ns):
     f = _load_source(ns)
     if ns.t is None or ns.m is None:
         raise InputError("the reduction needs an exact bias: --t T --m M")
-    report = reduction_report(f, Bias.exact(ns.t, ns.m))
+    report = reduction_report(f, ns.t, ns.m)
     _, fk, ent = checks = reduction_checks(report)
     lines = [
         f"p = {report['p']:.6g} = {report['t']}/2^{report['m']}"
@@ -245,10 +244,10 @@ def _cmd_tensor(ns):
         raise InputError("tensor needs exactly one of --power N and a second factor")
     if ns.exact and (g2 is not None or ns.explicit):
         raise InputError("--exact applies only to a virtual power: --power N without --explicit")
-    bias = as_bias(ns.p)
+    p = as_bias(ns.p)
     payload = {"schema": 1, "command": "tensor"}
     if ns.power is not None and not ns.explicit:
-        stats = virtual_power_stats(f, ns.power, bias, exact=ns.exact)
+        stats = virtual_power_stats(f, ns.power, p, exact=ns.exact)
         payload.update(
             mode="virtual",
             N=stats.N,
@@ -268,10 +267,10 @@ def _cmd_tensor(ns):
         else:
             g = tensor_product(f, g2)
             payload.update(mode="product")
-        sp = transform(g, bias)
+        sp = transform(g, p)
         payload.update(
             n=g.n,
-            p=bias.p,
+            p=p,
             entropy=spectral_entropy(sp),
             influence=total_influence_spectral(sp),
         )

@@ -44,8 +44,9 @@ if _env is not None:
 
 
 def check_table_size(n: int, what: str = "table") -> None:
-    """Refuse a negative n, and allocations of 2**n entries beyond the configured cap."""
-    if n < 0:
+    """Refuse an n that is not an integer or is negative, and allocations of
+    2**n entries beyond the configured cap."""
+    if check_integer(n, "variable count n") < 0:
         raise InputError(f"a {what} needs a variable count of at least 0, got {n}")
     if n > _max_n:
         raise ResourceError(

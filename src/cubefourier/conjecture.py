@@ -65,6 +65,7 @@ def ei_ratio(entropy: float, influence: float, p: float = 0.5) -> float | None:
     scaled by p log2(1/p), the natural unit in which the biased analogue
     of the conjecture is phrased.  Constant functions have no ratio.
     """
+    p = as_bias(p)
     if influence <= 0.0:
         return None
     if p == 0.5:
@@ -82,6 +83,8 @@ def entropy_upper_bounds(n: int, influence, infl_vec) -> dict:
     may be an array, with ``infl_vec`` carrying the coordinates along its
     last axis; scalars give floats.
     """
+    if check_integer(n, "variable count n") < 1:
+        raise InputError(f"the bounds need at least one variable, got n = {n}")
     infl = np.asarray(influence, dtype=np.float64)
     # spectral influences are probabilities that rounding can carry an ulp
     # past 1 away from p = 1/2
@@ -187,26 +190,26 @@ class AnalysisReport(NamedTuple):
 
 def analyze(f: TruthTable, p=0.5, epsilon: float = 1e-2) -> AnalysisReport:
     """Full spectral report: entropy, influences, ratio, bounds, support."""
-    bias = as_bias(p)
-    spec = transform(f, bias)
+    p = as_bias(p)
+    spec = transform(f, p)
     ent = spectral_entropy(spec)
     infl = total_influence_spectral(spec)
     ivec = coordinate_influences(spec)
     profile = level_profile(spec)
     size, captured = support_size(spec, epsilon)
-    checks = entropy_checks(bias.p, ent, entropy_upper_bounds(f.n, infl, ivec))
+    checks = entropy_checks(p, ent, entropy_upper_bounds(f.n, infl, ivec))
     claim = None
     # where no bound is checked, only the conjectured normalisation is recorded
     if not checks and f.n >= 2 and infl > 0.0:
-        denom = bias.p * (1.0 - bias.p) * math.log2(f.n) * infl
+        denom = p * (1.0 - p) * math.log2(f.n) * infl
         claim = ent / denom if denom > 0.0 else None
     return AnalysisReport(
         n=f.n,
-        p=bias.p,
+        p=p,
         entropy=ent,
         influence=infl,
         influence_vec=tuple(float(x) for x in ivec),
-        ratio=ei_ratio(ent, infl, bias.p),
+        ratio=ei_ratio(ent, infl, p),
         checks=checks,
         degree=spectral_degree(spec),
         level_weights=tuple(float(w) for w in profile.weights),
@@ -394,7 +397,7 @@ def _sweep_stream(n: int, p, sample: int | None, seed: int, bounds: bool = True)
         check_integer(value, name)
     if n < 1:
         raise InputError("sweep needs at least one variable")
-    p = as_bias(p).p
+    p = as_bias(p)
     if sample is None:
         if n > 4:
             raise InputError(
@@ -670,21 +673,21 @@ def clique_experiment(n_vertices: int, r: int) -> CliqueReport:
     """
     spec_g = GraphPropertySpec(n_vertices, r)
     f = clique_indicator(spec_g)
-    bias = critical_p0(spec_g)
+    p0 = critical_p0(spec_g)
     subsets = math.comb(n_vertices, r)
     exponent = math.comb(r, 2)
-    residual = abs(subsets * bias.p**exponent - 0.5)
+    residual = abs(subsets * p0**exponent - 0.5)
 
-    sp = transform(f, bias)
+    sp = transform(f, p0)
     ent = spectral_entropy(sp)
     infl = total_influence_spectral(sp)
-    union = r * (r - 1) / (4.0 * bias.p)
+    union = r * (r - 1) / (4.0 * p0)
     coeffs = tuple(float(sp.coeffs[msk]) for msk in spec_g.clique_edge_masks())
     return CliqueReport(
         n_vertices=n_vertices,
         r=r,
         n_edges=spec_g.n_edges,
-        p0=bias.p,
+        p0=p0,
         equation_residual=residual,
         entropy=ent,
         influence=infl,
@@ -692,5 +695,5 @@ def clique_experiment(n_vertices: int, r: int) -> CliqueReport:
         union_bound_holds=bool(infl <= union + PROVEN_BOUND_SLACK),
         clique_coefficients=coeffs,
         coefficient_spread=float(max(coeffs) - min(coeffs)),
-        ratio=ei_ratio(ent, infl, bias.p),
+        ratio=ei_ratio(ent, infl, p0),
     )

@@ -1,7 +1,7 @@
 """Reduction from a dyadically biased cube to the uniform cube.
 
-A function f on n variables at bias p = t/2**m is pulled back to a function
-g on n*m uniform variables: each original coordinate i is decided by an
+A function f on n variables at bias p = t/2**m, given as the two integers t
+and m, is pulled back to a function g on n*m uniform variables: each original coordinate i is decided by an
 m-bit block, and reads 1 exactly when the block's integer value lies in the
 top t of its 2**m possibilities.  Blocks occupy reduced mask bits
 (i-1)*m .. i*m-1.
@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _SOURCES, kernels
-from .boolfn import Bias, RealTable, TruthTable, readonly
-from .config import check_table_size
+from .boolfn import RealTable, TruthTable, as_bias, readonly
+from .config import check_integer, check_table_size
 from .conjecture import PROVEN_BOUND_SLACK, Check
 from .errors import InputError
 from .spectral import spectral_entropy, total_influence_spectral, transform
@@ -41,23 +41,26 @@ def _block_table(n: int, lut: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_bias(f: TruthTable | RealTable, p: Bias) -> tuple[int, int]:
-    """t and m of p, once p is an exact t/2^m and f's reduced table on
-    f.n * m variables is within the size cap."""
-    if not isinstance(p, Bias) or not p.is_exact:
-        raise InputError(
-            "the reduction is defined only for exact dyadic biases t/2^m; "
-            "construct one with Bias.exact(t, m)"
-        )
+def _exact_bias(f: TruthTable | RealTable, t, m) -> tuple[int, int, float]:
+    """t and m as ints and the bias t/2^m as a float, once t and m are
+    integers with 1 <= t < 2^m and f's reduced table on f.n * m variables is
+    within the size cap.
+
+    Every check reads bit lengths or f.n * m, so a huge m is refused before
+    2^m is built."""
+    t = check_integer(t, "exact bias numerator t")
+    m = check_integer(m, "exact bias exponent m")
+    if not (t >= 1 and t.bit_length() <= m):
+        raise InputError("exact bias needs integers 1 <= t < 2^m")
     if f.n < 1:
         raise InputError("need at least one original variable")
-    check_table_size(f.n * p.m, "reduced table")
-    return p.t, p.m
+    check_table_size(f.n * m, "reduced table")
+    return t, m, as_bias(t / (1 << m))
 
 
-def reduce_table(f: TruthTable | RealTable, p: Bias):
-    """Pull f back to the uniform cube on n*m variables."""
-    t, m = _exact_bias(f, p)
+def reduce_table(f: TruthTable | RealTable, t: int, m: int):
+    """Pull f back to the uniform cube on n*m variables at bias t/2^m."""
+    t, m, _ = _exact_bias(f, t, m)
     # the original input mask selected by every reduced input mask: a block
     # makes its coordinate read 1 when its value is in the top t of 2^m
     x = _block_table(f.n, np.arange(1 << m) >= (1 << m) - t)
@@ -71,15 +74,15 @@ def floor_log2_reciprocal(t: int, m: int) -> int:
     return ((1 << m) // t).bit_length() - 1
 
 
-def reduction_report(f: TruthTable | RealTable, p: Bias) -> dict:
+def reduction_report(f: TruthTable | RealTable, t: int, m: int) -> dict:
     """Run all three reduction checks on one pair of spectra.
 
     The reduced table g is transformed at p = 1/2 in floating point.  Every
     butterfly weight there is +-1/2, so for a +-1 table each coefficient is
     exactly the dyadic rational the integer transform gives.
     """
-    t, m = _exact_bias(f, p)
-    g_spec = transform(reduce_table(f, p), 0.5)
+    t, m, p = _exact_bias(f, t, m)
+    g_spec = transform(reduce_table(f, t, m), 0.5)
     f_spec = transform(f, p)
     # the squares of g summed per block projection (the coordinates whose
     # block is nonempty), one run at a time; add.at adds into each bin in
@@ -91,11 +94,11 @@ def reduction_report(f: TruthTable | RealTable, p: Bias) -> dict:
         w = c[lo : lo + step]
         np.add.at(grouped, proj[lo : lo + step], w * w)
     lhs = total_influence_spectral(g_spec)
-    rhs = 6.0 * p.p * floor_log2_reciprocal(t, m) * total_influence_spectral(f_spec)
+    rhs = 6.0 * p * floor_log2_reciprocal(t, m) * total_influence_spectral(f_spec)
     reduced = spectral_entropy(g_spec)
     original = spectral_entropy(f_spec)
     return {
-        "p": p.p,
+        "p": p,
         "t": t,
         "m": m,
         "red0_max_gap": float(np.max(np.abs(grouped - f_spec.squares()))),
@@ -120,26 +123,26 @@ def reduction_checks(report: dict) -> tuple[Check, ...]:
     )
 
 
-def verify_red0(f: TruthTable | RealTable, p: Bias) -> float:
+def verify_red0(f: TruthTable | RealTable, t: int, m: int) -> float:
     """Max gap between aggregated reduced squares and original squares.
 
     Checks every original subset at once: squared coefficients of the
     reduced function, grouped by block projection, must reproduce the
     squared coefficients of f exactly.
     """
-    return reduction_report(f, p)["red0_max_gap"]
+    return reduction_report(f, t, m)["red0_max_gap"]
 
 
-def verify_red_fk(f: TruthTable | RealTable, p: Bias) -> tuple[float, float, bool]:
+def verify_red_fk(f: TruthTable | RealTable, t: int, m: int) -> tuple[float, float, bool]:
     """Check uniform influence of g against 6 p floor(log2(1/p)) I_p(f).
 
     The bound is proven for p <= 1/2 (see :func:`reduction_checks`).
     """
-    fk = reduction_report(f, p)["red_fk"]
+    fk = reduction_report(f, t, m)["red_fk"]
     return fk["lhs"], fk["rhs"], fk["holds"]
 
 
-def verify_entropy_monotone(f: TruthTable | RealTable, p: Bias) -> tuple[float, float, bool]:
+def verify_entropy_monotone(f: TruthTable | RealTable, t: int, m: int) -> tuple[float, float, bool]:
     """Spectral entropy may only grow under the reduction (up to slack)."""
-    ent = reduction_report(f, p)["entropy"]
+    ent = reduction_report(f, t, m)["entropy"]
     return ent["reduced"], ent["original"], ent["holds"]

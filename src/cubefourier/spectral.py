@@ -52,7 +52,7 @@ class Spectrum(Frozen):
 
     def __init__(self, n: int, p: float, coeffs):
         arr = frozen_table(n, coeffs, np.float64, "spectrum", "coefficients")
-        self._set(n=n, p=as_bias(p).p, coeffs=arr, _sums=None, _level_sums=None)
+        self._set(n=n, p=as_bias(p), coeffs=arr, _sums=None, _level_sums=None)
 
     @property
     def size(self) -> int:
@@ -167,10 +167,10 @@ class LevelProfile(Frozen):
 
 def transform(f: TruthTable | RealTable, p=0.5) -> Spectrum:
     """Coefficients of f in the orthonormal basis of the p-biased measure."""
-    bias = as_bias(p)
+    p = as_bias(p)
     v = f.sign_values()  # fresh, writable copy
-    kernels.biased_forward_inplace(v, bias.p)
-    return Spectrum(f.n, bias.p, readonly(v))
+    kernels.biased_forward_inplace(v, p)
+    return Spectrum(f.n, p, readonly(v))
 
 
 def inverse_transform(spec: Spectrum) -> RealTable:
@@ -484,12 +484,12 @@ def measure_weights(n: int, p: float) -> np.ndarray:
 
 def influence_combinatorial(f: TruthTable, i: int, p=0.5) -> float:
     """Probability that flipping coordinate i changes the output."""
-    bias = as_bias(p)
+    p = as_bias(p)
     _check_coordinate(f.n, i)
     masks = mask_array(f.n)
     flipped = f.bits[masks ^ (1 << (i - 1))]
     diff = f.bits != flipped
-    return float(np.sum(measure_weights(f.n, bias.p)[diff]))
+    return float(np.sum(measure_weights(f.n, p)[diff]))
 
 
 def influence_vector(f: TruthTable, p=0.5) -> np.ndarray:

@@ -153,17 +153,17 @@ def virtual_power_stats(
     N = check_integer(N, "tensor power N")
     if N < 1:
         raise InputError("tensor power needs N >= 1")
-    bias = as_bias(p)
+    p = as_bias(p)
     if exact:
-        if bias.p != 0.5:
+        if p != 0.5:
             raise InputError("exact virtual powers are supported at p = 1/2 only")
         spec = exact_transform(f)
     else:
-        spec = transform(f, bias)
+        spec = transform(f, p)
     return VirtualPowerStats(
         base_n=f.n,
         N=N,
-        p=bias.p,
+        p=p,
         entropy=N * spectral_entropy(spec),
         total_influence=N * total_influence_spectral(spec),
         profile=profile_power(level_profile(spec), N),

@@ -7,15 +7,12 @@ tuning knobs.
 """
 
 import itertools
-import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
 import cubefourier as cf
 from cubefourier import kernels
-from cubefourier.boolfn import Bias
 from conftest import dyadic_check, naive_transform
 
 BIASES = [0.5, 0.25, 0.125, 0.3, 0.71]
@@ -108,9 +105,8 @@ def test_criterion_04_worked_reduction_example(capsys):
     rising from h(1/4) = 0.8113 to 2.0; all inside one second."""
     t0 = time.perf_counter()
     f = cf.dictator(1, 1)
-    p = Bias.exact(1, 2)
-    g = cf.reduce_table(f, p)
-    report = cf.reduction_report(f, p)
+    g = cf.reduce_table(f, 1, 2)
+    report = cf.reduction_report(f, 1, 2)
     elapsed = time.perf_counter() - t0
     checks = [
         g == cf.and_fn(2),
@@ -143,7 +139,7 @@ def test_criterion_05_red0_on_random_pairs(capsys):
         t, m = tm_choices[k % len(tm_choices)]
         n = 1 + (k % (12 // m))
         f = cf.random_function(n, seed=5000 + k)
-        gap = cf.verify_red0(f, Bias.exact(t, m))
+        gap = cf.verify_red0(f, t, m)
         worst = max(worst, gap)
         count += 1
     elapsed = time.perf_counter() - t0

@@ -6,7 +6,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cubefourier import (
-    Bias,
     GraphPropertySpec,
     TruthTable,
     and_fn,
@@ -27,11 +26,13 @@ from cubefourier import (
 )
 from cubefourier.boolfn import (
     RealTable,
+    as_bias,
     level_array,
     load_truth_table,
     mask_array,
 )
 from cubefourier.conjecture import clique_experiment
+from cubefourier.reduction import reduce_table
 from cubefourier.spectral import Spectrum, transform
 from cubefourier.errors import InputError, ResourceError
 from conftest import discrete_derivative, peak_bytes
@@ -117,49 +118,26 @@ def test_bad_bits_rejected():
 # --- bias ---------------------------------------------------------------
 
 
-def test_exact_bias_value():
-    b = Bias.exact(3, 3)
-    assert b.p == 3 / 8
-    assert b.is_exact
-    assert str(b) == "3/2^3"
-
-
 def test_bias_rejects_endpoints():
-    with pytest.raises(InputError):
-        Bias.general(0.0)
-    with pytest.raises(InputError):
-        Bias.general(1.0)
-    with pytest.raises(InputError):
-        Bias.exact(4, 2)
+    for p in (0.0, 1.0, -0.25, float("nan")):
+        with pytest.raises(InputError, match="strictly between 0 and 1"):
+            as_bias(p)
+    p = as_bias(np.float32(0.25))
+    assert p == 0.25 and type(p) is float
 
 
 def test_a_huge_exact_exponent_is_refused_before_two_to_the_m_is_built():
-    # 1/2^(10^8) rounds to 0.0; 2^(10^8) alone would take 12.7 MB
+    # 2^(10^8) alone would take 12.7 MB
     def refuse():
-        with pytest.raises(InputError, match="exponent m = 100000000 is too large"):
-            Bias.exact(1, 10**8)
+        with pytest.raises(ResourceError, match="reduced table on 100000000 variables"):
+            reduce_table(dictator(1, 1), 1, 10**8)
 
     assert peak_bytes(refuse) < 2**20
 
 
-def test_an_exact_bias_at_the_underflow_rounds_as_a_double():
-    assert Bias.exact(1, 1074).p == Bias.exact(3, 1076).p == 5e-324
-    with pytest.raises(InputError, match="got 0.0"):
-        Bias.exact(1, 1075)  # half the smallest double rounds to even, 0
-    for t, m in [(1, 1076), (3, 1077)]:
-        with pytest.raises(InputError, match="too large"):
-            Bias.exact(t, m)
-
-
-def test_an_exact_bias_keeps_numpy_integers_as_ints():
-    b = Bias.exact(np.int32(1), np.uint8(2))
-    assert b == Bias.exact(1, 2)
-    assert [type(v) for v in (b.t, b.m)] == [int, int]
-
-
 def test_bias_that_is_not_a_number_is_an_input_error():
     for make in (
-        lambda: Bias.general(None),
+        lambda: as_bias(None),
         lambda: Spectrum(1, "abc", [1, 0]),
         lambda: transform(majority(3), "abc"),
     ):
@@ -269,13 +247,13 @@ def test_critical_p0_solves_its_equation():
     from math import comb
 
     spec = GraphPropertySpec(6, 3)
-    p0 = critical_p0(spec).p
+    p0 = critical_p0(spec)
     assert abs(comb(6, 3) * p0 ** comb(3, 2) - 0.5) < 1e-12
 
 
 def test_critical_p0_triangle_closed_form():
     # one potential clique, three edges: p0 solves p^3 = 1/2
-    assert critical_p0(GraphPropertySpec(3, 3)).p == pytest.approx(
+    assert critical_p0(GraphPropertySpec(3, 3)) == pytest.approx(
         0.5 ** (1.0 / 3.0), abs=1e-15
     )
 

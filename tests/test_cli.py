@@ -12,6 +12,7 @@ import pytest
 import cubefourier as cf
 from cubefourier import conjecture, reduction, spectral
 from cubefourier.cli import FAMILIES, main, parse_family
+from cubefourier.config import get_max_n
 from cubefourier.errors import InputError
 from test_golden import GOLDEN
 
@@ -101,7 +102,7 @@ def test_analyze_accepts_exact_bias(capsys):
 @pytest.mark.parametrize("t, m", [(1, 2), (3, 3), (7, 3), (5, 4), (1023, 10), (1, 100)])
 def test_a_dyadic_p_gives_the_library_values_at_the_exact_bias(capsys, t, m):
     f = cf.random_function(4, 11)
-    bias = cf.Bias.exact(t, m)
+    bias = t / 2**m
     source = ("--family", "random:4,11", "--p", repr(t / 2**m), "--format", "json")
 
     def cli(*argv):
@@ -198,7 +199,9 @@ def test_a_huge_exact_exponent_is_a_one_line_error(capsys):
     m = "1000000000000"
     assert run("reduce", "--family", "dictator:1,1", "--t", "1", "--m", m) == 1
     assert capsys.readouterr().err == (
-        f"cubefourier: error: exact bias t/2^m rounds to 0: exponent m = {m} is too large\n"
+        f"cubefourier: error: reduced table on {m} variables needs 2^{m} entries, over the"
+        f" cap of n <= {get_max_n()}; raise it with set_max_n(), --max-n, or"
+        " CUBEFOURIER_MAX_N\n"
     )
 
 
@@ -402,7 +405,7 @@ def test_proven_violation_maps_to_exit_two(monkeypatch, capsys):
     """Exit code 2 is reserved for a failed proven inequality; fabricate one."""
     import cubefourier.cli as cli_mod
 
-    def fake_report(f, p):
+    def fake_report(f, t, m):
         return {
             "p": 0.25, "t": 1, "m": 2, "red0_max_gap": 0.0,
             "red_fk": {"lhs": 5.0, "rhs": 3.0, "holds": False},

@@ -53,30 +53,49 @@ def test_setters_reject_non_integers(value):
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda: cf.Bias.exact(1.5, 2), "exact bias numerator t"),
-        (lambda: cf.Bias.exact(3, 2.9), "exact bias exponent m"),
-        (lambda: cf.Bias.exact(True, 1), "exact bias numerator t"),
+        (lambda: cf.reduce_table(cf.majority(3), 1.5, 2), "exact bias numerator t"),
+        (lambda: cf.reduction_report(cf.majority(3), 3, 2.9), "exact bias exponent m"),
+        (lambda: cf.reduce_table(cf.majority(3), True, 1), "exact bias numerator t"),
         (lambda: cf.virtual_power_stats(cf.majority(3), True), "tensor power N"),
         (lambda: cf.virtual_power_stats(cf.majority(3), 2.5), "tensor power N"),
         (lambda: cf.tensor_power(cf.majority(3), 1.5), "tensor power N"),
         (lambda: cf.profile_power(cf.level_profile(cf.transform(cf.majority(3))), 2.5),
          "profile power N"),
+        (lambda: cf.majority(3.0), "variable count n"),
+        (lambda: cf.and_fn(2.5), "variable count n"),
+        (lambda: cf.tribes(2.0, 2), "variable count n"),
+        (lambda: cf.dictator(3, 1.5), "coordinate i"),
+        (lambda: cf.parity(3, 1.5), "subset mask s"),
+        (lambda: cf.random_function(3, 1.5), "seed"),
+        (lambda: cf.random_function(3, True), "seed"),
     ],
     ids=["exact-t=1.5", "exact-m=2.9", "exact-t=True", "virtual-N=True", "virtual-N=2.5",
-         "tensor_power-N=1.5", "profile_power-N=2.5"],
+         "tensor_power-N=1.5", "profile_power-N=2.5", "majority-n=3.0", "and_fn-n=2.5",
+         "tribes-w=2.0", "dictator-i=1.5", "parity-s=1.5", "random-seed=1.5",
+         "random-seed=True"],
 )
 def test_integer_arguments_are_refused_not_truncated(call, name):
     with pytest.raises(InputError, match=f"^{name} must be an integer, got "):
         call()
 
 
+def test_a_negative_seed_is_an_input_error():
+    with pytest.raises(InputError, match="^seed must be nonnegative, got -1$"):
+        cf.random_function(3, -1)
+
+
 def test_numpy_integers_are_integer_arguments():
-    assert cf.Bias.exact(np.int64(3), np.uint8(2)) == cf.Bias.exact(3, 2)
+    report = cf.reduction_report(cf.majority(3), np.int64(3), np.uint8(2))
+    assert report == cf.reduction_report(cf.majority(3), 3, 2)
+    assert [type(report[k]) for k in ("t", "m")] == [int, int]
+    # 2^m is a Python int: 1 << np.uint8(9) would wrap to 0 in uint8
+    f = cf.dictator(1, 1)
+    assert cf.reduce_table(f, np.int32(1), np.uint8(9)) == cf.reduce_table(f, 1, 9)
     stats = cf.virtual_power_stats(cf.majority(3), np.int64(2))
     assert type(stats.N) is int and stats.n == 6
 
 
-def test_set_threads_reaches_the_kernels(monkeypatch):
+def test_transforms_and_sweep_chunks_run_in_the_calling_thread_without_a_pool(monkeypatch):
     """Every transform, and every chunk of a sweep, runs its stages in the
     calling thread, and no thread pool is created."""
     import concurrent.futures

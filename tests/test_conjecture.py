@@ -43,6 +43,21 @@ def test_ei_ratio_uniform_vs_biased_normalisation():
     assert cf.ei_ratio(1.0, 0.0) is None
 
 
+def test_ei_ratio_refuses_a_bias_outside_the_open_interval():
+    for p, match in [(0.0, "strictly between 0 and 1"), (1.0, "strictly between 0 and 1"),
+                     ("x", "bias must be a number")]:
+        with pytest.raises(InputError, match=match):
+            cf.ei_ratio(1.0, 1.0, p)
+
+
+def test_entropy_upper_bounds_refuse_a_bad_variable_count():
+    for n, match in [(0, "at least one variable, got n = 0"), (-2, "at least one variable"),
+                     (2.0, "variable count n must be an integer"),
+                     (True, "variable count n must be an integer")]:
+        with pytest.raises(InputError, match=match):
+            cf.entropy_upper_bounds(n, 1.0, [0.5])
+
+
 def test_dictator_biased_ratio_frozen_value():
     f = cf.dictator(1, 1)
     sp = cf.transform(f, 0.25)

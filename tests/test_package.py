@@ -149,7 +149,6 @@ def _immutable_values():
     return [
         (f, "n"),
         (cubefourier.RealTable(1, [0.5, 1.0]), "values"),
-        (cubefourier.Bias.exact(1, 2), "p"),
         (cubefourier.GraphPropertySpec(4, 3), "r"),
         (spec, "coeffs"),
         (cubefourier.exact_transform(f), "n"),
@@ -189,7 +188,6 @@ def test_the_immutable_types_survive_pickle_and_copy():
 def test_the_value_types_compare_and_hash_by_their_fields():
     cf = cubefourier
     for make, other in [
-        (lambda: cf.Bias.exact(1, 2), cf.Bias.general(0.25)),
         (lambda: cf.GraphPropertySpec(4, 3), cf.GraphPropertySpec(4, 4)),
         (lambda: cf.majority(3), cf.parity(3, 7)),
     ]:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubefourier as cf
-from cubefourier.boolfn import Bias, mask_array
+from cubefourier.boolfn import mask_array
 from cubefourier import reduction
 from cubefourier.errors import InputError, ResourceError
 from cubefourier.reduction import floor_log2_reciprocal
@@ -35,7 +35,7 @@ def _original_masks(layout, y):
     the table whose value at every original mask is that mask."""
     n = layout.n
     identity = cf.RealTable(n, np.arange(2**n, dtype=float))
-    g = cf.reduce_table(identity, Bias.exact(layout.t, layout.m))
+    g = cf.reduce_table(identity, layout.t, layout.m)
     return g.values.astype(np.int64)[np.asarray(y, dtype=np.int64)]
 
 
@@ -47,27 +47,37 @@ def _projections(layout, masks):
 
 
 def test_reduction_requires_exact_bias():
-    with pytest.raises(InputError):
-        cf.reduce_table(cf.majority(3), Bias.general(0.3))
-    with pytest.raises(InputError):
-        cf.reduce_table(cf.majority(3), 0.25)  # plain float is not enough
+    for t, m, match in [
+        (0.25, 2, "exact bias numerator t must be an integer"),  # a plain float is not enough
+        (1.5, 2, "exact bias numerator t must be an integer"),
+        (True, 1, "exact bias numerator t must be an integer"),
+        (1, 2.0, "exact bias exponent m must be an integer"),
+        (1, None, "exact bias exponent m must be an integer"),
+        (4, 2, "1 <= t < 2\\^m"),
+        (0, 2, "1 <= t < 2\\^m"),
+        (-1, 2, "1 <= t < 2\\^m"),
+        (1, 0, "1 <= t < 2\\^m"),
+    ]:
+        for run in (cf.reduce_table, cf.reduction_report):
+            with pytest.raises(InputError, match=match):
+                run(cf.majority(3), t, m)
 
 
 @pytest.mark.parametrize("run", [cf.reduce_table, cf.reduction_report])
 def test_reduction_refuses_a_zero_variable_table_and_an_oversized_result(run):
     with pytest.raises(InputError, match="at least one original variable"):
-        run(cf.RealTable(0, [1.0]), Bias.exact(1, 2))
+        run(cf.RealTable(0, [1.0]), 1, 2)
     with pytest.raises(ResourceError, match="reduced table on 30 variables"):
-        run(cf.majority(3), Bias.exact(1, 10))
+        run(cf.majority(3), 1, 10)
 
 
 def test_dictator_quarter_reduces_to_and2():
-    g = cf.reduce_table(cf.dictator(1, 1), Bias.exact(1, 2))
+    g = cf.reduce_table(cf.dictator(1, 1), 1, 2)
     assert g == cf.and_fn(2)
 
 
 def test_dictator_three_quarters_reduces_to_or2():
-    g = cf.reduce_table(cf.dictator(1, 1), Bias.exact(3, 2))
+    g = cf.reduce_table(cf.dictator(1, 1), 3, 2)
     assert g == cf.or_fn(2)
 
 
@@ -103,7 +113,7 @@ def test_pushforward_counts_are_exact_integers():
 
 
 def test_constant_reduces_to_constant():
-    g = cf.reduce_table(cf.constant(2, -1), Bias.exact(1, 2))
+    g = cf.reduce_table(cf.constant(2, -1), 1, 2)
     assert g.n == 4
     assert bool(np.all(g.bits == 1))
 
@@ -127,9 +137,8 @@ def test_floor_log2_reciprocal():
 
 
 def test_worked_example_dictator_quarter():
-    f = cf.dictator(1, 1)
-    p = Bias.exact(1, 2)
-    report = cf.reduction_report(f, p)
+    report = cf.reduction_report(cf.dictator(1, 1), 1, 2)
+    assert report["p"] == 0.25 and (report["t"], report["m"]) == (1, 2)
     assert report["red0_max_gap"] < 1e-12
     assert report["red_fk"]["holds"]
     assert report["red_fk"]["lhs"] == pytest.approx(1.0, abs=1e-12)
@@ -145,19 +154,17 @@ def test_worked_example_dictator_quarter():
     ids=["truth-table", "integer-real-table"],
 )
 def test_each_check_is_its_field_of_the_report(f):
-    p = Bias.exact(3, 3)
-    report = cf.reduction_report(f, p)
-    assert cf.verify_red0(f, p) == report["red0_max_gap"]
-    assert cf.verify_red_fk(f, p) == tuple(report["red_fk"].values())
-    assert cf.verify_entropy_monotone(f, p) == tuple(report["entropy"].values())
+    report = cf.reduction_report(f, 3, 3)
+    assert report["p"] == 3 / 8
+    assert cf.verify_red0(f, 3, 3) == report["red0_max_gap"]
+    assert cf.verify_red_fk(f, 3, 3) == tuple(report["red_fk"].values())
+    assert cf.verify_entropy_monotone(f, 3, 3) == tuple(report["entropy"].values())
 
 
 def test_red0_aggregates_squares_exactly_for_dictator():
-    f = cf.dictator(1, 1)
-    p = Bias.exact(1, 2)
-    g = cf.reduce_table(f, p)
+    layout = Layout(1, t=1, m=2)
+    g = cf.reduce_table(cf.dictator(1, 1), layout.t, layout.m)
     gsp = cf.exact_transform(g)
-    layout = Layout(f.n, p.t, p.m)
     proj = _projections(layout, np.arange(1 << g.n))
     squares = (gsp.numerators / (1 << g.n)) ** 2
     # V(empty) carries (1-2p)^2 = 1/4, V({1}) carries 4p(1-p) = 3/4
@@ -175,7 +182,7 @@ def test_red0_identity_on_random_functions(seed, tm, n):
     if n * m > 10:
         n = 10 // m
     f = cf.random_function(n, seed)
-    gap = cf.verify_red0(f, Bias.exact(t, m))
+    gap = cf.verify_red0(f, t, m)
     assert gap < 1e-9
 
 
@@ -184,7 +191,7 @@ def test_red_fk_bound_on_random_functions(seed, tm):
     t, m = tm
     n = max(1, 9 // m)
     f = cf.random_function(n, seed)
-    lhs, rhs, holds = cf.verify_red_fk(f, Bias.exact(t, m))
+    lhs, rhs, holds = cf.verify_red_fk(f, t, m)
     assert holds, (lhs, rhs)
 
 
@@ -196,7 +203,7 @@ def test_entropy_never_decreases_under_reduction(seed, tm):
     t, m = tm
     n = max(1, 9 // m)
     f = cf.random_function(n, seed)
-    reduced, original, holds = cf.verify_entropy_monotone(f, Bias.exact(t, m))
+    reduced, original, holds = cf.verify_entropy_monotone(f, t, m)
     assert holds, (reduced, original)
 
 
@@ -207,7 +214,7 @@ def test_reduction_preserves_first_and_second_moments(seed, tm):
     n = 3 if m == 2 else 2
     rng = np.random.Generator(np.random.PCG64(seed))
     f = cf.RealTable(n, rng.integers(-5, 6, size=1 << n).astype(np.float64))
-    g = cf.reduce_table(f, Bias.exact(t, m))
+    g = cf.reduce_table(f, t, m)
     mu = measure_weights(n, t / (1 << m))
     for q in (1, 2):
         lhs = float(np.mean(np.abs(g.values) ** q))
@@ -217,8 +224,7 @@ def test_reduction_preserves_first_and_second_moments(seed, tm):
 
 def test_reduction_preserves_the_mean():
     f = cf.random_function(3, seed=77)
-    bias = Bias.exact(3, 2)
-    g = cf.reduce_table(f, bias)
+    g = cf.reduce_table(f, 3, 2)
     mu = measure_weights(3, 0.75)
     assert float(np.mean(g.sign_values())) == pytest.approx(
         float(np.sum(mu * f.sign_values())), abs=1e-12
@@ -227,15 +233,15 @@ def test_reduction_preserves_the_mean():
 
 def test_red_fk_edge_cases():
     # parity on two variables at p = 1/4
-    lhs, rhs, holds = cf.verify_red_fk(cf.parity(2, 0b11), Bias.exact(1, 2))
+    lhs, rhs, holds = cf.verify_red_fk(cf.parity(2, 0b11), 1, 2)
     assert holds, (lhs, rhs)
     # a constant function has zero entropy and zero influence on both sides
-    lhs, rhs, holds = cf.verify_red_fk(cf.constant(2), Bias.exact(1, 2))
+    lhs, rhs, holds = cf.verify_red_fk(cf.constant(2), 1, 2)
     assert lhs == 0.0 and rhs == 0.0 and holds
 
 
 def test_report_shape_is_stable():
-    report = cf.reduction_report(cf.majority(3), Bias.exact(1, 2))
+    report = cf.reduction_report(cf.majority(3), 1, 2)
     assert set(report) == {"p", "t", "m", "red0_max_gap", "red_fk", "entropy"}
     assert set(report["red_fk"]) == {"lhs", "rhs", "holds"}
     assert set(report["entropy"]) == {"reduced", "original", "holds"}
@@ -243,7 +249,7 @@ def test_report_shape_is_stable():
 
 def test_real_tables_reduce_by_the_same_layout():
     f = cf.RealTable(1, np.array([2.0, -3.0]))
-    g = cf.reduce_table(f, Bias.exact(1, 2))
+    g = cf.reduce_table(f, 1, 2)
     assert g.values.tolist() == [2.0, 2.0, 2.0, -3.0]
 
 
