@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -383,7 +384,7 @@ def random_function(n: int, seed: int, density: float = 0.5) -> TruthTable:
     Drawn from a PCG64-backed numpy Generator, so identical (n, seed,
     density) reproduce the same table on every platform.
     """
-    if not 0.0 <= density <= 1.0:
+    if not (isinstance(density, numbers.Real) and 0.0 <= density <= 1.0):
         raise InputError("density must lie in [0, 1]")
     check_table_size(n, "truth table")
     if check_integer(seed, "seed") < 0:

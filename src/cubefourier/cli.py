@@ -226,11 +226,11 @@ def _cmd_reduce(ns):
     if ns.t is None or ns.m is None:
         raise InputError("the reduction needs an exact bias: --t T --m M")
     report = reduction_report(f, ns.t, ns.m)
-    _, fk, ent = checks = reduction_checks(report)
+    red0, fk, ent = checks = reduction_checks(report)
     lines = [
         f"p = {report['p']:.6g} = {report['t']}/2^{report['m']}"
         f"   reduced variables = {f.n * report['m']}",
-        f"squared-coefficient gap  {report['red0_max_gap']:.3g}",
+        f"squared-coefficient gap  {red0.value:.3g}  [{red0.mark}]",
         f"influence bound          {fk.value:.10g} <= {fk.bound:.10g}  [{fk.mark}]",
         f"entropy monotone         {ent.bound:.10g} >= {ent.value:.10g}  [{ent.mark}]",
     ]

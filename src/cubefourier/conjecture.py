@@ -89,6 +89,9 @@ def entropy_upper_bounds(n: int, influence, infl_vec) -> dict:
     # spectral influences are probabilities that rounding can carry an ulp
     # past 1 away from p = 1/2
     ivec = np.clip(np.asarray(infl_vec, dtype=np.float64), 0.0, 1.0)
+    if ivec.shape[-1:] != (n,):
+        raise InputError(f"infl_vec must hold n = {n} influences along its last axis,"
+                         f" got shape {ivec.shape}")
     out = {"h_bound": np.sum(binary_entropy(ivec), axis=-1)}
     with np.errstate(divide="ignore", invalid="ignore"):
         log_term = math.log2(n) - np.log2(infl)
@@ -672,13 +675,13 @@ def clique_experiment(n_vertices: int, r: int) -> CliqueReport:
     assert.  By vertex symmetry all coefficients on clique edge-sets agree.
     """
     spec_g = GraphPropertySpec(n_vertices, r)
-    f = clique_indicator(spec_g)
     p0 = critical_p0(spec_g)
     subsets = math.comb(n_vertices, r)
     exponent = math.comb(r, 2)
     residual = abs(subsets * p0**exponent - 0.5)
 
-    sp = transform(f, p0)
+    # no name holds the indicator: its bytes are freed before the sums allocate
+    sp = transform(clique_indicator(spec_g), p0)
     ent = spectral_entropy(sp)
     infl = total_influence_spectral(sp)
     union = r * (r - 1) / (4.0 * p0)

@@ -16,6 +16,7 @@ import bisect
 import functools
 import json
 import math
+import numbers
 import struct
 from contextlib import nullcontext
 
@@ -591,8 +592,8 @@ def support_size(spec: Spectrum, epsilon: float) -> tuple[int, float]:
     the running sum.  The one working array is a copy of the nonzero
     coefficients, squared, sorted and summed in place.
     """
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise InputError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    if not (isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon >= 0.0):
+        raise InputError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     c = spec.coeffs
     total = float(spec.sums().total[0])
     if not math.isfinite(total):

@@ -13,6 +13,10 @@ code with the float64 stage the package runs.
 ``dyadic_check``, ``reconstruct_exact``, ``discrete_derivative`` and
 ``total_influence_combinatorial`` build inputs for, or check, the exact
 transform and the influences; no command needs them, so they live here.
+
+``materialised_reduction`` is the oracle for the closed-form reduction
+report: it builds the reduced table g on n*m variables, transforms it at
+p = 1/2 and groups its squares by block projection.
 """
 
 import tracemalloc
@@ -157,3 +161,21 @@ def discrete_derivative(f, i: int):
 def total_influence_combinatorial(f, p=0.5) -> float:
     """Total influence from the definition: the sum of the flip probabilities."""
     return sum(cf.influence_vector(f, p))
+
+
+def materialised_reduction(f, t: int, m: int) -> dict:
+    """The numbers of ``reduction_report`` read off g's own spectrum: the
+    largest gap between g's squares summed per block projection and f's
+    squares at t/2^m, g's influence and g's entropy."""
+    from cubefourier import reduction
+
+    g_spec = cf.transform(cf.reduce_table(f, t, m), 0.5)
+    f_spec = cf.transform(f, t / (1 << m))
+    proj = reduction._block_table(f.n, np.arange(1 << m) != 0)
+    grouped = np.zeros(1 << f.n)
+    np.add.at(grouped, proj, g_spec.coeffs * g_spec.coeffs)
+    return {
+        "red0_max_gap": float(np.max(np.abs(grouped - f_spec.squares()))),
+        "influence": cf.total_influence_spectral(g_spec),
+        "entropy": cf.spectral_entropy(g_spec),
+    }

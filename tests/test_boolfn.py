@@ -129,7 +129,7 @@ def test_bias_rejects_endpoints():
 def test_a_huge_exact_exponent_is_refused_before_two_to_the_m_is_built():
     # 2^(10^8) alone would take 12.7 MB
     def refuse():
-        with pytest.raises(ResourceError, match="reduced table on 100000000 variables"):
+        with pytest.raises(InputError, match="exponent m must be at most 1074, got 100000000"):
             reduce_table(dictator(1, 1), 1, 10**8)
 
     assert peak_bytes(refuse) < 2**20

@@ -199,10 +199,17 @@ def test_a_huge_exact_exponent_is_a_one_line_error(capsys):
     m = "1000000000000"
     assert run("reduce", "--family", "dictator:1,1", "--t", "1", "--m", m) == 1
     assert capsys.readouterr().err == (
-        f"cubefourier: error: reduced table on {m} variables needs 2^{m} entries, over the"
-        f" cap of n <= {get_max_n()}; raise it with set_max_n(), --max-n, or"
-        " CUBEFOURIER_MAX_N\n"
+        f"cubefourier: error: exact bias exponent m must be at most 1074, got {m}:"
+        " 2^-1074 is the smallest positive double\n"
     )
+
+
+def test_reduce_runs_past_the_size_cap_of_the_reduced_table(capsys):
+    # n*m = 28: the closed form builds no table on 28 variables
+    argv = ["reduce", "--family", "random:7,1", "--t", "3", "--m", "4", "--format", "json"]
+    assert get_max_n() < 28 and run(*argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["red_fk"]["holds"] and report["entropy"]["holds"]
 
 
 def test_tensor_virtual_vs_explicit(capsys):
@@ -418,8 +425,9 @@ def test_proven_violation_maps_to_exit_two(monkeypatch, capsys):
 
 # Each patch breaks one inequality, below the code that checks it.
 def _break_red0(monkeypatch):
-    real = spectral.Spectrum.squares
-    monkeypatch.setattr(spectral.Spectrum, "squares", lambda self: real(self) + 1e-6)
+    # the block's squares sum to 1 + 1e-6: g's squares no longer group to f's
+    real = reduction._block_spectrum
+    monkeypatch.setattr(reduction, "_block_spectrum", lambda t, m: (real(t, m)[0], 1.0 + 1e-6))
 
 
 def _break_red_fk(monkeypatch):
@@ -427,8 +435,9 @@ def _break_red_fk(monkeypatch):
 
 
 def _break_entropy_monotone(monkeypatch):
-    # the reduced spectrum has more variables, so it gets the lower entropy
-    monkeypatch.setattr(reduction, "spectral_entropy", lambda spec: -float(spec.n))
+    # a block of negative entropy takes the reduced entropy below f's
+    real = reduction._block_spectrum
+    monkeypatch.setattr(reduction, "_block_spectrum", lambda t, m: (-1.0, real(t, m)[1]))
 
 
 def _break_union_bound(monkeypatch):
@@ -440,7 +449,7 @@ QUARTER = ["reduce", "--family", "majority:3", "--t", "1", "--m", "2"]
 
 @pytest.mark.parametrize("argv, brk, marked, code", [
     (["analyze", "--family", "and:3"], "tightened", "bound logn_bound", 2),
-    (QUARTER, _break_red0, None, 2),  # the gap's text line carries no mark
+    (QUARTER, _break_red0, "squared-coefficient gap", 2),
     (QUARTER, _break_red_fk, "influence bound", 2),
     (QUARTER, _break_entropy_monotone, "entropy monotone", 2),
     (["clique", "--nv", "5", "--r", "3"], _break_union_bound, "influence", 2),

@@ -79,6 +79,23 @@ def test_integer_arguments_are_refused_not_truncated(call, name):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: cf.entropy_upper_bounds(3, 1.0, [0.5]),
+         r"^infl_vec must hold n = 3 influences along its last axis, got shape \(1,\)$"),
+        (lambda: cf.random_function(3, 1, "x"), r"^density must lie in \[0, 1\]$"),
+        (lambda: cf.random_function(3, 1, None), r"^density must lie in \[0, 1\]$"),
+        (lambda: cf.analyze(cf.majority(3), 0.5, epsilon="x"),
+         "^epsilon must be finite and nonnegative, got 'x'$"),
+    ],
+    ids=["short-infl_vec", "density-str", "density-None", "epsilon-str"],
+)
+def test_arguments_of_the_wrong_kind_name_themselves(call, match):
+    with pytest.raises(InputError, match=match):
+        call()
+
+
 def test_a_negative_seed_is_an_input_error():
     with pytest.raises(InputError, match="^seed must be nonnegative, got -1$"):
         cf.random_function(3, -1)

@@ -669,6 +669,13 @@ def test_clique_experiment_small_triangle():
     assert report.coefficient_spread < 1e-10
 
 
+def test_the_clique_experiment_holds_one_table_at_a_time():
+    """The 16 MiB coefficient table of the 21 edge variables, and not the
+    2 MiB indicator beside it: that is freed once it is transformed."""
+    cf.clique_experiment(7, 3)  # first-use caches are not the experiment's
+    assert peak_bytes(lambda: cf.clique_experiment(7, 3)) <= 18.5 * 2**20
+
+
 def test_triangle_coefficient_has_a_closed_form():
     # nv = r = 3: one potential clique, f = 1 - 2 AND(three edges); the
     # coefficient on the full edge set is 2 (p0 (1 - p0))^(3/2)

@@ -7,9 +7,14 @@ reports written by one output branch per subcommand, before every
 subcommand went through the one writer in ``main``.  The reports stay
 byte-identical for every thread count.  A deliberate change of any of these
 outputs has to update its hash here.
+
+The ``reduce`` pins are those of the closed-form report, which builds no
+reduced table; ``test_the_reduce_pin_keeps_the_materialised_values`` holds
+its numbers to those of the materialised report they replaced.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -19,7 +24,7 @@ from cubefourier.kernels import backend_name
 GOLDEN = {
     "reduce_random5_t3_m4": (
         ["reduce", "--family", "random:5,7", "--t", "3", "--m", "4"],
-        "fdef3ebbfff532ec0763e6106d0d1263dc7e81e094af17963f6c4b88f26d2ba5",
+        "5e579d8031bc61f8a0f4bd186afec9ff654714dc647029a15e92df04bf888e78",
     ),
     "tensor_majority3_pow200_exact": (
         ["tensor", "--family", "majority:3", "--power", "200", "--exact"],
@@ -64,7 +69,7 @@ TEXT_GOLDEN = {
     ),
     "reduce_random5_t3_m4": (
         GOLDEN["reduce_random5_t3_m4"][0],
-        "07c00c8f1f34c66a689468ee86d053de68bfc8c526b539f4b067ef1cf110f669",
+        "3decc4b83a06e2cece8f69c160e72123c449f2686aca3b2733d063563063ab6a",
     ),
     "tensor_majority3_pow200_exact": (
         GOLDEN["tensor_majority3_pow200_exact"][0],
@@ -89,3 +94,27 @@ def test_text_report_bytes_are_pinned(name, tmp_path):
     out = tmp_path / "report.txt"
     assert main(argv + ["--format", "text", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# the report of GOLDEN["reduce_random5_t3_m4"] when the reduced table on 20
+# variables was built and transformed
+MATERIALISED_REDUCE = {
+    "p": 0.1875, "t": 3, "m": 4, "red0_max_gap": 1.1102230246251565e-16,
+    "red_fk": {"lhs": 2.1051788330078125, "rhs": 4.736652374267578, "holds": True},
+    "entropy": {"reduced": 7.261071847977902, "original": 3.2960098992874443, "holds": True},
+}
+
+
+def test_the_reduce_pin_keeps_the_materialised_values(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(GOLDEN["reduce_random5_t3_m4"][0] + ["--format", "json", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+
+    def flat(d, prefix=""):
+        for k, v in d.items():
+            yield from flat(v, f"{prefix}{k}.") if isinstance(v, dict) else [(prefix + k, v)]
+
+    got, want = dict(flat(report)), dict(flat(MATERIALISED_REDUCE))
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key

@@ -1,3 +1,5 @@
+import decimal
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 
 import cubefourier as cf
 from cubefourier.boolfn import mask_array
-from cubefourier import reduction
+from cubefourier import config, reduction
 from cubefourier.errors import InputError, ResourceError
 from cubefourier.reduction import floor_log2_reciprocal
 from cubefourier.spectral import measure_weights
+
+from conftest import integer_wht, materialised_reduction, peak_bytes
 
 
 class Layout(NamedTuple):
@@ -64,11 +68,28 @@ def test_reduction_requires_exact_bias():
 
 
 @pytest.mark.parametrize("run", [cf.reduce_table, cf.reduction_report])
-def test_reduction_refuses_a_zero_variable_table_and_an_oversized_result(run):
+def test_reduction_refuses_a_zero_variable_table_and_an_oversized_result(run, monkeypatch):
     with pytest.raises(InputError, match="at least one original variable"):
         run(cf.RealTable(0, [1.0]), 1, 2)
-    with pytest.raises(ResourceError, match="reduced table on 30 variables"):
-        run(cf.majority(3), 1, 10)
+    f = cf.majority(3)
+    if run is cf.reduce_table:
+        with pytest.raises(ResourceError, match="reduced table on 30 variables"):
+            run(f, 1, 10)
+        return
+    # the report builds no reduced table: n*m = 30 runs, and only f's n is capped
+    assert run(f, 1, 10)["m"] == 10
+    monkeypatch.setattr(config, "_max_n", 2)
+    with pytest.raises(ResourceError, match="table on 3 variables"):
+        run(f, 1, 10)
+
+
+@pytest.mark.parametrize("m", [1075, 10**12])
+def test_an_exponent_no_double_needs_is_refused_before_two_to_the_m_is_built(m):
+    def refuse():
+        with pytest.raises(InputError, match=f"exponent m must be at most 1074, got {m}"):
+            cf.reduction_report(cf.dictator(1, 1), 1, m)
+
+    assert peak_bytes(refuse) < 2**20
 
 
 def test_dictator_quarter_reduces_to_and2():
@@ -290,3 +311,131 @@ def test_block_projection_matches_the_per_block_formula(case):
     proj = _projections(layout, masks)
     assert proj.dtype == np.int64
     assert proj.tolist() == _per_block(layout, masks, lambda v: v != 0).tolist()
+
+
+# --- the closed form against the materialised reduction ---------------------
+
+EVERY_DYADIC_BIAS = [(t, m) for m in range(1, 5) for t in range(1, 1 << m)]
+
+
+def _assert_matches_the_materialised_report(f, t, m):
+    report, oracle = cf.reduction_report(f, t, m), materialised_reduction(f, t, m)
+    assert report["red0_max_gap"] == pytest.approx(oracle["red0_max_gap"], abs=1e-12)
+    assert report["red_fk"]["lhs"] == pytest.approx(oracle["influence"], rel=1e-12, abs=1e-12)
+    assert report["entropy"]["reduced"] == pytest.approx(oracle["entropy"], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_closed_form_matches_the_materialised_report_on_every_small_function(n):
+    # every t for m <= 4, so p > 1/2 too
+    for table in range(1 << (1 << n)):
+        f = cf.from_bits(n, [(table >> x) & 1 for x in range(1 << n)])
+        for t, m in EVERY_DYADIC_BIAS:
+            _assert_matches_the_materialised_report(f, t, m)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_closed_form_matches_the_materialised_report_at_four_variables(seed):
+    f = cf.random_function(4, seed)
+    for t, m in EVERY_DYADIC_BIAS:
+        _assert_matches_the_materialised_report(f, t, m)
+
+
+def test_the_closed_form_matches_the_materialised_report_on_a_real_table():
+    f = cf.RealTable(3, np.array([3.0, -1.0, 0.0, 2.0, 0.5, -4.0, 1.0, 1.0]))
+    for t, m in EVERY_DYADIC_BIAS:
+        _assert_matches_the_materialised_report(f, t, m)
+
+
+def _block_thresholds(m, ts):
+    """Rows of 0/1 block thresholds h(y) = [y >= 2^m - t], one per t."""
+    ts = np.asarray(ts, dtype=np.int64)
+    return (np.arange(1 << m) >= (1 << m) - ts[:, None]).astype(np.int64)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_block_influence_counts_the_cut_edges(m):
+    ts = np.arange(1, 1 << m)
+    h = _block_thresholds(m, ts)
+    y = np.arange(1 << m)
+    flips = sum(np.sum(h != h[:, y ^ (1 << j)], axis=1) for j in range(m))
+    for t, count in zip(ts.tolist(), flips.tolist()):
+        assert reduction._block_influence(t, m) == count / (1 << m), (t, m)
+
+
+def _wht_rows(x):
+    """integer_wht of each row of x, one (a + b, a - b) reshape per coordinate."""
+    for i in range(x.shape[1].bit_length() - 1):
+        a = x.reshape(x.shape[0], -1, 2, 1 << i)
+        x = np.stack((a[:, :, 0] + a[:, :, 1], a[:, :, 0] - a[:, :, 1]), axis=2)
+        x = x.reshape(a.shape[0], -1)
+    return x
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_block_entropy_matches_a_transform_of_the_block(m):
+    ts = np.arange(1, 1 << m)
+    for lo in range(0, ts.size, 256):
+        chunk = ts[lo : lo + 256]
+        nums = _wht_rows(_block_thresholds(m, chunk))[:, 1:]
+        u = nums.astype(np.float64) ** 2 / (chunk * ((1 << m) - chunk))[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = -np.sum(np.where(u > 0, u * np.log2(u), 0.0), axis=1)
+        got = np.array([reduction._block_spectrum(t, m) for t in chunk.tolist()])
+        assert np.max(np.abs(got[:, 0] - want)) <= 1e-12
+        assert np.max(np.abs(got[:, 1] - 1.0)) <= 1e-14
+        assert np.max(np.abs(u.sum(axis=1) - 1.0)) <= 1e-14
+
+
+def _block_squares(t, m):
+    """{square: count} of the nonempty uniform spectrum of the 0/1 block
+    threshold, exactly, from its split on the top bit: a threshold on m - 1
+    bits on one half, a constant on the other."""
+    squares, scale = {}, 1
+    for j in range(m, 0, -1):
+        half = 1 << (j - 1)
+        low = t if t <= half else t - half  # the inner threshold's top values
+        mean = Fraction(low, half)
+        new = (mean / 2) ** 2 if t <= half else ((mean - 1) / 2) ** 2
+        if new:
+            squares[new / scale] = squares.get(new / scale, 0) + (1 << (m - j))
+        scale, t = scale * 4, low
+    return squares
+
+
+def test_the_exact_block_squares_are_those_of_the_transform():
+    for m in range(1, 7):
+        rows = _block_thresholds(m, range(1, 1 << m))
+        assert np.array_equal(_wht_rows(rows), np.stack([integer_wht(row) for row in rows]))
+        for t in range(1, 1 << m):
+            nums = integer_wht(rows[t - 1])[1:]
+            want = {}
+            for v in nums.tolist():
+                if v:
+                    key = Fraction(v * v, 4**m)
+                    want[key] = want.get(key, 0) + 1
+            assert _block_squares(t, m) == want, (t, m)
+
+
+def test_block_entropy_at_a_tiny_bias_matches_decimal_arithmetic():
+    """p = 3 * 2^-600: each u is a ratio of integers near 2^600."""
+    t, m = 3, 600
+    variance = Fraction(t, 1 << m) * (1 - Fraction(t, 1 << m))
+    u = {square / variance: count for square, count in _block_squares(t, m).items()}
+    assert sum(v * c for v, c in u.items()) == 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ln2 = decimal.Decimal(2).ln()
+
+        def dec(q):
+            return decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
+
+        want = -sum(c * dec(v) * dec(v).ln() / ln2 for v, c in u.items())
+    entropy, mass = reduction._block_spectrum(t, m)
+    assert entropy == pytest.approx(float(want), rel=1e-14)
+    assert mass == pytest.approx(1.0, abs=1e-15)
+
+
+def test_the_report_holds_no_reduced_table():
+    f = cf.random_function(6, 7)  # n*m = 24 below: the reduced table alone is 16 MiB
+    assert peak_bytes(lambda: cf.reduction_report(f, 3, 4)) < 2**20
