@@ -25,10 +25,10 @@ __version__ = "0.1.0"
 # The public names of each submodule, which is imported on first use of one.
 _SOURCES = {
     "boolfn": (
-        "GraphPropertySpec", "RealTable", "TruthTable", "and_fn",
-        "clique_indicator", "constant", "critical_p0", "dictator", "format_truth_table",
-        "from_bits", "load_truth_table", "majority", "mux3", "or_fn", "parity",
-        "parse_truth_table", "random_function", "table_to_hex", "tribes",
+        "GraphPropertySpec", "TruthTable", "and_fn", "clique_indicator", "constant",
+        "critical_p0", "dictator", "format_truth_table", "from_bits", "load_truth_table",
+        "majority", "mux3", "or_fn", "parity", "parse_truth_table", "random_function",
+        "table_to_hex", "tribes",
     ),
     "conjecture": (
         "AnalysisReport", "Check", "CliqueReport", "SweepResult", "analyze",

@@ -102,20 +102,19 @@ def frozen_array(value, dtype, length: int, entries: str) -> np.ndarray:
     return _frozen(_entries(value, dtype, length, entries), value)
 
 
-def table_entries(n: int, value, dtype, what: str, entries: str, least: int = 1) -> np.ndarray:
-    """``value`` checked as the 2**n entries of a ``what`` on n >= ``least``
+def table_entries(n: int, value, dtype, what: str, entries: str) -> np.ndarray:
+    """``value`` checked as the 2**n entries of a ``what`` on n >= 1
     variables, and converted only if it must be: a caller that reads it once
     into a buffer of its own needs no frozen copy."""
-    if n < least:
-        count = "one variable" if least == 1 else f"{least} variables"
-        raise InputError(f"a {what} needs at least {count}")
+    if n < 1:
+        raise InputError(f"a {what} needs at least one variable")
     check_table_size(n, what)
     return _entries(value, dtype, 1 << n, f"2^{n} = {1 << n} {entries}")
 
 
-def frozen_table(n: int, value, dtype, what: str, entries: str, least: int = 1) -> np.ndarray:
-    """``value`` as the frozen 2**n-entry array of a ``what`` on n >= ``least`` variables."""
-    return _frozen(table_entries(n, value, dtype, what, entries, least), value)
+def frozen_table(n: int, value, dtype, what: str, entries: str) -> np.ndarray:
+    """``value`` as the frozen 2**n-entry array of a ``what`` on n >= 1 variables."""
+    return _frozen(table_entries(n, value, dtype, what, entries), value)
 
 
 class Frozen:
@@ -193,27 +192,6 @@ class TruthTable(Frozen):
         if self.n <= 4:
             return f"TruthTable(n={self.n}, bits={''.join(map(str, self.bits))})"
         return f"TruthTable(n={self.n}, hex={table_to_hex(self)})"
-
-
-class RealTable(Frozen):
-    """A real-valued function on the cube (n may be 0)."""
-
-    __slots__ = _fields = ("n", "values")
-    n: int
-    values: np.ndarray  # float64, length 2**n, read-only
-
-    def __init__(self, n: int, values):
-        arr = frozen_table(n, values, np.float64, "table", "values", least=0)
-        if not np.all(np.isfinite(arr)):
-            raise InputError("table values must be finite")
-        self._set(n=n, values=arr)
-
-    @property
-    def size(self) -> int:
-        return 1 << self.n
-
-    def sign_values(self) -> np.ndarray:
-        return self.values.astype(np.float64)
 
 
 def as_bias(p) -> float:

@@ -47,9 +47,18 @@ __all__ = list(_SOURCES["conjecture"])
 PROVEN_BOUND_SLACK = 1e-9
 
 
+def _reals(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array; InputError names ``what`` where numpy
+    would raise a bare ValueError on a non-number, or read None as NaN."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise InputError(f"{what} must hold real numbers, got {value!r}")
+    return arr.astype(np.float64, copy=False)
+
+
 def binary_entropy(x):
     """h(x) in bits, elementwise; h(0) = h(1) = 0."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _reals(x, "binary entropy argument x")
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise InputError(f"binary entropy arguments must lie in [0, 1], got {x}")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -66,7 +75,8 @@ def ei_ratio(entropy: float, influence: float, p: float = 0.5) -> float | None:
     of the conjecture is phrased.  Constant functions have no ratio.
     """
     p = as_bias(p)
-    if influence <= 0.0:
+    _reals(entropy, "entropy")
+    if _reals(influence, "influence") <= 0.0:
         return None
     if p == 0.5:
         return entropy / influence
@@ -85,10 +95,10 @@ def entropy_upper_bounds(n: int, influence, infl_vec) -> dict:
     """
     if check_integer(n, "variable count n") < 1:
         raise InputError(f"the bounds need at least one variable, got n = {n}")
-    infl = np.asarray(influence, dtype=np.float64)
+    infl = _reals(influence, "influence")
     # spectral influences are probabilities that rounding can carry an ulp
     # past 1 away from p = 1/2
-    ivec = np.clip(np.asarray(infl_vec, dtype=np.float64), 0.0, 1.0)
+    ivec = np.clip(_reals(infl_vec, "infl_vec"), 0.0, 1.0)
     if ivec.shape[-1:] != (n,):
         raise InputError(f"infl_vec must hold n = {n} influences along its last axis,"
                          f" got shape {ivec.shape}")

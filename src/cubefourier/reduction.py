@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import _SOURCES
-from .boolfn import RealTable, TruthTable, as_bias, readonly
+from .boolfn import TruthTable, readonly
 from .config import check_integer, check_table_size
 from .conjecture import PROVEN_BOUND_SLACK, Check
 from .errors import InputError
@@ -50,9 +50,9 @@ def _block_table(n: int, lut: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_bias(f: TruthTable | RealTable, t, m) -> tuple[int, int, float]:
-    """t and m as ints and the bias t/2^m as a float, once t and m are
-    integers with 1 <= t < 2^m and m <= 1074, and f is within the size cap.
+def _exact_bias(f: TruthTable, t, m) -> tuple[int, int, float]:
+    """t and m as ints and the bias t/2^m as a float, once t and m are integers
+    with 1 <= t < 2^m and m <= 1074, the float is below 1, and f is within the cap.
 
     Every check reads bit lengths, m or f.n, so a huge m is refused before
     2^m is built."""
@@ -60,25 +60,24 @@ def _exact_bias(f: TruthTable | RealTable, t, m) -> tuple[int, int, float]:
     m = check_integer(m, "exact bias exponent m")
     if not (t >= 1 and t.bit_length() <= m):
         raise InputError("exact bias needs integers 1 <= t < 2^m")
-    if f.n < 1:
-        raise InputError("need at least one original variable")
     check_table_size(f.n)
     if m > 1074:
         raise InputError(f"exact bias exponent m must be at most 1074, got {m}:"
                          " 2^-1074 is the smallest positive double")
-    return t, m, as_bias(t / (1 << m))
+    p = t / (1 << m)
+    if p == 1.0:
+        raise InputError(f"exact bias t/2^m with t = {t}, m = {m} rounds to 1.0 as a double")
+    return t, m, p
 
 
-def reduce_table(f: TruthTable | RealTable, t: int, m: int):
+def reduce_table(f: TruthTable, t: int, m: int) -> TruthTable:
     """Pull f back to the uniform cube on n*m variables at bias t/2^m."""
     t, m, _ = _exact_bias(f, t, m)
     check_table_size(f.n * m, "reduced table")
     # the original input mask selected by every reduced input mask: a block
     # makes its coordinate read 1 when its value is in the top t of 2^m
     x = _block_table(f.n, np.arange(1 << m) >= (1 << m) - t)
-    if isinstance(f, TruthTable):
-        return TruthTable(f.n * m, readonly(f.bits[x]))
-    return RealTable(f.n * m, readonly(f.values[x]))
+    return TruthTable(f.n * m, readonly(f.bits[x]))
 
 
 def floor_log2_reciprocal(t: int, m: int) -> int:
@@ -121,7 +120,7 @@ def _block_spectrum(t: int, m: int) -> tuple[float, float]:
     return entropy, mass
 
 
-def reduction_report(f: TruthTable | RealTable, t: int, m: int) -> dict:
+def reduction_report(f: TruthTable, t: int, m: int) -> dict:
     """Run all three reduction checks from f's spectrum at p and h's closed form.
 
     By the factorisation in the module docstring, I(g) = B I_p(f) and
@@ -165,7 +164,7 @@ def reduction_checks(report: dict) -> tuple[Check, ...]:
     )
 
 
-def verify_red0(f: TruthTable | RealTable, t: int, m: int) -> float:
+def verify_red0(f: TruthTable, t: int, m: int) -> float:
     """Max gap between aggregated reduced squares and original squares.
 
     Checks every original subset at once: squared coefficients of the
@@ -175,7 +174,7 @@ def verify_red0(f: TruthTable | RealTable, t: int, m: int) -> float:
     return reduction_report(f, t, m)["red0_max_gap"]
 
 
-def verify_red_fk(f: TruthTable | RealTable, t: int, m: int) -> tuple[float, float, bool]:
+def verify_red_fk(f: TruthTable, t: int, m: int) -> tuple[float, float, bool]:
     """Check uniform influence of g against 6 p floor(log2(1/p)) I_p(f).
 
     The bound is proven for p <= 1/2 (see :func:`reduction_checks`).
@@ -184,7 +183,7 @@ def verify_red_fk(f: TruthTable | RealTable, t: int, m: int) -> tuple[float, flo
     return fk["lhs"], fk["rhs"], fk["holds"]
 
 
-def verify_entropy_monotone(f: TruthTable | RealTable, t: int, m: int) -> tuple[float, float, bool]:
+def verify_entropy_monotone(f: TruthTable, t: int, m: int) -> tuple[float, float, bool]:
     """Spectral entropy may only grow under the reduction (up to slack)."""
     ent = reduction_report(f, t, m)["entropy"]
     return ent["reduced"], ent["original"], ent["holds"]

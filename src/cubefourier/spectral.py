@@ -25,7 +25,6 @@ import numpy as np
 from . import _SOURCES, kernels
 from .boolfn import (
     Frozen,
-    RealTable,
     TruthTable,
     _check_coordinate,
     as_bias,
@@ -166,7 +165,7 @@ class LevelProfile(Frozen):
 # transforms
 
 
-def transform(f: TruthTable | RealTable, p=0.5) -> Spectrum:
+def transform(f: TruthTable, p=0.5) -> Spectrum:
     """Coefficients of f in the orthonormal basis of the p-biased measure."""
     p = as_bias(p)
     v = f.sign_values()  # fresh, writable copy
@@ -174,35 +173,23 @@ def transform(f: TruthTable | RealTable, p=0.5) -> Spectrum:
     return Spectrum(f.n, p, readonly(v))
 
 
-def inverse_transform(spec: Spectrum) -> RealTable:
-    """Rebuild the function table from its coefficients."""
+def inverse_transform(spec: Spectrum) -> np.ndarray:
+    """The function's values from its coefficients: a read-only float64 array."""
     v = spec.coeffs.copy()
     kernels.biased_inverse_inplace(v, spec.p)
-    return RealTable(spec.n, readonly(v))
+    return readonly(v)
 
 
-_EXACT_VALUE_BOUND = 1 << 20
-
-
-def exact_transform(f: TruthTable | RealTable) -> DyadicSpectrum:
+def exact_transform(f: TruthTable) -> DyadicSpectrum:
     """Uniform-measure coefficients as exact integer numerators over 2**n.
 
-    Accepts integer-valued tables with |value| <= 2**20.  The butterfly runs
-    in doubles; every partial sum is an integer of magnitude at most
-    max|value| * 2**n <= 2**(20 + n), exact and below the 2**53 limit of
-    ``DyadicSpectrum`` up to n = 32, so the result is scaled in place
-    without that constructor's check.
+    The butterfly runs in doubles on the +-1 values: every partial sum is an
+    integer of magnitude at most 2**n, below the 2**53 limit of ``DyadicSpectrum``
+    up to n = 32, so the result is scaled in place without that check.
     """
-    v = f.sign_values()  # fresh, writable
-    if isinstance(f, RealTable):
-        if not np.array_equal(v, np.rint(v)):
-            raise InputError("exact transform needs integer-valued tables")
-        if v.size and np.max(np.abs(v)) > _EXACT_VALUE_BOUND:
-            raise InputError(
-                f"exact transform supports integer values up to {_EXACT_VALUE_BOUND}"
-            )
-    if not 1 <= f.n <= 32:
+    if f.n > 32:
         raise InputError("exact transform needs 1 to 32 variables")
+    v = f.sign_values()  # fresh, writable
     kernels.wht_inplace(v)
     return DyadicSpectrum._from_buffer(f.n, v)
 
@@ -629,22 +616,13 @@ def min_support(spec: Spectrum, epsilon: float):
     return top_masks(spec.coeffs, keep, key=np.square), captured
 
 
-def parseval_gap(spec: Spectrum, f: TruthTable | RealTable) -> float:
-    """|sum of squared coefficients - E[f^2]| under the spectrum's measure.
-
-    E[f^2] is taken from the table's values, grouped by level: every mask
-    of level k has probability p^k (1-p)^(n-k).  A Boolean f has f^2 = 1, so
-    its level sums are the counts C(n, k), exactly what summing ones gives.
-    """
+def parseval_gap(spec: Spectrum, f: TruthTable) -> float:
+    """|sum of squared coefficients - E[f^2]| under the spectrum's measure,
+    where E[f^2] = 1 is the sum over levels k of C(n, k) masks of
+    probability p^k (1-p)^(n-k)."""
     if f.n != spec.n:
         raise InputError("function and spectrum sizes differ")
-    if isinstance(f, TruthTable):
-        per_level = np.array([math.comb(f.n, k) for k in range(f.n + 1)], dtype=np.float64)
-    else:
-        vals = f.sign_values()
-        per_level = np.bincount(
-            level_array(f.n), weights=np.square(vals, out=vals), minlength=f.n + 1
-        )
+    per_level = np.array([math.comb(f.n, k) for k in range(f.n + 1)], dtype=np.float64)
     energy = float(np.sum(per_level * _level_probabilities(f.n, spec.p)))
     return abs(float(spec.sums().total[0]) - energy)
 

@@ -134,28 +134,29 @@ def dyadic_check(dspec, k: int) -> bool:
 
 
 def reconstruct_exact(dspec):
-    """Invert an exact spectrum; a TruthTable when the values are +-1.
+    """Invert an exact spectrum: a TruthTable when the values are +-1, else
+    the float64 values in mask order.
 
     The butterfly of the coefficients is the one of the numerators scaled
-    by 2**-n, so it is exact for the spectrum of any table that
-    ``exact_transform`` accepts.
+    by 2**-n, so it is exact whenever every partial sum of the numerators'
+    butterfly is an integer below 2**53.
     """
     v = dspec.coeffs.copy()
     kernels.wht_inplace(v)
     if np.all((v == 1) | (v == -1)):
         return cf.TruthTable(dspec.n, ((1 - v) // 2).astype(np.uint8))
-    return cf.RealTable(dspec.n, v)
+    return v
 
 
-def discrete_derivative(f, i: int):
-    """Half the difference of f across coordinate i, on n - 1 variables.
+def discrete_derivative(f, i: int) -> np.ndarray:
+    """Half the difference of f across coordinate i: 2^(n-1) float64 values.
 
     "Across coordinate i" is between stored bits 0 and 1; the remaining
     coordinates keep their relative order.  For Boolean f every output lies
     in {-1, 0, 1}.
     """
     pairs = f.sign_values().reshape(-1, 2, 1 << (i - 1))
-    return cf.RealTable(f.n - 1, ((pairs[:, 0, :] - pairs[:, 1, :]) / 2.0).reshape(-1))
+    return ((pairs[:, 0, :] - pairs[:, 1, :]) / 2.0).reshape(-1)
 
 
 def total_influence_combinatorial(f, p=0.5) -> float:

@@ -40,7 +40,7 @@ def test_criterion_01_roundtrip_and_parseval(capsys):
         sp = cf.transform(f, p)
         back = cf.inverse_transform(sp)
         worst_round = max(
-            worst_round, float(np.max(np.abs(back.values - f.sign_values())))
+            worst_round, float(np.max(np.abs(back - f.sign_values())))
         )
         worst_parseval = max(worst_parseval, abs(float(np.sum(sp.squares())) - 1.0))
         count += 1

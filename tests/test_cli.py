@@ -204,6 +204,14 @@ def test_a_huge_exact_exponent_is_a_one_line_error(capsys):
     )
 
 
+def test_an_exact_bias_next_to_one_is_a_one_line_error_about_its_rounding(capsys):
+    t = (1 << 60) - 1
+    assert run("reduce", "--family", "majority:3", "--t", str(t), "--m", "60") == 1
+    assert capsys.readouterr().err == (
+        f"cubefourier: error: exact bias t/2^m with t = {t}, m = 60 rounds to 1.0 as a double\n"
+    )
+
+
 def test_reduce_runs_past_the_size_cap_of_the_reduced_table(capsys):
     # n*m = 28: the closed form builds no table on 28 variables
     argv = ["reduce", "--family", "random:7,1", "--t", "3", "--m", "4", "--format", "json"]

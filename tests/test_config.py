@@ -88,8 +88,20 @@ def test_integer_arguments_are_refused_not_truncated(call, name):
         (lambda: cf.random_function(3, 1, None), r"^density must lie in \[0, 1\]$"),
         (lambda: cf.analyze(cf.majority(3), 0.5, epsilon="x"),
          "^epsilon must be finite and nonnegative, got 'x'$"),
+        (lambda: cf.entropy_upper_bounds(3, "x", [0.5] * 3),
+         "^influence must hold real numbers, got 'x'$"),
+        (lambda: cf.entropy_upper_bounds(3, None, [0.5] * 3),
+         "^influence must hold real numbers, got None$"),
+        (lambda: cf.entropy_upper_bounds(3, 1.0, ["x"] * 3),
+         r"^infl_vec must hold real numbers, got \['x', 'x', 'x'\]$"),
+        (lambda: cf.binary_entropy("x"),
+         "^binary entropy argument x must hold real numbers, got 'x'$"),
+        (lambda: cf.ei_ratio(1.0, "x", 0.3), "^influence must hold real numbers, got 'x'$"),
+        (lambda: cf.ei_ratio(None, 1.0, 0.3), "^entropy must hold real numbers, got None$"),
     ],
-    ids=["short-infl_vec", "density-str", "density-None", "epsilon-str"],
+    ids=["short-infl_vec", "density-str", "density-None", "epsilon-str", "bounds-influence-str",
+         "bounds-influence-None", "bounds-infl_vec-str", "binary_entropy-str", "ei_ratio-str",
+         "ei_ratio-None"],
 )
 def test_arguments_of_the_wrong_kind_name_themselves(call, match):
     with pytest.raises(InputError, match=match):

@@ -148,7 +148,6 @@ def _immutable_values():
     spec = cubefourier.transform(f, 0.3)
     return [
         (f, "n"),
-        (cubefourier.RealTable(1, [0.5, 1.0]), "values"),
         (cubefourier.GraphPropertySpec(4, 3), "r"),
         (spec, "coeffs"),
         (cubefourier.exact_transform(f), "n"),
@@ -203,7 +202,7 @@ def test_the_value_types_compare_and_hash_by_their_fields():
         a, b = make(), make()
         assert a is not b and a == b != other
     for unhashable in (cf.transform(f), cf.transform(f).sums(), cf.transform(f).level_sums(),
-                       cf.RealTable(0, [1.0]), cf.exhaustive_sweep(1)):
+                       cf.exhaustive_sweep(1)):
         with pytest.raises(TypeError):
             hash(unhashable)
 

@@ -35,12 +35,13 @@ class Layout(NamedTuple):
 
 
 def _original_masks(layout, y):
-    """Original input mask selected by each reduced mask y: the reduction of
-    the table whose value at every original mask is that mask."""
-    n = layout.n
-    identity = cf.RealTable(n, np.arange(2**n, dtype=float))
-    g = cf.reduce_table(identity, layout.t, layout.m)
-    return g.values.astype(np.int64)[np.asarray(y, dtype=np.int64)]
+    """Original input mask selected by each reduced mask y: bit i - 1 of it
+    is the reduction of the dictator of coordinate i."""
+    masks = np.zeros(1 << layout.n_reduced, dtype=np.int64)
+    for i in range(1, layout.n + 1):
+        g = cf.reduce_table(cf.dictator(layout.n, i), layout.t, layout.m)
+        masks |= g.bits.astype(np.int64) << (i - 1)
+    return masks[np.asarray(y, dtype=np.int64)]
 
 
 def _projections(layout, masks):
@@ -69,8 +70,9 @@ def test_reduction_requires_exact_bias():
 
 @pytest.mark.parametrize("run", [cf.reduce_table, cf.reduction_report])
 def test_reduction_refuses_a_zero_variable_table_and_an_oversized_result(run, monkeypatch):
-    with pytest.raises(InputError, match="at least one original variable"):
-        run(cf.RealTable(0, [1.0]), 1, 2)
+    # no zero-variable table reaches the reduction: none can be built
+    with pytest.raises(InputError, match="truth table needs at least one variable"):
+        run(cf.TruthTable(0, [0]), 1, 2)
     f = cf.majority(3)
     if run is cf.reduce_table:
         with pytest.raises(ResourceError, match="reduced table on 30 variables"):
@@ -90,6 +92,16 @@ def test_an_exponent_no_double_needs_is_refused_before_two_to_the_m_is_built(m):
             cf.reduction_report(cf.dictator(1, 1), 1, m)
 
     assert peak_bytes(refuse) < 2**20
+
+
+def test_an_exact_bias_that_rounds_to_one_is_refused_by_name():
+    f = cf.majority(3)
+    # 1 - 2^-53 is a double; 1 - 2^-54 lies halfway to 1 and rounds to it
+    assert cf.reduction_report(f, (1 << 53) - 1, 53)["p"] == 1.0 - 2.0**-53
+    for run in (cf.reduce_table, cf.reduction_report):
+        with pytest.raises(InputError, match=r"^exact bias t/2\^m with t = 18014398509481983,"
+                                             r" m = 54 rounds to 1\.0 as a double"):
+            run(f, (1 << 54) - 1, 54)
 
 
 def test_dictator_quarter_reduces_to_and2():
@@ -169,11 +181,7 @@ def test_worked_example_dictator_quarter():
     assert report["entropy"]["holds"]
 
 
-@pytest.mark.parametrize(
-    "f",
-    [cf.majority(3), cf.RealTable(2, np.array([3.0, -1.0, 0.0, 2.0]))],
-    ids=["truth-table", "integer-real-table"],
-)
+@pytest.mark.parametrize("f", [cf.majority(3)], ids=["truth-table"])
 def test_each_check_is_its_field_of_the_report(f):
     report = cf.reduction_report(f, 3, 3)
     assert report["p"] == 3 / 8
@@ -228,21 +236,6 @@ def test_entropy_never_decreases_under_reduction(seed, tm):
     assert holds, (reduced, original)
 
 
-@given(st.integers(0, 200), st.sampled_from([(1, 2), (3, 2), (5, 3)]))
-def test_reduction_preserves_first_and_second_moments(seed, tm):
-    """E_{1/2}[|g|^q] == E_p[|f|^q] for q = 1, 2 -- reduction is measure-preserving."""
-    t, m = tm
-    n = 3 if m == 2 else 2
-    rng = np.random.Generator(np.random.PCG64(seed))
-    f = cf.RealTable(n, rng.integers(-5, 6, size=1 << n).astype(np.float64))
-    g = cf.reduce_table(f, t, m)
-    mu = measure_weights(n, t / (1 << m))
-    for q in (1, 2):
-        lhs = float(np.mean(np.abs(g.values) ** q))
-        rhs = float(np.sum(mu * np.abs(f.values) ** q))
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
 def test_reduction_preserves_the_mean():
     f = cf.random_function(3, seed=77)
     g = cf.reduce_table(f, 3, 2)
@@ -266,12 +259,6 @@ def test_report_shape_is_stable():
     assert set(report) == {"p", "t", "m", "red0_max_gap", "red_fk", "entropy"}
     assert set(report["red_fk"]) == {"lhs", "rhs", "holds"}
     assert set(report["entropy"]) == {"reduced", "original", "holds"}
-
-
-def test_real_tables_reduce_by_the_same_layout():
-    f = cf.RealTable(1, np.array([2.0, -3.0]))
-    g = cf.reduce_table(f, 1, 2)
-    assert g.values.tolist() == [2.0, 2.0, 2.0, -3.0]
 
 
 # --- block tables against the per-block formula -----------------------------
@@ -337,12 +324,6 @@ def test_the_closed_form_matches_the_materialised_report_on_every_small_function
 @pytest.mark.parametrize("seed", range(20))
 def test_the_closed_form_matches_the_materialised_report_at_four_variables(seed):
     f = cf.random_function(4, seed)
-    for t, m in EVERY_DYADIC_BIAS:
-        _assert_matches_the_materialised_report(f, t, m)
-
-
-def test_the_closed_form_matches_the_materialised_report_on_a_real_table():
-    f = cf.RealTable(3, np.array([3.0, -1.0, 0.0, 2.0, 0.5, -4.0, 1.0, 1.0]))
     for t, m in EVERY_DYADIC_BIAS:
         _assert_matches_the_materialised_report(f, t, m)
 

@@ -76,7 +76,7 @@ def test_empty_set_coefficient_is_the_mean(n, seed, p):
 def test_roundtrip_recovers_the_table(n, seed, p):
     f = cf.random_function(n, seed)
     back = cf.inverse_transform(cf.transform(f, p))
-    assert np.max(np.abs(back.values - f.sign_values())) < 1e-9
+    assert np.max(np.abs(back - f.sign_values())) < 1e-9
 
 
 @given(st.integers(1, 10), st.integers(0, 10_000), st.sampled_from(BIASES))
@@ -85,15 +85,15 @@ def test_parseval_energy_is_one(n, seed, p):
     sp = cf.transform(f, p)
     assert abs(np.sum(sp.squares()) - 1.0) < 1e-10
     assert cf.parseval_gap(sp, f) < 1e-10
-    # a Boolean table takes the binomial level counts: bitwise the same gap
-    assert cf.parseval_gap(sp, cf.RealTable(n, f.sign_values())) == cf.parseval_gap(sp, f)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.3])
-def test_parseval_gap_of_a_large_boolean_table_matches_the_real_path(p):
+def test_parseval_gap_of_a_large_boolean_table_matches_the_measure_sum(p):
+    """E[f^2] = 1 is the mass of every mask: the binomial level counts give it."""
     f = cf.random_function(20, 4)
     sp = cf.transform(f, p)
-    assert cf.parseval_gap(sp, cf.RealTable(20, f.sign_values())) == cf.parseval_gap(sp, f)
+    want = abs(float(sp.sums().total[0]) - float(np.sum(measure_weights(20, p))))
+    assert cf.parseval_gap(sp, f) == pytest.approx(want, abs=1e-12)
 
 
 @given(st.integers(1, 5), st.sampled_from(BIASES))
@@ -104,12 +104,12 @@ def test_inverse_of_unit_spectrum_is_a_character(n, p):
         coeffs[s] = 1.0
         table = cf.inverse_transform(cf.Spectrum(n, p, coeffs))
         expected = [naive_character(n, p, s, x) for x in range(1 << n)]
-        assert np.max(np.abs(table.values - expected)) < 1e-12
+        assert np.max(np.abs(table - expected)) < 1e-12
 
 
 def test_inverse_of_zero_spectrum_is_zero():
     table = cf.inverse_transform(cf.Spectrum(3, 0.3, np.zeros(8)))
-    assert not table.values.any()
+    assert not table.any() and not table.flags.writeable
 
 
 # --- influences -------------------------------------------------------------
@@ -147,12 +147,12 @@ def test_derivative_spectrum_is_a_slice(n, seed):
     f = cf.random_function(n, seed)
     sp = cf.exact_transform(f)
     for i in range(1, n + 1):
-        dsp = cf.exact_transform(discrete_derivative(f, i))
+        dnums = integer_wht(discrete_derivative(f, i))
         low = (1 << (i - 1)) - 1
         for s_rest in range(1 << (n - 1)):
             s = (s_rest & low) | ((s_rest & ~low) << 1) | (1 << (i - 1))
-            # derivative table has n-1 variables: its denominator is 2^(n-1)
-            assert dsp.coeffs[s_rest] == sp.coeffs[s]
+            # the derivative has n-1 variables: its denominator is 2^(n-1)
+            assert dnums[s_rest] * 2 == sp.numerators[s]
 
 
 # --- exact arithmetic -------------------------------------------------------
@@ -177,8 +177,8 @@ def test_exact_transform_matches_integer_butterfly_on_sign_tables(n):
 
 
 def _extreme_integer_tables(n):
-    """Integer tables at the exact transform's bound 2^20, where the partial
-    sums reach 2^(20 + n): random, both constants, and a full-scale parity."""
+    """Integer tables of magnitude up to 2^20, where the partial sums reach
+    2^(20 + n): random, both constants, and a full-scale parity."""
     bound = 1 << 20
     rng = np.random.Generator(np.random.PCG64(n))
     signs = 1 - 2 * (np.bitwise_count(np.arange(1 << n)).astype(np.int64) & 1)
@@ -192,12 +192,14 @@ def _extreme_integer_tables(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 17, 20])
 def test_exact_transform_matches_integer_butterfly_on_integer_tables(n):
+    """The float64 stage exact_transform runs is exact on integers whose
+    partial sums stay below 2^53, and so is its inverse."""
     for label, vals in _extreme_integer_tables(n).items():
-        table = cf.RealTable(n, vals.astype(np.float64))
-        d = cf.exact_transform(table)
-        assert np.array_equal(d.numerators, integer_wht(vals)), (n, label)
-        back = reconstruct_exact(d)
-        assert np.array_equal(back.values, table.values), (n, label)
+        v = vals.astype(np.float64)
+        kernels.wht_inplace(v)
+        assert np.array_equal(v, integer_wht(vals)), (n, label)
+        back = reconstruct_exact(cf.DyadicSpectrum(n, v))
+        assert np.array_equal(back, vals), (n, label)
 
 
 @given(st.integers(1, 8), st.integers(0, 10_000))
@@ -206,16 +208,15 @@ def test_exact_reconstruction_is_lossless(n, seed):
     assert reconstruct_exact(cf.exact_transform(f)) == f
 
 
-def test_exact_transform_accepts_integer_real_tables():
-    t = cf.RealTable(2, np.array([3.0, -1.0, 0.0, 2.0]))
-    d = cf.exact_transform(t)
-    back = reconstruct_exact(d)
-    assert np.array_equal(back.values, t.values)
+def test_exact_transform_refuses_33_variables_before_building_the_values():
+    class Wide:
+        n = 33
 
+        def sign_values(self):
+            raise AssertionError("2^33 values built before the variable count was checked")
 
-def test_exact_transform_rejects_non_integers():
-    with pytest.raises(InputError):
-        cf.exact_transform(cf.RealTable(1, np.array([0.5, 1.0])))
+    with pytest.raises(InputError, match="exact transform needs 1 to 32 variables"):
+        cf.exact_transform(Wide())
 
 
 def test_constant_function_is_a_point_mass_at_the_empty_set():
@@ -468,7 +469,6 @@ def test_tables_name_the_shape_they_refuse():
         lambda: cf.Spectrum(1, 0.5, two_by_one),
         lambda: cf.DyadicSpectrum(1, two_by_one),
         lambda: cf.TruthTable(1, two_by_one),
-        lambda: cf.RealTable(1, two_by_one),
         lambda: cf.LevelProfile(1, two_by_one),
     ):
         with pytest.raises(InputError, match=r"got shape \(2, 1\)"):
@@ -658,11 +658,10 @@ def test_squares_are_fresh_read_only_tables():
     "build, field, dtype",
     [
         (lambda a: cf.TruthTable(2, a), "bits", np.uint8),
-        (lambda a: cf.RealTable(2, a), "values", np.float64),
         (lambda a: cf.Spectrum(2, 0.3, a), "coeffs", np.float64),
         (lambda a: cf.DyadicSpectrum(2, a), "numerators", np.float64),
     ],
-    ids=["TruthTable", "RealTable", "Spectrum", "DyadicSpectrum"],
+    ids=["TruthTable", "Spectrum", "DyadicSpectrum"],
 )
 def test_a_table_copies_an_array_the_caller_can_still_write(build, field, dtype):
     whole = np.array([0, 1, 1, 0, 1], dtype=dtype)
@@ -677,11 +676,10 @@ def test_a_table_copies_an_array_the_caller_can_still_write(build, field, dtype)
     "build, field, dtype",
     [
         (lambda a: cf.TruthTable(2, a), "bits", np.uint8),
-        (lambda a: cf.RealTable(2, a), "values", np.float64),
         (lambda a: cf.Spectrum(2, 0.3, a), "coeffs", np.float64),
         (lambda a: cf.DyadicSpectrum(2, a), "numerators", np.float64),
     ],
-    ids=["TruthTable", "RealTable", "Spectrum", "DyadicSpectrum"],
+    ids=["TruthTable", "Spectrum", "DyadicSpectrum"],
 )
 def test_a_table_copies_a_read_only_view_of_memory_the_caller_can_write(build, field, dtype):
     whole = np.array([0, 1, 1, 0, 1], dtype=dtype)
@@ -748,7 +746,7 @@ def test_exact_level_profile_big_numerators_take_the_integer_fallback():
     # 2^32, so its square does not fit the int64 path
     rng = np.random.Generator(np.random.PCG64(5))
     vals = (1 << 20) - rng.integers(0, 3, size=1 << 12)
-    d = cf.exact_transform(cf.RealTable(12, vals.astype(np.float64)))
+    d = cf.DyadicSpectrum(12, integer_wht(vals))
     assert int(np.max(np.abs(d.numerators))) >= 1 << 31
     prof = cf.spectral.exact_level_profile(d)
     assert prof.exact == _literal_level_fractions(d)
