@@ -124,8 +124,9 @@ class Frozen:
     the part of them that makes its value.  ``__init__`` sets them with
     ``_set``, and any later assignment or deletion raises AttributeError.
     Two values of the same type are equal when ``np.array_equal`` holds on
-    each field; the hash is that of the field tuple, so a type holding an
-    array is unhashable; the repr shows the fields.
+    each field, NaN equal to NaN, so a value equals its copy; the hash is
+    that of the field tuple, so a type holding an array is unhashable; the
+    repr shows the fields.
     """
 
     __slots__ = _fields = ()
@@ -152,7 +153,10 @@ class Frozen:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in self._fields)
+        return all(
+            np.array_equal(getattr(self, k), getattr(other, k), equal_nan=True)
+            for k in self._fields
+        )
 
     def __hash__(self):
         return hash(tuple(getattr(self, k) for k in self._fields))

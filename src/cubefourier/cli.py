@@ -71,7 +71,7 @@ try:
         total_influence_spectral,
         transform,
     )
-    from .tensor import tensor_power, tensor_product, virtual_power_stats
+    from .tensor import tensor_product, virtual_power_stats
 
     if _STARTS_PROCESS:
         gc.freeze()
@@ -177,8 +177,8 @@ def _load_source(ns, suffix="") -> TruthTable | None:
     return from_bits(n, bits)
 
 
-def _add_bias(parser):
-    parser.add_argument("--p", type=float, default=0.5, help="bias (default 1/2)")
+def _add_bias(parser, default=0.5):
+    parser.add_argument("--p", type=float, default=default, help="bias (default 1/2)")
 
 
 def _add_common(parser):
@@ -204,7 +204,7 @@ def _add_common(parser):
 def _cmd_analyze(ns):
     report = analyze(_load_source(ns), ns.p, epsilon=ns.epsilon)
     lines = [
-        f"n = {report.n}   p = {report.p:.6g}   backend = {backend_name()}",
+        f"n = {report.n}   p = {report.p!r}   backend = {backend_name()}",
         f"spectral entropy   {report.entropy:.10g} bits",
         f"total influence    {report.influence:.10g}",
         f"entropy/influence  {'n/a' if report.ratio is None else f'{report.ratio:.10g}'}",
@@ -228,7 +228,7 @@ def _cmd_reduce(ns):
     report = reduction_report(f, ns.t, ns.m)
     red0, fk, ent = checks = reduction_checks(report)
     lines = [
-        f"p = {report['p']:.6g} = {report['t']}/2^{report['m']}"
+        f"p = {report['p']!r} = {report['t']}/2^{report['m']}"
         f"   reduced variables = {f.n * report['m']}",
         f"squared-coefficient gap  {red0.value:.3g}  [{red0.mark}]",
         f"influence bound          {fk.value:.10g} <= {fk.bound:.10g}  [{fk.mark}]",
@@ -242,11 +242,11 @@ def _cmd_tensor(ns):
     g2 = _load_source(ns, suffix="2")
     if (ns.power is None) == (g2 is None):
         raise InputError("tensor needs exactly one of --power N and a second factor")
-    if ns.exact and (g2 is not None or ns.explicit):
-        raise InputError("--exact applies only to a virtual power: --power N without --explicit")
+    if ns.exact and g2 is not None:
+        raise InputError("--exact applies only to a virtual power: --power N")
     p = as_bias(ns.p)
     payload = {"schema": 1, "command": "tensor"}
-    if ns.power is not None and not ns.explicit:
+    if g2 is None:
         stats = virtual_power_stats(f, ns.power, p, exact=ns.exact)
         payload.update(
             mode="virtual",
@@ -261,21 +261,16 @@ def _cmd_tensor(ns):
             level_weights=[float(w) for w in stats.profile.weights],
         )
     else:
-        if g2 is None:
-            g = tensor_power(f, ns.power)
-            payload.update(mode="explicit", N=ns.power)
-        else:
-            g = tensor_product(f, g2)
-            payload.update(mode="product")
+        g = tensor_product(f, g2)
         sp = transform(g, p)
         payload.update(
+            mode="product",
             n=g.n,
             p=p,
             entropy=spectral_entropy(sp),
             influence=total_influence_spectral(sp),
+            function_hex=table_to_hex(g) if g.n <= 16 else None,
         )
-        if g2 is not None:
-            payload["function_hex"] = table_to_hex(g) if g.n <= 16 else None
     lines = [f"{key} = {value}" for key, value in payload.items() if key != "schema"]
     return payload, lines, ()
 
@@ -327,7 +322,7 @@ def _cmd_sweep(ns):
         "violations": summary.violations,
     }
     lines = [
-        f"swept {summary.count} functions on n = {ns.n} at p = {p:.6g}",
+        f"swept {summary.count} functions on n = {ns.n} at p = {p!r}",
         f"max entropy/influence ratio = {summary.best:.10g} at hex {summary.best_hex}",
         f"proven-bound violations: {len(summary.violations)}",
     ]
@@ -355,12 +350,14 @@ def _cmd_clique(ns):
 def _cmd_spectrum(ns):
     if ns.top < 0:
         raise InputError("--top must be nonnegative")
+    if ns.load is not None and ns.p is not None:
+        raise InputError("--p applies only to a computed spectrum: a loaded one keeps its bias")
     # both exports are opened before the transform, and written all or not at all
     with _replacing(ns.export, binary=True) as spec_fh, _replacing(ns.export_json) as json_fh:
         if ns.load is not None:
             sp = load_spectrum_binary(ns.load)
         else:
-            sp = transform(_load_source(ns), ns.p)
+            sp = transform(_load_source(ns), 0.5 if ns.p is None else ns.p)
         if spec_fh:
             save_spectrum_binary(sp, spec_fh)
         if json_fh:
@@ -368,7 +365,7 @@ def _cmd_spectrum(ns):
     order = top_masks(sp.coeffs, ns.top, key=np.abs)
     ent = spectral_entropy(sp)
     infl = total_influence_spectral(sp)
-    lines = [f"n = {sp.n}   p = {sp.p:.6g}   entropy = {ent:.10g}   influence = {infl:.10g}"]
+    lines = [f"n = {sp.n}   p = {sp.p!r}   entropy = {ent:.10g}   influence = {infl:.10g}"]
     for msk in order:
         lines.append(f"  S = {int(msk):0{sp.n}b}   coeff = {sp.coeffs[msk]:+.12g}")
     if ns.export:
@@ -406,9 +403,6 @@ def _conf_tensor(p):
     _add_source(p, suffix="2", required=False)
     p.add_argument("--power", type=int, default=None, help="tensor power exponent N")
     p.add_argument(
-        "--explicit", action="store_true", help="materialise the full power table"
-    )
-    p.add_argument(
         "--exact", action="store_true", help="rational level profile (p = 1/2)"
     )
     _add_bias(p)
@@ -433,7 +427,8 @@ def _conf_clique(p):
 def _conf_spectrum(p):
     group = _add_source(p)
     group.add_argument("--load", metavar="PATH", help="read a binary spectrum file")
-    _add_bias(p)
+    # no default, so a --p beside --load is seen and refused
+    _add_bias(p, default=None)
     p.add_argument("--export", metavar="PATH", help="write the binary spectrum")
     p.add_argument("--export-json", metavar="PATH", help="write the JSON spectrum")
     p.add_argument("--top", type=int, default=8, help="coefficients to display")

@@ -17,11 +17,13 @@ import numpy as np
 
 from . import _SOURCES
 from .boolfn import (
+    Frozen,
     GraphPropertySpec,
     TruthTable,
     as_bias,
     clique_indicator,
     critical_p0,
+    frozen_array,
     readonly,
     rows_to_hex,
     sign_array,
@@ -238,45 +240,29 @@ def analyze(f: TruthTable, p=0.5, epsilon: float = 1e-2) -> AnalysisReport:
 # sweeps over whole function classes
 
 
-class SweepResult:
-    """Per-function statistics for a sweep at one bias."""
+_COLUMNS = ("entropy", "influence", "ratio", "h_bound", "logn_bound")
 
-    __slots__ = ("n", "p", "exhaustive", "function_ids", "entropy", "influence", "ratio",
-                 "h_bound", "logn_bound", "violations")
+
+class SweepResult(Frozen):
+    """Per-function statistics for a sweep at one bias, one read-only
+    float64 column per statistic (the ratio is NaN where undefined)."""
+
+    __slots__ = _fields = ("n", "p", "exhaustive", "function_ids", *_COLUMNS, "violations")
     n: int
     p: float
     exhaustive: bool
     function_ids: np.ndarray  # table encodings, bit at mask j = (id >> j) & 1
-    entropy: np.ndarray
-    influence: np.ndarray
-    ratio: np.ndarray  # NaN where undefined
-    h_bound: np.ndarray
-    logn_bound: np.ndarray
     violations: list
 
-    def __init__(self, n: int, p: float, exhaustive: bool, function_ids: np.ndarray,
-                 entropy: np.ndarray, influence: np.ndarray, ratio: np.ndarray,
-                 h_bound: np.ndarray, logn_bound: np.ndarray, violations: list | None = None):
-        self.n = n
-        self.p = p
-        self.exhaustive = exhaustive
-        self.function_ids = function_ids
-        self.entropy = entropy
-        self.influence = influence
-        self.ratio = ratio
-        self.h_bound = h_bound
-        self.logn_bound = logn_bound
-        self.violations = [] if violations is None else violations
-
-    def __eq__(self, other) -> bool:
-        """Field by field; the NaN ratio of a constant function equals itself."""
-        if type(other) is not type(self):
-            return NotImplemented
-        scalars = ("n", "p", "exhaustive", "violations")
-        return all(getattr(self, k) == getattr(other, k) for k in scalars) and all(
-            np.array_equal(getattr(self, k), getattr(other, k), equal_nan=True)
-            for k in SweepResult.__slots__ if k not in scalars
-        )
+    def __init__(self, n: int, p: float, exhaustive: bool, function_ids,
+                 entropy, influence, ratio, h_bound, logn_bound, violations=None):
+        ids = frozen_array(function_ids, np.int64, np.size(function_ids), "function ids")
+        columns = {
+            key: frozen_array(value, np.float64, ids.size, f"{ids.size} {key} values")
+            for key, value in zip(_COLUMNS, (entropy, influence, ratio, h_bound, logn_bound))
+        }
+        self._set(n=n, p=p, exhaustive=exhaustive, function_ids=ids, **columns,
+                  violations=[] if violations is None else violations)
 
     @property
     def count(self) -> int:
@@ -390,7 +376,6 @@ SWEEP_CHUNK = 4096
 _BOUND_ROWS = 2048
 # Finished chunks a sweep holds before it hands over the oldest.
 _WINDOW = 2
-_COLUMNS = ("entropy", "influence", "ratio", "h_bound", "logn_bound")
 
 
 def _sweep_stream(n: int, p, sample: int | None, seed: int, bounds: bool = True):
@@ -562,11 +547,13 @@ def exhaustive_sweep(
             column[start:stop] = stats[key]
         violations += _chunk_violations(n, ids, stats)
         start = stop
-    return SweepResult(n=n, p=p, exhaustive=exhaustive, function_ids=function_ids,
-                       violations=violations, **columns)
+    # read-only before they are handed over, so the result keeps them uncopied
+    return SweepResult(n=n, p=p, exhaustive=exhaustive, function_ids=readonly(function_ids),
+                       violations=violations,
+                       **{key: readonly(column) for key, column in columns.items()})
 
 
-_CSV_HEADER = "function_hex,entropy,influence,ratio,h_bound,logn_bound\r\n"
+_CSV_HEADER = ",".join(("function_hex", *_COLUMNS)) + "\r\n"
 
 
 def _csv_lines(names, columns) -> list[str]:

@@ -220,15 +220,16 @@ def test_reduce_runs_past_the_size_cap_of_the_reduced_table(capsys):
     assert report["red_fk"]["holds"] and report["entropy"]["holds"]
 
 
-def test_tensor_virtual_vs_explicit(capsys):
-    assert run("tensor", "--family", "majority:3", "--power", "2",
-               "--format", "json") == 0
-    virtual = json.loads(capsys.readouterr().out)
-    assert run("tensor", "--family", "majority:3", "--power", "2", "--explicit",
-               "--format", "json") == 0
-    explicit = json.loads(capsys.readouterr().out)
-    assert virtual["entropy"] == pytest.approx(explicit["entropy"], abs=1e-10)
-    assert virtual["influence"] == pytest.approx(explicit["influence"], abs=1e-10)
+@pytest.mark.parametrize("argv, first", [
+    (["reduce", "--family", "majority:3", "--t", str((1 << 53) - 1), "--m", "53"],
+     "p = 0.9999999999999999 = 9007199254740991/2^53   reduced variables = 159"),
+    (["analyze", "--family", "majority:3", "--p", "0.99999999999"],
+     "n = 3   p = 0.99999999999   backend = "),
+])
+def test_a_text_report_prints_the_bias_it_ran_at(capsys, argv, first):
+    """Six digits would print p = 1 for both."""
+    assert run(*argv) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith(first)
 
 
 def test_tensor_product_of_two_sources(capsys):
@@ -238,15 +239,19 @@ def test_tensor_product_of_two_sources(capsys):
     assert payload["n"] == 5
 
 
-@pytest.mark.parametrize(
-    "extra", [["--family2", "mux3"], ["--power", "3", "--explicit"]], ids=["product", "explicit"]
-)
-def test_tensor_refuses_exact_where_it_has_no_effect(capsys, extra):
-    assert run("tensor", "--family", "majority:3", *extra, "--exact") == 1
+def test_tensor_refuses_exact_where_it_has_no_effect(capsys):
+    assert run("tensor", "--family", "majority:3", "--family2", "mux3", "--exact") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cubefourier: error: --exact applies only to a virtual power")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_tensor_has_no_explicit_option(capsys):
+    assert run("tensor", "--family", "majority:3", "--power", "2", "--explicit") == 1
+    assert capsys.readouterr().err.endswith(
+        "cubefourier: error: unrecognized arguments: --explicit\n"
+    )
 
 
 def test_tensor_without_second_operand_errors(capsys):
@@ -323,6 +328,21 @@ def test_spectrum_loads_from_standard_input(tmp_path):
     )
     payload = json.loads(out.stdout)
     assert (payload["n"], payload["p"]) == (5, 0.3)
+
+
+def test_spectrum_refuses_a_bias_beside_a_loaded_spectrum(tmp_path, capsys):
+    """A loaded spectrum keeps the bias it was computed at; the refusal
+    comes before the export is opened."""
+    path = tmp_path / "maj.spec"
+    cf.save_spectrum_binary(cf.transform(cf.majority(3)), path)
+    export = tmp_path / "again.spec"
+    assert run("spectrum", "--load", str(path), "--p", "0.3", "--export", str(export)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not export.exists()
+    assert captured.err == (
+        "cubefourier: error: --p applies only to a computed spectrum:"
+        " a loaded one keeps its bias\n"
+    )
 
 
 @pytest.mark.parametrize("top", [0, 1, 5, 8, 16, 32, 100])

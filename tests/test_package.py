@@ -158,6 +158,7 @@ def _immutable_values():
         (cubefourier.analyze(f).checks[0], "holds"),
         (cubefourier.clique_experiment(3, 3), "ratio"),
         (cubefourier.virtual_power_stats(f, 2), "N"),
+        (cubefourier.exhaustive_sweep(1), "entropy"),
         (COMMANDS[0], "name"),
     ]
 
@@ -234,7 +235,7 @@ def test_every_frozen_type_names_its_fields_once():
         # from numerators, not from its fields; arrays show every float
         # exactly only in numpy's "unique" float mode
         if cls not in (cubefourier.TruthTable, DyadicSpectrum):
-            namespace = {cls.__name__: cls, "array": np.array, "np": np}
+            namespace = {cls.__name__: cls, "array": np.array, "np": np, "nan": np.nan}
             with np.printoptions(floatmode="unique"):
                 text = repr(value)
             assert eval(text, namespace) == value, text
